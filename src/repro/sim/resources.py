@@ -5,13 +5,13 @@ Three resource kinds cover everything the MapReduce simulator needs:
 * :class:`Semaphore` -- counting semaphore with a FIFO queue; models map and
   reduce slots.
 * :class:`FluidNetwork` -- links whose active flows share bandwidth max-min
-  fairly, recomputed whenever a flow starts or finishes.  This captures the
+  fairly, re-solved once per simulated instant in which a flow started,
+  finished or was cancelled.  This captures the
   paper's observation that two degraded reads entering one rack halve each
   other's throughput ("doubles the download time, from 10s to 20s").
   The progressive-filling recompute runs over a persistent link->flows
-  index (only occupied links are visited), flows are kept in a
-  done-event->flow map so ``cancel`` is O(1), and the next completion is
-  tracked with a lazily invalidated ETA heap -- see DESIGN.md section 10.
+  index (only occupied links are visited) and flows are kept in a
+  done-event->flow map so ``cancel`` is O(1) -- see DESIGN.md section 10.
   The original all-pairs implementation is retained as
   :meth:`FluidNetwork._recompute_rates_reference`, the oracle for the
   property suite's allocation-equivalence tests.
@@ -22,19 +22,19 @@ Three resource kinds cover everything the MapReduce simulator needs:
 
 Observability (see :mod:`repro.obs`): each resource accepts an optional
 *observer* -- ``None`` by default, so the off path costs one ``is not None``
-check.  Observers are called synchronously (never via the event heap) with
-slot-occupancy changes, flow starts/ends, and rate reallocations, so an
-instrumented run's simulation trajectory is identical to an uninstrumented
-one.
+check.  Observers are called synchronously with slot-occupancy changes and
+flow starts/ends, and once per settled instant with the rate allocation;
+they never put anything on the event heap, so an instrumented run's
+simulation trajectory is identical to an uninstrumented one.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Event, SimulationError, Simulator
 
 
 class Semaphore:
@@ -111,8 +111,6 @@ class _Flow:
     """One active fluid transfer.
 
     ``eq=False`` keeps identity hashing so flows can key the link index.
-    ``eta_epoch`` versions the flow's (rate, remaining) basis: an ETA-heap
-    entry is valid only while the epoch it captured is still current.
     """
 
     links: tuple[str, ...]
@@ -121,7 +119,6 @@ class _Flow:
     size: float = 0.0
     rate: float = 0.0
     started_at: float = 0.0
-    eta_epoch: int = 0
 
     @property
     def finished(self) -> bool:
@@ -138,11 +135,19 @@ class FluidNetwork:
     """Max-min fair fluid bandwidth sharing across named links.
 
     Each flow crosses one or more links; at any instant the flow rates are
-    the max-min fair allocation given each link's capacity.  Rates are
-    recomputed whenever a flow starts, finishes or is cancelled, and the
-    next completion is scheduled from the updated rates.
+    the max-min fair allocation given each link's capacity.
 
-    Hot-path structure (behaviour-identical to the original all-pairs
+    The allocation is solved once per simulated instant, not once per
+    mutation: :meth:`transfer`, :meth:`cancel` and the completion callback
+    only update the flow set and mark the network unsettled; the first
+    mutation of an instant puts one :meth:`_settle` on the event heap at
+    ``now``, which re-solves the rates and arms the next completion.  Rates
+    are only ever integrated over time by :meth:`_advance`, and the engine
+    drains every entry at ``now`` before any later one, so the network is
+    always settled before virtual time advances (``_advance`` raises
+    otherwise) and the solves skipped inside an instant were never used.
+
+    Hot-path structure (allocation-identical to the original all-pairs
     implementation, enforced by golden and property tests):
 
     * ``_flows`` maps each flow's completion event to the flow, so
@@ -150,13 +155,7 @@ class FluidNetwork:
     * ``_link_flows`` is a persistent link -> ordered-flow-set index holding
       only *occupied* links, so progressive filling visits occupied links
       with O(1) per-link flow counts instead of rescanning every link
-      against every flow;
-    * ``_eta_heap`` tracks candidate completion times ``(abs_eta, seq, flow,
-      epoch)``; entries are lazily invalidated by epoch bumps when a flow's
-      rate changes or the flow ends, and the whole heap is rebuilt only when
-      virtual time advanced (every ``remaining`` then shifted).  Within one
-      instant -- the common burst case -- unchanged flows keep their
-      entries.
+      against every flow.
     """
 
     __slots__ = (
@@ -165,11 +164,9 @@ class FluidNetwork:
         "_link_order",
         "_flows",
         "_link_flows",
-        "_eta_heap",
-        "_eta_seq",
-        "_eta_dirty",
         "_last_update",
-        "_pending_completion",
+        "_unsettled",
+        "_completion_token",
         "observer",
     )
 
@@ -184,13 +181,15 @@ class FluidNetwork:
         self._flows: dict[Event, _Flow] = {}
         #: Occupied link -> insertion-ordered set (dict) of crossing flows.
         self._link_flows: dict[str, dict[_Flow, None]] = {}
-        self._eta_heap: list[tuple[float, int, _Flow, int]] = []
-        self._eta_seq = 0
-        self._eta_dirty = False
         self._last_update = 0.0
-        self._pending_completion: dict | None = None
+        #: True from the first mutation of an instant until its ``_settle``.
+        self._unsettled = False
+        #: Identifies the armed completion; heap entries carrying an older
+        #: token are stale.
+        self._completion_token = 0
         #: Optional network observer: ``flow_started`` / ``flow_finished`` /
-        #: ``rates_updated`` hooks, called synchronously (never via the heap).
+        #: ``flow_cancelled`` called synchronously, ``rates_updated`` once
+        #: per settled instant.
         self.observer = None
 
     def add_link(self, name: str, capacity: float) -> None:
@@ -237,7 +236,7 @@ class FluidNetwork:
                 bucket[flow] = None
         if self.observer is not None:
             self.observer.flow_started(self._sim.now, flow.links, flow.size)
-        self._reschedule()
+        self._mark_unsettled()
         return flow.done
 
     def active_flow_count(self, link: str | None = None) -> int:
@@ -267,13 +266,13 @@ class FluidNetwork:
                 flow.size,
                 flow.size - flow.remaining,
             )
-        self._reschedule()
+        self._mark_unsettled()
         return True
 
     # -- internals ----------------------------------------------------------
 
     def _remove_flow(self, flow: _Flow) -> None:
-        """Drop a flow from the event map and link index; void its ETAs."""
+        """Drop a flow from the event map and link index."""
         del self._flows[flow.done]
         link_flows = self._link_flows
         for link in flow.links:
@@ -281,32 +280,41 @@ class FluidNetwork:
             del bucket[flow]
             if not bucket:
                 del link_flows[link]
-        flow.eta_epoch += 1
+
+    def _mark_unsettled(self) -> None:
+        """Note a flow-set change; an instant's first one schedules its settle."""
+        if not self._unsettled:
+            self._unsettled = True
+            self._sim.call_at(self._sim.now, self._settle)
 
     def _advance(self) -> None:
-        """Debit progress accrued since the last rate change."""
-        elapsed = self._sim.now - self._last_update
+        """Debit progress accrued since the last settled instant."""
+        now = self._sim.now
+        elapsed = now - self._last_update
         if elapsed > 0:
+            if self._unsettled:
+                raise SimulationError(
+                    f"fluid network unsettled at t={self._last_update!r} while"
+                    f" virtual time advanced to {now!r}"
+                )
             for flow in self._flows.values():
-                flow.remaining = max(0.0, flow.remaining - flow.rate * elapsed)
-            # Every remaining value moved, so every cached ETA basis is void.
-            self._eta_dirty = True
-        self._last_update = self._sim.now
+                remaining = flow.remaining - flow.rate * elapsed
+                flow.remaining = remaining if remaining > 0.0 else 0.0
+            self._last_update = now
 
-    def _recompute_rates(self) -> list[_Flow]:
+    def _recompute_rates(self) -> None:
         """Progressive-filling max-min fair allocation over the link index.
 
         Visits only occupied links, with per-link flow counts maintained
-        incrementally per round.  Returns the flows whose rate changed.
+        incrementally per round.  Sets every active flow's ``rate``.
         Bit-identical to :meth:`_recompute_rates_reference`: links are
         considered in registration order so bottleneck ties break the same
         way, and within a round every frozen flow debits the same share, so
         the residual arithmetic is order-independent.
         """
-        changed: list[_Flow] = []
         link_flows = self._link_flows
         if not link_flows:
-            return changed
+            return
         occupied = sorted(link_flows, key=self._link_order.__getitem__)
         capacities = self._capacities
         residual = {link: capacities[link] for link in occupied}
@@ -331,21 +339,18 @@ class FluidNetwork:
                     continue
                 frozen.add(flow)
                 remaining_flows -= 1
-                if flow.rate != best_share:
-                    flow.rate = best_share
-                    changed.append(flow)
+                flow.rate = best_share
                 for link in flow.links:
-                    residual[link] = max(0.0, residual[link] - best_share)
+                    left = residual[link] - best_share
+                    residual[link] = left if left > 0.0 else 0.0
                     unfrozen_count[link] -= 1
             del residual[bottleneck]
         if remaining_flows:
             # Unreachable with positive capacities (every unfrozen flow
             # keeps a live link); mirrors the reference's rate zeroing.
             for flow in self._flows.values():
-                if flow not in frozen and flow.rate != 0.0:
+                if flow not in frozen:
                     flow.rate = 0.0
-                    changed.append(flow)
-        return changed
 
     def _recompute_rates_reference(self) -> dict[Event, float]:
         """The original all-pairs progressive-filling implementation.
@@ -381,82 +386,49 @@ class FluidNetwork:
             unfrozen = [flow for flow in unfrozen if bottleneck not in flow.links]
         return rates
 
-    def _refresh_eta_heap(self, changed: list[_Flow]) -> None:
-        """Bring the ETA heap in line with the rates just computed.
-
-        If virtual time advanced since the heap's entries were pushed, every
-        basis is stale: rebuild from scratch (one heapify, no epoch churn).
-        Otherwise -- a same-instant burst of starts/cancels -- only flows
-        whose rate changed need fresh entries; everyone else's cached
-        absolute ETA is still exact.
-        """
+    def _settle(self) -> None:
+        """Solve this instant's allocation and arm the next completion."""
+        self._unsettled = False
+        self._recompute_rates()
+        flows = self._flows.values()
         now = self._sim.now
-        seq = self._eta_seq
-        if self._eta_dirty:
-            self._eta_dirty = False
-            entries = []
-            for flow in self._flows.values():
-                if flow.rate > 0:
-                    seq += 1
-                    entries.append(
-                        (now + flow.remaining / flow.rate, seq, flow, flow.eta_epoch)
-                    )
-            heapq.heapify(entries)
-            self._eta_heap = entries
-        else:
-            heap = self._eta_heap
-            for flow in changed:
-                flow.eta_epoch += 1
-                if flow.rate > 0:
-                    seq += 1
-                    heapq.heappush(
-                        heap,
-                        (now + flow.remaining / flow.rate, seq, flow, flow.eta_epoch),
-                    )
-        self._eta_seq = seq
-
-    def _reschedule(self) -> None:
-        """Recompute rates and arm the next completion callback."""
-        changed = self._recompute_rates()
         if self.observer is not None:
             link_rates: dict[str, float] = {}
-            for flow in self._flows.values():
+            for flow in flows:
                 for link in flow.links:
                     link_rates[link] = link_rates.get(link, 0.0) + flow.rate
-            self.observer.rates_updated(self._sim.now, link_rates)
-        if self._pending_completion is not None:
-            self._pending_completion["cancelled"] = True
-            self._pending_completion = None
-        self._refresh_eta_heap(changed)
-        heap = self._eta_heap
-        while heap and heap[0][3] != heap[0][2].eta_epoch:
-            heapq.heappop(heap)
-        if not heap:
+            self.observer.rates_updated(now, link_rates)
+        # A new token voids whatever completion an earlier settle armed.
+        self._completion_token = token = self._completion_token + 1
+        eta = min(
+            (now + flow.remaining / flow.rate for flow in flows if flow.rate > 0),
+            default=None,
+        )
+        if eta is not None:
+            self._sim.call_at(eta, partial(self._complete, token))
+
+    def _complete(self, token: int) -> None:
+        """The armed completion: retire every finished flow.
+
+        May run at an instant a mutation already unsettled; it then debits
+        no time and just collects the flows that finished.  Marking
+        unsettled *after* firing the ``done`` events lets the flows started
+        by the processes they wake fold into the same solve.
+        """
+        if token != self._completion_token:
             return
-        handle = {"cancelled": False}
-        self._pending_completion = handle
-        eta = heap[0][0]
-
-        def fire() -> None:
-            if handle["cancelled"]:
-                return
-            self._pending_completion = None
-            self._advance()
-            finished = [flow for flow in self._flows.values() if flow.finished]
-            for flow in finished:
-                self._remove_flow(flow)
-            for flow in finished:
-                if self.observer is not None:
-                    self.observer.flow_finished(
-                        self._sim.now,
-                        flow.links,
-                        flow.size,
-                        self._sim.now - flow.started_at,
-                    )
-                flow.done.succeed(self._sim.now - flow.started_at)
-            self._reschedule()
-
-        self._sim.call_at(eta, fire)
+        self._advance()
+        now = self._sim.now
+        finished = [flow for flow in self._flows.values() if flow.finished]
+        for flow in finished:
+            self._remove_flow(flow)
+        for flow in finished:
+            if self.observer is not None:
+                self.observer.flow_finished(
+                    now, flow.links, flow.size, now - flow.started_at
+                )
+            flow.done.succeed(now - flow.started_at)
+        self._mark_unsettled()
 
 
 class ExclusivePathNetwork:

@@ -4,8 +4,10 @@ Usage (from the repository root)::
 
     PYTHONPATH=src:. python tests/golden/regenerate.py
 
-Only run this after an *intentional* semantic change to the simulator --
-the point of the goldens is that performance work never moves a trajectory.
+Only run this after an *intentional* change -- the point of the goldens is
+that performance work never moves a ``result`` block; the ``dispatched``
+pin moves only when the core's own event schedule is changed on purpose
+(see ``tests/integration/test_golden_equivalence.py``).
 
 Set ``GOLDEN_OUT=<dir>`` to write somewhere other than ``tests/golden/``;
 CI's golden-freshness check uses this to regenerate into a scratch tree

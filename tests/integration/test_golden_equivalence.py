@@ -1,26 +1,37 @@
-"""Golden-equivalence tests: the hot-path rewrite changes no trajectory.
+"""Golden-equivalence tests: performance work moves no trajectory.
 
 The simulation core (``sim/engine.py``, ``sim/resources.py``) is optimised
-for speed under one hard contract: *zero perturbation*.  A rewritten heap
-encoding, flow index, or completion scheduler must reproduce the original
-implementation's trajectories bit for bit.  These tests enforce the
-contract in CI instead of leaving it to review: each golden file under
-``tests/golden/`` was generated from the pre-optimisation implementation
-(see ``tests/golden/regenerate.py``) and records the full serialized
-:class:`~repro.mapreduce.metrics.SimulationResult` plus the engine's
-dispatched-event count for one fixed-seed trial.
+for speed under one hard contract.  Each golden file under
+``tests/golden/`` records, for one fixed-seed trial, two things with
+different standing:
+
+``result``
+    The full serialized :class:`~repro.mapreduce.metrics.SimulationResult`,
+    generated from the pre-optimisation implementation and byte-pinned
+    forever.  No rewrite of the heap encoding, the flow index, the
+    allocator or the completion scheduling may change one byte of it.
+
+``dispatched``
+    The engine's dispatched-event count.  It pins the *event schedule* of
+    the current implementation, so that an accidental extra or missing
+    heap entry shows up even when it leaves ``result`` alone.  It is a pin
+    that moves only deliberately: PR 12 (FluidNetwork settles its
+    allocation once per simulated instant instead of once per mutation)
+    regenerated it, with ``result`` untouched in all six files.
 
 Covered trajectories: all three schedulers (LF/BDF/EDF) on a single-node
 failure, a mid-run failure (exercising in-flight flow cancellation), a
 multi-job FIFO run, and a run with the online repair driver (throttle
 links plus repair/foreground bandwidth competition).
 
-If one of these tests fails after an intentional *semantic* change to the
-simulator, regenerate the goldens with::
+If ``dispatched`` moves after an intentional change to how the core
+schedules its own work, or ``result`` after an intentional *semantic*
+change to the simulator, regenerate the goldens with::
 
     PYTHONPATH=src:. python tests/golden/regenerate.py
 
-and explain the trajectory change in the commit message.
+check that the diff touches only what the change meant to move, and name
+the PR and the reason in the commit message.
 """
 
 from __future__ import annotations
@@ -95,6 +106,6 @@ def test_trajectory_matches_golden(name: str) -> None:
     actual = json.loads(json.dumps(actual, allow_nan=False))
     assert actual["dispatched"] == golden["dispatched"], (
         f"{name}: engine dispatched {actual['dispatched']} events, "
-        f"golden recorded {golden['dispatched']} -- the event schedule moved"
+        f"golden pins {golden['dispatched']} -- the event schedule moved"
     )
     assert actual["result"] == golden["result"]

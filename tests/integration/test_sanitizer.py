@@ -4,8 +4,8 @@ Three contracts:
 
 1. **Zero perturbation** -- running every golden scenario under
    :class:`InvariantMonitor` records no violations AND reproduces the
-   committed golden trajectory bit for bit (the monitor is a pure
-   observer).
+   committed golden bit for bit -- the byte-pinned ``result`` and the
+   ``dispatched`` pin alike (the monitor is a pure observer).
 2. **Detection power** -- a deliberately broken BDF pacing gate (the
    test-only ``_FORCE_PACING_BREAK`` switch) is caught and named by the
    sanitizer (mutation smoke test).
@@ -54,7 +54,9 @@ def test_goldens_run_clean_and_unperturbed_under_monitor(name: str) -> None:
         )
     )
     assert actual["dispatched"] == golden["dispatched"], (
-        f"{name}: the monitor perturbed the event schedule"
+        f"{name}: engine dispatched {actual['dispatched']} events under the "
+        f"monitor, golden pins {golden['dispatched']} -- the monitor perturbed "
+        "the event schedule"
     )
     assert actual["result"] == golden["result"]
 

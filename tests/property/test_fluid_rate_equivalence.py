@@ -1,23 +1,36 @@
-"""Property tests: the indexed max-min allocator matches the reference.
+"""Property tests: the fluid network against its reference allocator.
 
-``FluidNetwork._recompute_rates`` was rewritten to iterate a persistent
-link->flows index instead of rescanning every link against every flow.
-The original implementation is kept as
-``FluidNetwork._recompute_rates_reference`` (non-mutating, returning rates
-keyed by completion event).  These tests drive random start/finish/cancel
-sequences through a network and assert, after every single operation, that
-the live rates assigned by the indexed implementation are *bit-identical*
-(``==``, not approx) to what the reference allocator computes for the same
-flow population -- so any divergence in bottleneck choice, tie-breaking or
-residual arithmetic fails immediately.
+``FluidNetwork._recompute_rates`` iterates a persistent link->flows index
+instead of rescanning every link against every flow; the original
+implementation is kept as ``FluidNetwork._recompute_rates_reference``
+(non-mutating, returning rates keyed by completion event).  The network
+solves its allocation once per simulated instant (``_settle``), so the
+first two tests drive random start/finish/cancel sequences from outside
+the engine, settle with ``sim.run(until=sim.now)`` after every single
+operation, and assert that the live rates are *bit-identical* (``==``, not
+approx) to what the reference allocator computes for the same flow
+population -- any divergence in bottleneck choice, tie-breaking or
+residual arithmetic fails immediately -- and that the link index mirrors
+the flow population.
+
+The third test checks the settle-once scheduling itself: random scripts
+with same-instant bursts, mid-flight cancels, zero-size and empty-path
+flows must complete at identical times, in identical order, on
+``FluidNetwork`` and on :class:`EagerStepper`, a heap-free model that
+re-solves with the reference allocator after *every* mutation.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from functools import partial
+from math import inf
+from types import SimpleNamespace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import Simulator, Timeout
+from repro.sim.engine import Simulator
 from repro.sim.resources import FluidNetwork
 
 
@@ -60,92 +73,227 @@ def assert_rates_match_reference(network: FluidNetwork) -> None:
     assert actual == expected
 
 
-@settings(max_examples=60, deadline=None)
-@given(churn_plan())
-def test_indexed_allocation_matches_reference(plan):
+def assert_index_consistent(network: FluidNetwork) -> None:
+    """The persistent link index must mirror the true flow population."""
+    true_counts: dict[str, int] = {}
+    for flow in network._flows.values():
+        for link in flow.links:
+            true_counts[link] = true_counts.get(link, 0) + 1
+    indexed = {link: len(bucket) for link, bucket in network._link_flows.items()}
+    assert indexed == true_counts
+    for link in network.capacities:
+        assert network.active_flow_count(link) == true_counts.get(link, 0)
+    assert network.active_flow_count() == len(network._flows)
+
+
+def drive_plan(plan, check) -> int:
+    """Run a churn plan, calling ``check(network)`` on every settled state.
+
+    The plan's starts and cancels are applied from outside the engine, in
+    time order; between them the engine advances one instant at a time, so
+    ``check`` sees the network after every start, every cancel and every
+    instant in which flows finished.  Returns the number of checks made.
+    """
     capacities, flows = plan
     sim = Simulator()
     network = FluidNetwork(sim)
     for index, capacity in enumerate(capacities):
         network.add_link(f"l{index}", capacity)
-    checks = {"count": 0}
+    handles: dict[int, object] = {}
+    checks = 0
 
-    def checked(outcome: str):
-        # Runs synchronously right after every start/finish/cancel
-        # reallocation the plan produces.
-        assert_rates_match_reference(network)
-        checks["count"] += 1
+    def settle_and_check(until):
+        nonlocal checks
+        sim.run(until=until)
+        check(network)
+        checks += 1
 
-    def launch(path, size, start, cancel_after):
-        def process():
-            yield Timeout(start)
-            done = network.transfer([f"l{i}" for i in path], size)
-            checked("start")
-            if cancel_after is not None:
+    def run_until(time):
+        while (instant := sim.peek()) is not None and instant <= time:
+            settle_and_check(instant)
+        sim.run(until=time)
 
-                def canceller():
-                    yield Timeout(cancel_after)
-                    if network.cancel(done):
-                        checked("cancel")
+    # (time, flow number, is a cancel); the stable sort keeps a flow's start
+    # ahead of its own zero-delay cancel.
+    operations = [(flow[2], number, False) for number, flow in enumerate(flows)]
+    operations += [
+        (flow[2] + flow[3], number, True)
+        for number, flow in enumerate(flows)
+        if flow[3] is not None
+    ]
+    for time, number, is_cancel in sorted(operations, key=lambda op: op[0]):
+        run_until(time)
+        if is_cancel:
+            network.cancel(handles[number])
+        else:
+            path, size = flows[number][:2]
+            handles[number] = network.transfer([f"l{i}" for i in path], size)
+        settle_and_check(sim.now)
+    run_until(1e7)
+    assert network.active_flow_count() == 0
+    return checks
 
-                sim.spawn(canceller())
-            yield done
-            checked("finish")
 
-        sim.spawn(process())
-
-    for path, size, start, cancel_after in flows:
-        launch(path, size, start, cancel_after)
-    sim.run(until=1e7)
-    assert checks["count"] >= len(flows)
-    # Quiescent network: no flows left (or only cancelled ones), and the
-    # reference agrees the allocation over the survivors is empty/static.
-    assert_rates_match_reference(network)
+@settings(max_examples=60, deadline=None)
+@given(churn_plan())
+def test_indexed_allocation_matches_reference(plan):
+    checks = drive_plan(plan, assert_rates_match_reference)
+    assert checks >= len(plan[1])
 
 
 @settings(max_examples=40, deadline=None)
 @given(churn_plan())
 def test_link_occupancy_index_consistent(plan):
     """The persistent link index always mirrors the true flow population."""
-    capacities, flows = plan
+    drive_plan(plan, assert_index_consistent)
+
+
+class EagerStepper:
+    """Heap-free fluid model that re-solves after every mutation.
+
+    Allocation comes only from ``_recompute_rates_reference``, borrowed
+    unbound: it reads ``_capacities`` and the ``links`` / ``done`` of each
+    value in ``_flows``.  Progress is debited where ``FluidNetwork`` debits
+    it (at effective starts and cancels and at completions), the next
+    completion is taken from the last solve of each instant, and a
+    completion that ties with scripted operations runs after them, as its
+    later heap sequence number makes it do in the engine.
+    """
+
+    def __init__(self, capacities: dict[str, float]) -> None:
+        self._capacities = capacities
+        self._flows: dict[int, SimpleNamespace] = {}
+        self.now = 0.0
+        self.completions: list[tuple[float, int]] = []
+
+    def _advance(self, time: float) -> None:
+        elapsed = time - self.now
+        if elapsed > 0:
+            for flow in self._flows.values():
+                flow.remaining = max(0.0, flow.remaining - flow.rate * elapsed)
+        self.now = time
+
+    def _solve(self) -> None:
+        rates = FluidNetwork._recompute_rates_reference(self)
+        for number, flow in self._flows.items():
+            flow.rate = rates[number]
+
+    def run(self, script) -> None:
+        pending = deque(script)
+        armed = inf
+        while pending or armed < inf:
+            time = min(armed, pending[0][0] if pending else inf)
+            while pending and pending[0][0] == time:
+                _, number, links, size = pending.popleft()
+                if links is None:
+                    if number in self._flows:
+                        self._advance(time)
+                        del self._flows[number]
+                        self._solve()
+                elif size <= 0 or not links:
+                    self.completions.append((time, number))
+                else:
+                    self._advance(time)
+                    self._flows[number] = SimpleNamespace(
+                        links=links, done=number, size=size, remaining=size, rate=0.0
+                    )
+                    self._solve()
+            if armed == time:
+                self._advance(time)
+                finished = [
+                    number
+                    for number, flow in self._flows.items()
+                    if flow.remaining <= max(1e-6 * flow.size, 1e-9)
+                ]
+                for number in finished:
+                    del self._flows[number]
+                    self.completions.append((time, number))
+                self._solve()
+            armed = min(
+                (
+                    self.now + flow.remaining / flow.rate
+                    for flow in self._flows.values()
+                    if flow.rate > 0
+                ),
+                default=inf,
+            )
+
+
+def run_on_network(capacities: dict[str, float], script) -> list[tuple[float, int]]:
+    """Completion ``(time, flow number)`` log of ``script`` on FluidNetwork."""
     sim = Simulator()
     network = FluidNetwork(sim)
-    for index, capacity in enumerate(capacities):
-        network.add_link(f"l{index}", capacity)
+    for link, capacity in capacities.items():
+        network.add_link(link, capacity)
+    handles: dict[int, object] = {}
+    completions: list[tuple[float, int]] = []
 
-    def verify_index():
-        # Rebuild occupancy from scratch and compare with the maintained
-        # index and the O(1) counts it serves.
-        true_counts: dict[str, int] = {}
-        for flow in network._flows.values():
-            for link in flow.links:
-                true_counts[link] = true_counts.get(link, 0) + 1
-        indexed = {link: len(bucket) for link, bucket in network._link_flows.items()}
-        assert indexed == true_counts
-        for index_ in range(len(capacities)):
-            name = f"l{index_}"
-            assert network.active_flow_count(name) == true_counts.get(name, 0)
-        assert network.active_flow_count() == len(network._flows)
+    def watch(number, done):
+        yield done
+        completions.append((sim.now, number))
 
-    def launch(path, size, start, cancel_after):
-        def process():
-            yield Timeout(start)
-            done = network.transfer([f"l{i}" for i in path], size)
-            verify_index()
-            if cancel_after is not None:
+    def start(number, links, size):
+        done = handles[number] = network.transfer(list(links), size)
+        if done.fired:
+            completions.append((sim.now, number))
+        else:
+            sim.spawn(watch(number, done))
 
-                def canceller():
-                    yield Timeout(cancel_after)
-                    network.cancel(done)
-                    verify_index()
+    def cancel(number):
+        network.cancel(handles[number])
 
-                sim.spawn(canceller())
-            yield done
-            verify_index()
+    for time, number, links, size in script:
+        if links is None:
+            sim.call_at(time, partial(cancel, number))
+        else:
+            sim.call_at(time, partial(start, number, links, size))
+    sim.run()
+    assert network.active_flow_count() == 0
+    return completions
 
-        sim.spawn(process())
 
-    for path, size, start, cancel_after in flows:
-        launch(path, size, start, cancel_after)
-    sim.run(until=1e7)
-    verify_index()
+#: A coarse grid, so starts, cancels and completions share instants.
+INSTANTS = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 4.5, 8.0])
+
+
+@st.composite
+def burst_script(draw):
+    """Link capacities plus time-ordered ``(time, number, links, size)`` ops.
+
+    ``links is None`` marks a cancel of flow ``number``.  Round sizes over
+    round capacities make completions land exactly on scripted instants;
+    zero sizes and empty paths complete on the spot.
+    """
+    num_links = draw(st.integers(min_value=1, max_value=4))
+    capacities = {
+        f"l{index}": draw(st.sampled_from([1.0, 2.0, 2.5, 4.0, 10.0]))
+        for index in range(num_links)
+    }
+    script = []
+    for number in range(draw(st.integers(min_value=1, max_value=12))):
+        links = draw(
+            st.lists(st.sampled_from(sorted(capacities)), max_size=num_links, unique=True)
+        )
+        size = draw(
+            st.one_of(
+                st.sampled_from([0.0, 1.0, 2.0, 5.0, 8.0, 20.0]),
+                st.floats(min_value=0.5, max_value=50.0),
+            )
+        )
+        start = draw(INSTANTS)
+        script.append((start, number, tuple(links), size))
+        if draw(st.booleans()):
+            script.append((start + draw(INSTANTS), number, None, None))
+    # Stable, so a flow's start stays ahead of its own same-instant cancel.
+    script.sort(key=lambda op: op[0])
+    return capacities, script
+
+
+@settings(max_examples=200, deadline=None)
+@given(burst_script())
+def test_settle_once_completes_like_eager_stepper(plan):
+    """Same completion times, same completion order, on every script."""
+    capacities, script = plan
+    stepper = EagerStepper(capacities)
+    stepper.run(script)
+    assert run_on_network(capacities, script) == stepper.completions

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.engine import Timeout
+from repro.sim.engine import SimulationError, Timeout
 from repro.sim.resources import ExclusivePathNetwork, FluidNetwork, Semaphore
 
 
@@ -177,6 +177,98 @@ class TestFluidNetwork:
         # late: 30 units at 5/s -> done at t=11; early then has
         # 100 - 50 - 30 = 20 units left at 10/s -> done at t=13.
         assert dict(log) == {"late": pytest.approx(11.0), "early": pytest.approx(13.0)}
+
+
+class RateLog:
+    """Network observer keeping ``(now, link_rates)`` of every reallocation."""
+
+    def __init__(self):
+        self.updates = []
+
+    def flow_started(self, now, links, size):
+        pass
+
+    def flow_finished(self, now, links, size, duration):
+        pass
+
+    def rates_updated(self, now, link_rates):
+        self.updates.append((now, link_rates))
+
+
+class TestFluidSettleOnce:
+    """The allocation is solved once per instant, before time advances."""
+
+    @pytest.fixture
+    def network(self, sim):
+        network = FluidNetwork(sim)
+        network.add_link("l", 10.0)
+        network.observer = RateLog()
+        return network
+
+    def test_same_instant_transfers_reallocate_once(self, sim, network):
+        log = []
+        for label in "abcde":
+            record_transfer(sim, network, ["l"], 20.0, log, label)
+
+        def burst_at_two(label):
+            yield Timeout(2.0)
+            yield network.transfer(["l"], 20.0)
+            log.append((label, sim.now))
+
+        for label in "vwxyz":
+            sim.spawn(burst_at_two(label))
+        sim.run(until=2.0)
+        assert network.observer.updates == [(0.0, {"l": 10.0}), (2.0, {"l": 10.0})]
+        sim.run()
+        # At t=2 the first five have 16 left at 1/s; the late five then
+        # finish their last 4 at 2/s.
+        assert [time for _, time in log] == pytest.approx([18.0] * 5 + [20.0] * 5)
+
+    def test_cancel_armed_flow_in_same_instant_as_start(self, sim, network):
+        log = []
+
+        def watch(label, done):
+            yield done
+            log.append((label, sim.now))
+
+        armed = network.transfer(["l"], 30.0)  # first to finish: owns the completion
+        sim.spawn(watch("long", network.transfer(["l"], 100.0)))
+
+        def swap():
+            assert network.cancel(armed)
+            sim.spawn(watch("new", network.transfer(["l"], 35.0)))
+
+        sim.call_at(3.0, swap)
+        sim.run()
+        assert not armed.fired
+        # long has 85 left at t=3 and shares with new (35 at 5/s -> t=10),
+        # then runs its last 50 alone.  Nothing happens at the voided t=6.
+        assert dict(log) == {"new": pytest.approx(10.0), "long": pytest.approx(15.0)}
+        assert [now for now, _ in network.observer.updates] == pytest.approx(
+            [0.0, 3.0, 10.0, 15.0]
+        )
+
+    def test_run_until_returns_mid_burst_and_resumes(self, sim, network):
+        log = []
+
+        def start_at_four():
+            yield Timeout(4.0)
+            yield network.transfer(["l"], 40.0)
+            log.append(("inside", sim.now))
+
+        sim.spawn(start_at_four())
+        sim.run(until=4.0)
+        # The burst goes on after run() handed control back at t=4.
+        record_transfer(sim, network, ["l"], 40.0, log, "outside")
+        sim.run()
+        assert dict(log) == {"inside": pytest.approx(12.0), "outside": pytest.approx(12.0)}
+        assert [now for now, _ in network.observer.updates] == pytest.approx([4.0, 4.0, 12.0])
+
+    def test_advance_past_unsettled_instant_raises(self, sim, network):
+        network.transfer(["l"], 10.0)
+        sim._now = 1.0  # not reachable through run(), which settles t=0 first
+        with pytest.raises(SimulationError, match="unsettled"):
+            network.transfer(["l"], 10.0)
 
 
 class TestExclusivePathNetwork:
