@@ -17,12 +17,21 @@ different standing:
     heap entry shows up even when it leaves ``result`` alone.  It is a pin
     that moves only deliberately: PR 12 (FluidNetwork settles its
     allocation once per simulated instant instead of once per mutation)
-    regenerated it, with ``result`` untouched in all six files.
+    regenerated it, with ``result`` untouched in all six files it then had.
 
 Covered trajectories: all three schedulers (LF/BDF/EDF) on a single-node
 failure, a mid-run failure (exercising in-flight flow cancellation), a
-multi-job FIFO run, and a run with the online repair driver (throttle
-links plus repair/foreground bandwidth competition).
+multi-job FIFO run, a run with the online repair driver (throttle
+links plus repair/foreground bandwidth competition), and two runs on the
+exclusive-hold network (``network_model="exclusive"``): LF on a
+single-node failure (a long hold queue) and EDF with a mid-run failure
+(tasks killed while their holds are queued or in flight; the first failure
+cancels no hold -- ``ExclusivePathNetwork.cancel`` is pinned by
+``tests/property/test_exclusive_equivalence.py`` and the crash-under-load
+trial of ``tests/integration/test_exclusive_network.py``).  PR 14 added
+those two on the unmodified rescanning ``ExclusivePathNetwork`` and then
+replaced its drain; both their ``result`` and their ``dispatched`` stayed
+byte-identical.
 
 If ``dispatched`` moves after an intentional change to how the core
 schedules its own work, or ``result`` after an intentional *semantic*
@@ -79,6 +88,16 @@ def golden_cases() -> dict[str, SimulationConfig]:
             seed=5,
             jobs=(small_job,),
             repair=RepairConfig(bandwidth_cap=100e6, concurrent_repairs=2),
+        ),
+        "lf-exclusive": SimulationConfig(
+            scheduler="LF", seed=7, jobs=(small_job,), network_model="exclusive"
+        ),
+        "edf-exclusive-midrun-failure": SimulationConfig(
+            scheduler="EDF",
+            seed=11,
+            jobs=(small_job,),
+            failure_time=25.0,
+            network_model="exclusive",
         ),
     }
 
