@@ -1,6 +1,6 @@
 """Fixed workloads for the simulation-core performance suite.
 
-Three workloads probe the hot paths the core optimisation targeted:
+Four workloads probe the hot paths the core optimisation targeted:
 
 * :func:`engine_churn` -- raw event-loop throughput: processes that sleep,
   signal events and join each other, measured as dispatched callbacks per
@@ -9,6 +9,9 @@ Three workloads probe the hot paths the core optimisation targeted:
   staggered multi-link flows over a two-tier rack/NIC topology, with a
   fraction cancelled mid-flight, measured as rate reallocations per
   wall-second.
+* :func:`exclusive_churn` -- the same topology and flow script through
+  ExclusivePathNetwork: a hold queue hundreds deep with cancels of queued
+  and in-flight holds, measured as holds per wall-second.
 * :func:`fig7_single_trial` -- one end-to-end paper trial (the unit of work
   every figure's sweep repeats thousands of times).
 
@@ -27,7 +30,7 @@ from dataclasses import replace
 from repro.mapreduce.config import SimulationConfig
 from repro.mapreduce.simulation import run_simulation
 from repro.sim.engine import Simulator, Timeout
-from repro.sim.resources import FluidNetwork
+from repro.sim.resources import ExclusivePathNetwork, FluidNetwork
 
 
 def _lcg(seed: int):
@@ -69,22 +72,17 @@ def engine_churn(num_processes: int = 300, rounds: int = 400) -> dict:
     }
 
 
-def fluid_churn(
-    num_racks: int = 4,
-    nodes_per_rack: int = 10,
-    num_flows: int = 800,
-    cancel_every: int = 5,
-) -> dict:
-    """Concurrent multi-link flows with mid-flight cancels.
+def _churn(network_class, num_racks, nodes_per_rack, num_flows, cancel_every):
+    """The shared churn script: returns ``(sim, tally, seconds)``.
 
-    Mirrors a degraded-read storm: most flows cross four links (source NIC,
-    source rack uplink, destination rack downlink, destination NIC), start
-    within a short window so hundreds are concurrently active, and every
-    ``cancel_every``-th flow is aborted mid-flight -- the workload the
-    paper's multi-run sweeps hammer hardest.
+    Most flows cross four links (source NIC, source rack uplink, destination
+    rack downlink, destination NIC), start within 20 simulated seconds, and
+    every ``cancel_every``-th flow is aborted a little later.
+    ``tally["peak_queue"]`` is the longest hold queue seen right after a
+    ``transfer`` (always 0 on a network without one).
     """
     sim = Simulator()
-    network = FluidNetwork(sim)
+    network = network_class(sim)
     capacity = 125e6  # 1 Gbps in bytes/s
     for rack in range(num_racks):
         network.add_link(f"rack{rack}:up", capacity)
@@ -95,7 +93,8 @@ def fluid_churn(
         network.add_link(f"node{node}:out", capacity)
 
     stream = _lcg(42)
-    completions = {"done": 0, "cancelled": 0}
+    tally = {"done": 0, "cancelled": 0, "peak_queue": 0}
+    queue = getattr(network, "_queue", ())
 
     def launch(flow_id: int):
         src = next(stream) % num_nodes
@@ -111,17 +110,18 @@ def fluid_churn(
         def flow_process():
             yield Timeout(start_delay)
             done = network.transfer(links, size)
+            tally["peak_queue"] = max(tally["peak_queue"], len(queue))
             if flow_id % cancel_every == 0:
                 cancel_after = (next(stream) % 100 + 1) * 0.05
 
                 def canceller():
                     yield Timeout(cancel_after)
                     if network.cancel(done):
-                        completions["cancelled"] += 1
+                        tally["cancelled"] += 1
 
                 sim.spawn(canceller())
             yield done
-            completions["done"] += 1
+            tally["done"] += 1
 
         sim.spawn(flow_process())
 
@@ -129,15 +129,58 @@ def fluid_churn(
         launch(flow_id)
     start = time.perf_counter()
     sim.run(until=1e7)
-    elapsed = time.perf_counter() - start
-    reallocations = completions["done"] + completions["cancelled"] + num_flows
+    return sim, tally, time.perf_counter() - start
+
+
+def fluid_churn(
+    num_racks: int = 4,
+    nodes_per_rack: int = 10,
+    num_flows: int = 800,
+    cancel_every: int = 5,
+) -> dict:
+    """Concurrent multi-link flows with mid-flight cancels.
+
+    Mirrors a degraded-read storm: hundreds of flows are concurrently
+    active and a fraction is aborted mid-flight -- the workload the
+    paper's multi-run sweeps hammer hardest.
+    """
+    sim, tally, elapsed = _churn(
+        FluidNetwork, num_racks, nodes_per_rack, num_flows, cancel_every
+    )
+    reallocations = tally["done"] + tally["cancelled"] + num_flows
     return {
         "flows": num_flows,
-        "completed": completions["done"],
-        "cancelled": completions["cancelled"],
+        "completed": tally["done"],
+        "cancelled": tally["cancelled"],
         "dispatched": sim.dispatched,
         "seconds": elapsed,
         "reallocations_per_sec": reallocations / elapsed,
+    }
+
+
+def exclusive_churn(
+    num_racks: int = 4,
+    nodes_per_rack: int = 10,
+    num_flows: int = 800,
+    cancel_every: int = 5,
+) -> dict:
+    """The :func:`fluid_churn` script through :class:`ExclusivePathNetwork`.
+
+    Every cross-rack hold takes a rack uplink and a downlink exclusively, so
+    the same 800 starts pile up in the hold queue (cancels hit queued and
+    in-flight holds alike); the cost under test is the first-fit drain.
+    """
+    sim, tally, elapsed = _churn(
+        ExclusivePathNetwork, num_racks, nodes_per_rack, num_flows, cancel_every
+    )
+    return {
+        "holds": num_flows,
+        "completed": tally["done"],
+        "cancelled": tally["cancelled"],
+        "peak_queue": tally["peak_queue"],
+        "dispatched": sim.dispatched,
+        "seconds": elapsed,
+        "holds_per_sec": num_flows / elapsed,
     }
 
 
@@ -161,6 +204,7 @@ def main() -> None:
     for name, fn in (
         ("engine_churn", engine_churn),
         ("fluid_churn", fluid_churn),
+        ("exclusive_churn", exclusive_churn),
         ("fig7_single_trial", fig7_single_trial),
     ):
         print(name, fn())

@@ -30,7 +30,12 @@ import time
 
 import pytest
 
-from benchmarks.perf_core import engine_churn, fig7_single_trial, fluid_churn
+from benchmarks.perf_core import (
+    engine_churn,
+    exclusive_churn,
+    fig7_single_trial,
+    fluid_churn,
+)
 from repro.sim.engine import Simulator
 from repro.sim.resources import FluidNetwork
 
@@ -112,6 +117,22 @@ def test_fluid_churn_throughput():
         assert result["reallocations_per_sec"] >= floor, (
             f"fluid churn ran {result['reallocations_per_sec']:.0f} "
             f"reallocations/s, below the enforced floor {floor:.0f}"
+        )
+
+
+def test_exclusive_churn_throughput():
+    """Hold throughput of the first-fit drain under a deep queue with cancels."""
+    if SMALL:
+        result = exclusive_churn(num_flows=250)
+    else:
+        result = exclusive_churn()
+    _results["exclusive_churn"] = result
+    assert result["completed"] + result["cancelled"] == result["holds"]
+    if ENFORCE:
+        floor = FLOORS["exclusive_holds_per_sec"] * FLOOR_SLACK
+        assert result["holds_per_sec"] >= floor, (
+            f"exclusive churn ran {result['holds_per_sec']:.0f} holds/s, "
+            f"below the enforced floor {floor:.0f}"
         )
 
 

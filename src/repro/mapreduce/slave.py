@@ -75,8 +75,11 @@ class SlaveRuntime:
         if observer is not None:
             for semaphore in (*self.map_slots.values(), *self.reduce_slots.values()):
                 semaphore.observer = observer
-        self._running: dict[int, set[Process]] = {
-            node.node_id: set() for node in topology.nodes
+        #: Live task processes per node, in spawn order: a dict, not a set,
+        #: so a crash interrupts them in an order that does not depend on
+        #: ``id()`` (memory layout, hence ``PYTHONHASHSEED``).
+        self._running: dict[int, dict[Process, None]] = {
+            node.node_id: {} for node in topology.nodes
         }
         #: Ground-truth crash instants (nodes dead but possibly undetected).
         self.crash_times: dict[int, float] = {}
@@ -227,7 +230,7 @@ class SlaveRuntime:
             # The dead node's slots emptied with it; restart the series at 0.
             self.map_slots[node_id]._notify()
             self.reduce_slots[node_id]._notify()
-        self._running[node_id] = set()
+        self._running[node_id] = {}
         self.spawn_slave(node_id)
 
     # -- slowdowns --------------------------------------------------------------
@@ -248,10 +251,10 @@ class SlaveRuntime:
             self._slowdowns[node_id] = remaining
 
     def _register(self, node_id: int, process: Process) -> None:
-        self._running[node_id].add(process)
+        self._running[node_id][process] = None
 
     def _unregister(self, node_id: int, process: Process) -> None:
-        self._running[node_id].discard(process)
+        self._running[node_id].pop(process, None)
 
     def speed_of(self, node_id: int) -> float:
         """Effective speed factor of a node (including active slowdowns)."""

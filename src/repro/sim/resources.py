@@ -434,10 +434,13 @@ class FluidNetwork:
 class ExclusivePathNetwork:
     """Transfers hold every link on their path exclusively (CSIM semantics).
 
-    Pending transfers sit in one global FIFO; whenever links free up, the
-    queue is scanned in arrival order and every request whose links are all
-    free is granted (first-fit, so a blocked wide request does not starve
-    narrow ones behind it — matching how CSIM facility queues behave).
+    Pending transfers sit in one global FIFO and are granted first-fit in
+    arrival order, so a blocked wide request does not starve narrow ones
+    behind it -- matching how CSIM facility queues behave.  Links are only
+    freed by a release or an in-flight cancel, and each of those ends with a
+    drain, so between calls every queued request is blocked: ``transfer``
+    tests only the new request, and a drain is one pass over the queue
+    (links only get busier inside it).  See DESIGN.md section 10.
     """
 
     __slots__ = ("_sim", "_capacities", "_busy", "_queue", "_active", "observer")
@@ -447,8 +450,9 @@ class ExclusivePathNetwork:
         self._capacities: dict[str, float] = {}
         self._busy: set[str] = set()
         self._queue: list[tuple[tuple[str, ...], float, Event]] = []
-        #: Active holds by completion event, so a hold can be cancelled.
-        self._active: dict[Event, dict] = {}
+        #: Active holds, completion event -> (links, size, started), so a
+        #: hold can be cancelled; a release that finds no entry was cancelled.
+        self._active: dict[Event, tuple[tuple[str, ...], float, float]] = {}
         #: Optional network observer (same protocol as FluidNetwork's).
         self.observer = None
 
@@ -485,8 +489,11 @@ class ExclusivePathNetwork:
         if size <= 0 or not links:
             done.succeed()
             return done
-        self._queue.append((tuple(links), float(size), done))
-        self._drain()
+        path = tuple(links)
+        if self._busy.isdisjoint(path):
+            self._grant(path, float(size), done)
+        else:
+            self._queue.append((path, float(size), done))
         return done
 
     def active_flow_count(self, link: str | None = None) -> int:
@@ -504,56 +511,47 @@ class ExclusivePathNetwork:
             if pending is done:
                 del self._queue[index]
                 return True
-        handle = self._active.pop(done, None)
-        if handle is None:
+        hold = self._active.pop(done, None)
+        if hold is None:
             return False
-        handle["cancelled"] = True
-        self._busy.difference_update(handle["links"])
+        links, size, _started = hold
+        self._busy.difference_update(links)
         if self.observer is not None:
             if hasattr(self.observer, "flow_cancelled"):
-                self.observer.flow_cancelled(
-                    self._sim.now,
-                    handle["links"],
-                    handle["size"],
-                    # Exclusive holds move no partial bytes; the hold simply ends.
-                    0.0,
-                )
+                # Exclusive holds move no partial bytes; the hold simply ends.
+                self.observer.flow_cancelled(self._sim.now, links, size, 0.0)
             self._notify_rates()
         self._drain()
         return True
 
     def _drain(self) -> None:
-        granted_any = True
-        while granted_any:
-            granted_any = False
-            for index, (links, size, done) in enumerate(self._queue):
-                if any(link in self._busy for link in links):
-                    continue
-                del self._queue[index]
-                self._busy.update(links)
-                duration = size / min(self._capacities[link] for link in links)
-                started = self._sim.now
-                handle = {"links": links, "size": size, "cancelled": False}
-                self._active[done] = handle
-                if self.observer is not None:
-                    self.observer.flow_started(self._sim.now, links, size)
-                    self._notify_rates()
+        """Grant, in arrival order, every queued request whose links are free."""
+        busy, queue, index = self._busy, self._queue, 0
+        while index < len(queue):
+            if busy.isdisjoint(queue[index][0]):
+                self._grant(*queue.pop(index))
+            else:
+                index += 1
 
-                def release(
-                    links=links, done=done, started=started, size=size, handle=handle
-                ) -> None:
-                    if handle["cancelled"]:
-                        return
-                    self._active.pop(done, None)
-                    self._busy.difference_update(links)
-                    if self.observer is not None:
-                        self.observer.flow_finished(
-                            self._sim.now, links, size, self._sim.now - started
-                        )
-                        self._notify_rates()
-                    done.succeed(self._sim.now - started)
-                    self._drain()
+    def _grant(self, links: tuple[str, ...], size: float, done: Event) -> None:
+        self._busy.update(links)
+        duration = size / min(self._capacities[link] for link in links)
+        started = self._sim.now
+        self._active[done] = (links, size, started)
+        if self.observer is not None:
+            self.observer.flow_started(started, links, size)
+            self._notify_rates()
+        self._sim.call_in(duration, partial(self._release, done))
 
-                self._sim.call_in(duration, release)
-                granted_any = True
-                break
+    def _release(self, done: Event) -> None:
+        hold = self._active.pop(done, None)
+        if hold is None:
+            return
+        links, size, started = hold
+        self._busy.difference_update(links)
+        now = self._sim.now
+        if self.observer is not None:
+            self.observer.flow_finished(now, links, size, now - started)
+            self._notify_rates()
+        done.succeed(now - started)
+        self._drain()

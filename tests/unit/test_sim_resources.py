@@ -16,6 +16,25 @@ def record_transfer(sim, network, links, size, log, label):
     sim.spawn(process())
 
 
+class RecordingNetworkObserver:
+    """Logs every network hook as ``(time, hook, links, args)``."""
+
+    def __init__(self):
+        self.log = []
+
+    def flow_started(self, now, links, size):
+        self.log.append((now, "flow_started", links, (size,)))
+
+    def flow_finished(self, now, links, size, duration):
+        self.log.append((now, "flow_finished", links, (size, duration)))
+
+    def flow_cancelled(self, now, links, size, moved):
+        self.log.append((now, "flow_cancelled", links, (size, moved)))
+
+    def rates_updated(self, now, link_rates):
+        self.log.append((now, "rates_updated", tuple(sorted(link_rates)), ()))
+
+
 class TestSemaphore:
     def test_grants_up_to_capacity(self, sim):
         sem = Semaphore(sim, 2)
@@ -321,3 +340,132 @@ class TestExclusivePathNetwork:
         network = ExclusivePathNetwork(sim)
         network.add_link("l", 1.0)
         assert network.transfer(["l"], 0.0).fired
+
+    def test_cancel_queued_request(self, sim):
+        network = ExclusivePathNetwork(sim)
+        network.add_link("l", 10.0)
+        observer = RecordingNetworkObserver()
+        network.observer = observer
+        log = []
+        record_transfer(sim, network, ["l"], 100.0, log, "holder")
+        sim.run(until=1.0)
+        queued = network.transfer(["l"], 100.0)
+        before = list(observer.log)
+        assert network.cancel(queued) is True
+        assert observer.log == before  # a queued request never started
+        sim.run()
+        assert not queued.fired
+        assert log == [("holder", 10.0)]
+        assert [entry[1] for entry in observer.log].count("flow_started") == 1
+        assert network.cancel(queued) is False
+
+    def test_cancel_in_flight_frees_links_for_waiters_in_order(self, sim):
+        network = ExclusivePathNetwork(sim)
+        for link in ("a", "b"):
+            network.add_link(link, 10.0)
+        log = []
+        held = network.transfer(["a", "b"], 100.0)  # would release at t=10
+        record_transfer(sim, network, ["a"], 100.0, log, "first")
+        record_transfer(sim, network, ["b"], 50.0, log, "second")
+        record_transfer(sim, network, ["a"], 100.0, log, "third")
+        sim.run(until=4.0)
+        observer = RecordingNetworkObserver()
+        network.observer = observer
+        assert network.cancel(held) is True
+        # Both links freed at t=4: first and second start now, in arrival
+        # order; third still waits behind first on "a".
+        assert observer.log == [
+            (4.0, "flow_cancelled", ("a", "b"), (100.0, 0.0)),
+            (4.0, "rates_updated", (), ()),
+            (4.0, "flow_started", ("a",), (100.0,)),
+            (4.0, "rates_updated", ("a",), ()),
+            (4.0, "flow_started", ("b",), (50.0,)),
+            (4.0, "rates_updated", ("a", "b"), ()),
+        ]
+        sim.run()
+        assert not held.fired
+        assert log == [("second", 9.0), ("first", 14.0), ("third", 24.0)]
+        # The cancelled hold's own release (t=10) was a no-op: nothing
+        # finished or started then, and "a" was not freed under first.
+        assert [entry for entry in observer.log if entry[0] == 10.0] == []
+        assert network.cancel(held) is False
+
+    def test_cancel_finished_or_foreign_event(self, sim):
+        network = ExclusivePathNetwork(sim)
+        network.add_link("l", 10.0)
+        done = network.transfer(["l"], 100.0)
+        sim.run()
+        assert done.fired
+        assert network.cancel(done) is False
+        assert network.cancel(sim.event()) is False
+        assert network.cancel(network.transfer(["l"], 0.0)) is False
+
+    def test_arrival_on_free_links_granted_past_queued_requests(self, sim):
+        network = ExclusivePathNetwork(sim)
+        for link in ("a", "b", "c"):
+            network.add_link(link, 10.0)
+        log = []
+        record_transfer(sim, network, ["a"], 100.0, log, "holder")
+        record_transfer(sim, network, ["a", "b"], 100.0, log, "wide")
+        record_transfer(sim, network, ["a"], 100.0, log, "narrow")
+        sim.run(until=1.0)
+        observer = RecordingNetworkObserver()
+        network.observer = observer
+        # Granted on arrival: its link is free, the queue is not scanned.
+        record_transfer(sim, network, ["c"], 90.0, log, "late")
+        sim.run(until=1.0)
+        assert observer.log == [
+            (1.0, "flow_started", ("c",), (90.0,)),
+            (1.0, "rates_updated", ("a", "c"), ()),
+        ]
+        sim.run()
+        # The queued requests keep their arrival order on "a".
+        assert log == [
+            ("holder", 10.0), ("late", 10.0), ("wide", 20.0), ("narrow", 30.0)
+        ]
+
+    def test_arrival_takes_free_link_a_blocked_earlier_request_wants(self, sim):
+        network = ExclusivePathNetwork(sim)
+        network.add_link("a", 10.0)
+        network.add_link("b", 10.0)
+        log = []
+        record_transfer(sim, network, ["a"], 100.0, log, "holder")
+        record_transfer(sim, network, ["a", "b"], 100.0, log, "wide")
+        sim.run(until=1.0)
+        # "b" is free now, so the newcomer takes it although wide (queued
+        # earlier, blocked on "a") also wants it: first-fit, not FIFO.
+        record_transfer(sim, network, ["b"], 150.0, log, "newcomer")
+        sim.run()
+        assert log == [("holder", 10.0), ("newcomer", 16.0), ("wide", 26.0)]
+
+    def test_observer_sequence_grant_release_drain(self, sim):
+        network = ExclusivePathNetwork(sim)
+        network.add_link("a", 10.0)
+        network.add_link("b", 20.0)
+        observer = RecordingNetworkObserver()
+        network.observer = observer
+        woken = []
+        first = network.transfer(["a", "b"], 100.0)
+        second = network.transfer(["b"], 100.0)
+
+        def waiter():
+            value = yield first
+            woken.append((sim.now, value, second.fired, network.active_flow_count()))
+
+        sim.spawn(waiter())
+        sim.run()
+        assert observer.log == [
+            (0.0, "flow_started", ("a", "b"), (100.0,)),
+            (0.0, "rates_updated", ("a", "b"), ()),
+            # release of first: finished -> rates -> (done fires) -> drain.
+            (10.0, "flow_finished", ("a", "b"), (100.0, 10.0)),
+            (10.0, "rates_updated", (), ()),
+            (10.0, "flow_started", ("b",), (100.0,)),
+            (10.0, "rates_updated", ("b",), ()),
+            (15.0, "flow_finished", ("b",), (100.0, 5.0)),
+            (15.0, "rates_updated", (), ()),
+        ]
+        # The waiter resumed after the release had drained the queue.
+        assert woken == [(10.0, 10.0, False, 1)]
+        assert second.value == 5.0
+        assert sim.dispatched == 4  # spawn step, two releases, one resume
