@@ -4,59 +4,16 @@ The benchmarks regenerate every table and figure of the paper.  By default
 they run abbreviated sample counts (3 seeds / 2 testbed repetitions) so the
 whole suite finishes in minutes on a laptop; set ``REPRO_SEEDS=30`` and
 ``REPRO_TESTBED_RUNS=5`` for the paper's full methodology.
-
-Every session also writes ``BENCH_obs.json`` next to this file: wall-clock
-seconds per benchmark, grouped by figure/table module, so the suite's
-performance trajectory accumulates across commits.  Override the location
-with ``REPRO_BENCH_OUT`` (empty string disables the write).
 """
 
 from __future__ import annotations
 
-import json
 import os
-import time
 
 os.environ.setdefault("REPRO_SEEDS", "3")
 os.environ.setdefault("REPRO_TESTBED_RUNS", "2")
-
-#: Wall-clock call durations per test node id, filled as the session runs.
-_timings: dict[str, float] = {}
 
 
 def one_shot(benchmark, fn, *args, **kwargs):
     """Run an expensive experiment exactly once under the benchmark timer."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-
-def pytest_runtest_logreport(report) -> None:
-    if report.when == "call" and report.passed:
-        _timings[report.nodeid] = report.duration
-
-
-def _figure_of(nodeid: str) -> str:
-    """Group key: ``benchmarks/test_fig7_simulation.py::x`` -> ``fig7_simulation``."""
-    module = nodeid.split("::")[0].rsplit("/", 1)[-1]
-    return module.removeprefix("test_").removesuffix(".py")
-
-
-def pytest_sessionfinish(session, exitstatus) -> None:
-    out = os.environ.get(
-        "REPRO_BENCH_OUT", os.path.join(os.path.dirname(__file__), "BENCH_obs.json")
-    )
-    if not out or not _timings:
-        return
-    figures: dict[str, dict] = {}
-    for nodeid, seconds in sorted(_timings.items()):
-        entry = figures.setdefault(_figure_of(nodeid), {"total_s": 0.0, "tests": {}})
-        entry["tests"][nodeid] = round(seconds, 3)
-        entry["total_s"] = round(entry["total_s"] + seconds, 3)
-    payload = {
-        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "seeds": os.environ.get("REPRO_SEEDS"),
-        "testbed_runs": os.environ.get("REPRO_TESTBED_RUNS"),
-        "figures": figures,
-    }
-    with open(out, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")

@@ -1,9 +1,8 @@
 """Benchmark: post-hoc analyzer wall-clock on a fig-7-style failure run.
 
 The analysis pipeline is pure read-side code, so its cost rides on top of
-every campaign that wants telemetry; this keeps its wall-clock visible in
-``BENCH_obs.json`` (grouped as ``obs_analyze``) across commits.  The
-simulation itself runs outside the timer -- only analysis is measured.
+every campaign that wants telemetry; this times it under pytest-benchmark.
+The simulation itself runs outside the timer -- only analysis is measured.
 """
 
 from __future__ import annotations

@@ -93,6 +93,45 @@ from repro.cluster.network import MB, mbps
 from repro.ec.codec import CodeParams
 
 
+#: The campaign-engine flags, each spelled here and nowhere else; a command
+#: picks the ones it supports by short name (:func:`_engine_flags`).
+_ENGINE_FLAGS = {
+    "journal": ("--journal", dict(
+        dest="journal_path", metavar="FILE",
+        help="write-ahead JSONL journal of trial completions; re-running with "
+        "the same journal skips finished trials (required for 'campaign resume')",
+    )),
+    "cache": ("--cache-dir", dict(
+        dest="cache_dir", metavar="DIR",
+        help="content-addressed, sha256-verified result cache shared across "
+        "campaigns (corrupt entries are quarantined and recomputed)",
+    )),
+    "retries": ("--retries", dict(
+        type=int, default=2,
+        help="re-attempts per trial after the first try (default 2)",
+    )),
+    "timeout": ("--trial-timeout", dict(
+        dest="trial_timeout", type=float, default=None, metavar="SECONDS",
+        help="wall-clock budget per trial attempt; an overrunning worker is "
+        "killed and the trial retried",
+    )),
+    "backoff": ("--backoff", dict(
+        type=float, default=0.5, metavar="SECONDS",
+        help="base of the exponential retry backoff (default 0.5)",
+    )),
+    "workers": ("--workers", dict(
+        type=int, default=None,
+        help="pool width (default: REPRO_WORKERS or every core)",
+    )),
+}
+
+
+def _engine_flags(subparser: argparse.ArgumentParser, *names: str, **overrides) -> None:
+    for name in names:
+        flag, options = _ENGINE_FLAGS[name]
+        subparser.add_argument(flag, **{**options, **overrides})
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -251,20 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="also write the full campaign report as canonical JSON",
     )
-    reliability.add_argument(
-        "--journal",
-        dest="journal_path",
-        metavar="FILE",
-        help="write-ahead journal for the window sweep; re-running with the "
-        "same journal skips finished windows (crash-safe resume)",
-    )
-    reliability.add_argument(
-        "--cache-dir",
-        dest="cache_dir",
-        metavar="DIR",
-        help="content-addressed result cache for window trials "
-        "(sha256-verified; corrupt entries quarantined and recomputed)",
-    )
+    _engine_flags(reliability, "journal", "cache")
 
     campaign = commands.add_parser(
         "campaign",
@@ -273,46 +299,8 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign_commands = campaign.add_subparsers(dest="campaign_command", required=True)
 
     def _campaign_execution_flags(subparser: argparse.ArgumentParser) -> None:
-        subparser.add_argument(
-            "--journal",
-            dest="journal_path",
-            metavar="FILE",
-            help="write-ahead JSONL journal of trial completions "
-            "(required for resume)",
-        )
-        subparser.add_argument(
-            "--cache-dir",
-            dest="cache_dir",
-            metavar="DIR",
-            help="content-addressed result cache shared across campaigns",
-        )
-        subparser.add_argument(
-            "--retries",
-            type=int,
-            default=2,
-            help="re-attempts per trial after the first try (default 2)",
-        )
-        subparser.add_argument(
-            "--trial-timeout",
-            dest="trial_timeout",
-            type=float,
-            default=None,
-            metavar="SECONDS",
-            help="wall-clock budget per trial attempt; an overrunning "
-            "worker is killed and the trial retried",
-        )
-        subparser.add_argument(
-            "--backoff",
-            type=float,
-            default=0.5,
-            metavar="SECONDS",
-            help="base of the exponential retry backoff (default 0.5)",
-        )
-        subparser.add_argument(
-            "--workers",
-            type=int,
-            default=None,
-            help="pool width (default: REPRO_WORKERS or every core)",
+        _engine_flags(
+            subparser, "journal", "cache", "retries", "timeout", "backoff", "workers"
         )
         subparser.add_argument(
             "--report",
@@ -369,12 +357,8 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign_status = campaign_commands.add_parser(
         "status", help="summarise a campaign journal without running"
     )
-    campaign_status.add_argument(
-        "--journal",
-        dest="journal_path",
-        metavar="FILE",
-        required=True,
-        help="the journal to inspect",
+    _engine_flags(
+        campaign_status, "journal", required=True, help="the journal to inspect"
     )
 
     policies = commands.add_parser(
@@ -438,39 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="also write the leaderboard as a self-contained HTML dashboard",
     )
-    tournament.add_argument(
-        "--journal",
-        dest="journal_path",
-        metavar="FILE",
-        help="write-ahead JSONL journal; re-running with the same journal "
-        "skips finished trials (crash-safe resume)",
-    )
-    tournament.add_argument(
-        "--cache-dir",
-        dest="cache_dir",
-        metavar="DIR",
-        help="content-addressed result cache shared across tournaments",
-    )
-    tournament.add_argument(
-        "--retries",
-        type=int,
-        default=2,
-        help="re-attempts per trial after the first try (default 2)",
-    )
-    tournament.add_argument(
-        "--trial-timeout",
-        dest="trial_timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock budget per trial attempt",
-    )
-    tournament.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="pool width (default: REPRO_WORKERS or every core)",
-    )
+    _engine_flags(tournament, "journal", "cache", "retries", "timeout", "workers")
 
     simulate = commands.add_parser("simulate", help="run one simulation trial")
     simulate.add_argument(
@@ -632,7 +584,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     obs_report.add_argument(
         "input",
-        help="events JSONL, run-summary JSON, or reliability-campaign JSON",
+        help="events JSONL, run-summary JSON, or a reliability-campaign or "
+        "tournament report JSON",
     )
     obs_report.add_argument(
         "-o",
@@ -702,24 +655,14 @@ def _experiment_summary(name: str) -> str | None:
 
 
 def _cmd_run(names: list[str], check: bool = False, summary: bool = False) -> int:
-    import contextlib
-    import os
-
+    from repro.check import InvariantViolationError
     from repro.experiments.registry import get_experiment
+    from repro.mapreduce.simulation import check_env
 
-    if check:
-        from repro.check import InvariantViolationError
-
-        # Experiments fan trials out over a process pool; the environment
-        # variable is how check mode reaches the worker processes.
-        env = {"REPRO_CHECK": "1"}
-        catch: type[BaseException] = InvariantViolationError
-    else:
-        env = {}
-        catch = ()  # type: ignore[assignment]
-    previous = {name: os.environ.get(name) for name in env}
-    os.environ.update(env)
-    try:
+    catch = InvariantViolationError if check else ()
+    # Experiments fan trials out over a process pool; the environment
+    # variable is how check mode reaches the worker processes.
+    with check_env(check):
         for name in names:
             runner = get_experiment(name)
             try:
@@ -736,12 +679,6 @@ def _cmd_run(names: list[str], check: bool = False, summary: bool = False) -> in
                     else f"[{name}] no representative simulation trial to summarize"
                 )
             print()
-    finally:
-        for name, value in previous.items():
-            with contextlib.suppress(KeyError):
-                del os.environ[name]
-            if value is not None:
-                os.environ[name] = value
     return 0
 
 
@@ -839,12 +776,63 @@ def _interrupted_message(stop, journal_path: str | None) -> str:
     return f"interrupted: {stop.remaining} trial(s) remaining; {saved}"
 
 
+def _run_engine_command(args, spec, run, render, exports, label, check=False) -> int:
+    """The one handler behind ``campaign run|resume`` and ``tournament``.
+
+    Policy from the engine flags -> cache -> per-trial progress lines ->
+    ``run(spec, policy, journal, cache, progress)`` (exit 5 when
+    interrupted and checkpointed) -> ``render(report)`` -> ``exports``, a
+    list of ``(path or None, serialise, what)`` (exit 2 when unwritable) ->
+    cache statistics; exit 1 when a trial failed terminally.
+    """
+    from repro.experiments.campaign import CampaignInterrupted, CampaignPolicy
+    from repro.experiments.common import open_cache
+    from repro.mapreduce.simulation import check_env
+
+    try:
+        policy = CampaignPolicy(
+            retries=args.retries,
+            trial_timeout=args.trial_timeout,
+            backoff=getattr(args, "backoff", CampaignPolicy.backoff),
+            workers=args.workers,
+            on_error="collect",
+        )
+    except ValueError as error:
+        print(f"bad {label} options: {error}", file=sys.stderr)
+        return 2
+    cache = open_cache(args.cache_dir)
+
+    def progress(index: int, status: str, attempts: int) -> None:
+        retried = f" (attempt {attempts})" if attempts > 1 else ""
+        print(f"trial {index:4d}: {status}{retried}")
+
+    try:
+        with check_env(check):
+            report, _outcome = run(spec, policy, args.journal_path, cache, progress)
+    except CampaignInterrupted as stop:
+        print(_interrupted_message(stop, args.journal_path), file=sys.stderr)
+        return 5
+    print(render(report))
+    for path, serialise, what in exports:
+        if not path:
+            continue
+        if not _write_output(path, serialise(report)):
+            return 2
+        print(f"{what} written to {path}")
+    if cache is not None:
+        stats = cache.stats
+        print(
+            f"cache: {stats.hits} hit(s), {stats.misses} miss(es), "
+            f"{stats.corrupt} corrupt, {stats.stores} store(s)"
+        )
+    return 1 if report["failures"] else 0
+
+
 def _cmd_campaign(args: argparse.Namespace) -> int:
     import json
+    import os
 
     from repro.experiments.campaign import (
-        CampaignInterrupted,
-        CampaignPolicy,
         Journal,
         SweepSpec,
         journal_status,
@@ -877,13 +865,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 schedulers=schedulers,
                 seeds=tuple(range(args.seeds)),
             )
-        policy = CampaignPolicy(
-            retries=args.retries,
-            trial_timeout=args.trial_timeout,
-            backoff=args.backoff,
-            workers=args.workers,
-            on_error="collect",
-        )
     except (OSError, ValueError) as error:
         print(f"bad campaign options: {error}", file=sys.stderr)
         return 2
@@ -893,58 +874,24 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         if not journal_path:
             print("campaign resume needs --journal", file=sys.stderr)
             return 2
-        import os
-
         if not os.path.exists(journal_path):
             print(f"no journal at {journal_path!r} to resume from", file=sys.stderr)
             return 2
-    elif journal_path:
-        import os
-
-        if os.path.exists(journal_path) and Journal.load(journal_path).records:
-            print(
-                f"journal {journal_path!r} already has finished trials; "
-                "use 'repro campaign resume' to continue it",
-                file=sys.stderr,
-            )
-            return 2
-
-    cache = None
-    if args.cache_dir:
-        from repro import __version__
-        from repro.experiments.cache import ResultCache
-
-        cache = ResultCache(directory=args.cache_dir, code_version=__version__)
-
-    def progress(index: int, status: str, attempts: int) -> None:
-        retried = f" (attempt {attempts})" if attempts > 1 else ""
-        print(f"trial {index:4d}: {status}{retried}")
-
-    try:
-        report, _outcome = run_sweep(
-            spec,
-            policy=policy,
-            journal_path=journal_path,
-            cache=cache,
-            progress=progress,
-        )
-    except CampaignInterrupted as stop:
-        print(_interrupted_message(stop, journal_path), file=sys.stderr)
-        return 5
-    print(render_sweep_report(report))
-    if args.report_path and not _write_output(
-        args.report_path, report_to_json(report)
-    ):
-        return 2
-    if args.report_path:
-        print(f"campaign report written to {args.report_path}")
-    if cache is not None:
-        stats = cache.stats
+    elif journal_path and Journal.load(journal_path).records:
         print(
-            f"cache: {stats.hits} hit(s), {stats.misses} miss(es), "
-            f"{stats.corrupt} corrupt, {stats.stores} store(s)"
+            f"journal {journal_path!r} already has finished trials; "
+            "use 'repro campaign resume' to continue it",
+            file=sys.stderr,
         )
-    return 1 if report["failures"] else 0
+        return 2
+    return _run_engine_command(
+        args,
+        spec,
+        run_sweep,
+        render_sweep_report,
+        [(args.report_path, report_to_json, "campaign report")],
+        "campaign",
+    )
 
 
 def _cmd_policies(args: argparse.Namespace) -> int:
@@ -958,15 +905,8 @@ def _cmd_policies(args: argparse.Namespace) -> int:
 
 
 def _cmd_tournament(args: argparse.Namespace) -> int:
-    import contextlib
-    import os
-
     from repro.core.scheduler import POLICIES
-    from repro.experiments.campaign import (
-        CampaignInterrupted,
-        CampaignPolicy,
-        Journal,
-    )
+    from repro.experiments.campaign import Journal
     from repro.experiments.tournament import (
         TournamentSpec,
         corpus_scenarios,
@@ -976,6 +916,7 @@ def _cmd_tournament(args: argparse.Namespace) -> int:
         run_tournament,
     )
     from repro.mapreduce.config import JobConfig, SimulationConfig
+    from repro.obs import report_html
 
     try:
         n_text, k_text = args.code.split(",")
@@ -1006,70 +947,24 @@ def _cmd_tournament(args: argparse.Namespace) -> int:
             policies=names,
             seeds=tuple(range(args.seeds)),
         )
-        policy = CampaignPolicy(
-            retries=args.retries,
-            trial_timeout=args.trial_timeout,
-            workers=args.workers,
-            on_error="collect",
-        )
     except (OSError, ValueError) as error:
         print(f"bad tournament options: {error}", file=sys.stderr)
         return 2
 
-    journal_path = args.journal_path
-    if journal_path:
-        if os.path.exists(journal_path) and Journal.load(journal_path).records:
-            print(f"resuming tournament from journal {journal_path!r}")
-
-    cache = None
-    if args.cache_dir:
-        from repro import __version__
-        from repro.experiments.cache import ResultCache
-
-        cache = ResultCache(directory=args.cache_dir, code_version=__version__)
-
-    def progress(index: int, status: str, attempts: int) -> None:
-        retried = f" (attempt {attempts})" if attempts > 1 else ""
-        print(f"trial {index:4d}: {status}{retried}")
-
-    env = {"REPRO_CHECK": "1"} if args.check else {}
-    previous = {name: os.environ.get(name) for name in env}
-    os.environ.update(env)
-    try:
-        report, _outcome = run_tournament(
-            spec,
-            policy=policy,
-            journal_path=journal_path,
-            cache=cache,
-            progress=progress,
-        )
-    except CampaignInterrupted as stop:
-        print(_interrupted_message(stop, journal_path), file=sys.stderr)
-        return 5
-    finally:
-        for name, value in previous.items():
-            with contextlib.suppress(KeyError):
-                del os.environ[name]
-            if value is not None:
-                os.environ[name] = value
-    print(render_leaderboard(report))
-    if args.json_path and not _write_output(args.json_path, report_to_json(report)):
-        return 2
-    if args.json_path:
-        print(f"tournament report written to {args.json_path}")
-    if args.html_path:
-        from repro.obs import report_html
-
-        if not _write_output(args.html_path, report_html(report)):
-            return 2
-        print(f"leaderboard dashboard written to {args.html_path}")
-    if cache is not None:
-        stats = cache.stats
-        print(
-            f"cache: {stats.hits} hit(s), {stats.misses} miss(es), "
-            f"{stats.corrupt} corrupt, {stats.stores} store(s)"
-        )
-    return 1 if report["failures"] else 0
+    if args.journal_path and Journal.load(args.journal_path).records:
+        print(f"resuming tournament from journal {args.journal_path!r}")
+    return _run_engine_command(
+        args,
+        spec,
+        run_tournament,
+        render_leaderboard,
+        [
+            (args.json_path, report_to_json, "tournament report"),
+            (args.html_path, report_html, "leaderboard dashboard"),
+        ],
+        "tournament",
+        check=args.check,
+    )
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -1301,9 +1196,10 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 def _load_analysis_document(path: str) -> dict:
     """Load an analysis document, analyzing event logs on the fly.
 
-    Accepts a versioned run-summary JSON, a reliability-campaign JSON, or
-    a raw events JSONL (which is analyzed into a run summary).  Raises
-    :class:`ValueError` with a usable message on anything else.
+    Accepts any schema-tagged JSON document (run summary, reliability,
+    tournament or sweep report) or a raw events JSONL, which is analyzed
+    into a run summary.  Raises :class:`ValueError` with a usable message
+    on anything else.
     """
     import json
 

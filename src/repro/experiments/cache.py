@@ -25,8 +25,8 @@ What makes it *safe* is that nothing from disk is ever trusted blindly:
 
 Payloads must be canonical-JSON-serialisable (plain dicts/lists/strings/
 numbers); trial runners that return full result objects cannot be cached
--- use a digesting runner (:class:`repro.experiments.common.DigestedRunner`
-or the campaign trial runners) instead.
+-- use a telemetry runner (:func:`repro.experiments.campaign.sweep_trial`,
+built on ``trial_telemetry``) instead.
 """
 
 from __future__ import annotations

@@ -42,14 +42,14 @@ serialisable (digest/telemetry runners are; raw
 :class:`~repro.mapreduce.metrics.SimulationResult` runners are not --
 those still get worker fault tolerance, just not persistence).
 
-On top of the engine sits the ``repro campaign`` sweep layer: a
-:class:`SweepSpec` (base config x schedulers x seeds, schema
-``repro.campaign/v1``) executed by :func:`run_sweep` into a canonically
-ordered report (schema ``repro.campaign-report/v1``) whose scheduler rows
-carry merged :class:`~repro.obs.digest.LatencyDigest` telemetry.  The
-report deliberately excludes volatile execution counters (cache hits,
-retries, journal replays) so interrupted-and-resumed campaigns stay
-bit-identical to uninterrupted ones.
+On top of the engine sits the campaign spine every multi-trial report is
+built from (DESIGN.md section 14.4): one trial payload
+(:func:`trial_telemetry`), one grid-order merge (:func:`merge_trials`), one
+report envelope (:func:`run_grid`).  The ``repro campaign`` sweep is its
+plainest user: a :class:`SweepSpec` (base config x schedulers x seeds,
+schema ``repro.campaign/v1``) run by :func:`run_sweep` into a
+``repro.campaign-report/v1`` document; the tournament and reliability
+Phase B add their own columns to the same rows.
 """
 
 from __future__ import annotations
@@ -73,6 +73,7 @@ from repro.faults.errors import JobFailedError
 from repro.mapreduce.config import SimulationConfig
 from repro.mapreduce.serialization import config_from_dict, config_to_dict
 from repro.mapreduce.simulation import run_simulation
+from repro.obs.digest import LatencyDigest
 
 #: Schema tags for the journal lines, the sweep spec, and the sweep report.
 JOURNAL_SCHEMA = "repro.campaign-journal/v1"
@@ -240,13 +241,10 @@ def runner_spec(runner) -> object:
     """A canonical, JSON-safe description of a trial runner.
 
     Module-level callables are named by ``module.qualname``; dataclass
-    wrapper runners (e.g. :class:`~repro.experiments.common.DigestedRunner`)
+    wrapper runners (e.g. :class:`~repro.check.fuzz.FaultyRunner`)
     contribute their class name plus their fields, recursing into callable
-    fields.  Runners may override this with a ``campaign_spec()`` method.
+    fields.
     """
-    override = getattr(runner, "campaign_spec", None)
-    if override is not None:
-        return override()
     if dataclasses.is_dataclass(runner) and not isinstance(runner, type):
         spec: dict = {"kind": _qualname(type(runner))}
         for fld in dataclasses.fields(runner):
@@ -895,40 +893,156 @@ def _default_workers() -> int:
     return max_workers()
 
 
-# -- the sweep layer (``repro campaign``) -------------------------------------
+# -- the campaign spine: trial payload, grid-order merge, report envelope ------
+#
+# Every multi-trial unit (the ``repro campaign`` sweep, the tournament,
+# reliability Phase B) is the paper's Section V-B shape: a grid of seeded
+# trials reduced to one row per policy.  The pieces below are that shape,
+# once; the three reports add only their own columns.
 
 
-def sweep_trial(config: SimulationConfig) -> dict:
-    """One sweep trial: digests plus job counters, refusals as data.
+def run_or_partial(config: SimulationConfig):
+    """Run one trial; a failed job is an observation, not a crash.
 
-    Module-level and JSON-payload so campaigns can journal and cache it.
-    A job failure (retry budget, data unavailable) is a campaign
-    observation, not a crash; invariant violations still propagate.
+    A :class:`JobFailedError` (retry budget, data unavailable) yields its
+    partial result -- ``None`` when the trial refused at build time because
+    a stripe was already unrecoverable.  Invariant violations propagate.
+    """
+    try:
+        return run_simulation(config)
+    except JobFailedError as error:
+        return error.result
+
+
+def trial_telemetry(result) -> dict:
+    """One trial folded into O(1)-size JSON: job counters plus digests.
+
+    Pool workers ship this instead of the task trace, so memory and pipe
+    traffic per trial are constant, and the payload can be journaled and
+    cached.
     """
     import math
 
+    # Looked up at call time: the e2e tracer rebinds ``digest_result``.
     from repro.obs.digest import digest_result
 
-    try:
-        result = run_simulation(config)
-    except JobFailedError as error:
-        result = error.result
-    if result is None:
-        return {"refused": True, "jobs": None, "digests": None}
-    submitted = completed = failed = 0
-    for job in result.jobs.values():
-        submitted += 1
-        if job.failed or math.isnan(job.finish_time):
-            failed += 1
-        else:
-            completed += 1
+    failed = sum(
+        1 for job in result.jobs.values() if job.failed or math.isnan(job.finish_time)
+    )
     return {
-        "refused": False,
-        "jobs": {"submitted": submitted, "completed": completed, "failed": failed},
+        "jobs": {
+            "submitted": len(result.jobs),
+            "completed": len(result.jobs) - failed,
+            "failed": failed,
+        },
         "digests": {
             name: digest.to_dict() for name, digest in digest_result(result).items()
         },
     }
+
+
+def sweep_trial(config: SimulationConfig) -> dict:
+    """One sweep/tournament trial (module-level: journals hash its name)."""
+    result = run_or_partial(config)
+    if result is None:
+        return {"refused": True, "jobs": None, "digests": None}
+    return {"refused": False, **trial_telemetry(result)}
+
+
+def merge_trials(payloads) -> tuple[dict, dict[str, LatencyDigest]]:
+    """Fold one report row's trial payloads **in the order given**.
+
+    Callers pass grid order: ``total`` is a float sum, so the order is what
+    keeps serial, pooled and resumed campaigns bit-identical.  A ``None``
+    payload (terminal failure) counts as a trial but not ``done``; a
+    ``refused`` one is ``done`` and contributes nothing.  Returns the
+    fields every report row shares plus the merged digests, from which
+    callers derive their own columns.
+    """
+    merged = {name: LatencyDigest() for name in ("degraded_read", "sojourn", "makespan")}
+    trials = done = refused = 0
+    jobs = {"submitted": 0, "completed": 0, "failed": 0}
+    for payload in payloads:
+        trials += 1
+        if payload is None:
+            continue
+        done += 1
+        if payload.get("refused"):
+            refused += 1
+            continue
+        for name in jobs:
+            jobs[name] += payload["jobs"][name]
+        for name, digest in merged.items():
+            digest.merge(LatencyDigest.from_dict(payload["digests"][name]))
+    row = {
+        "trials": trials,
+        "done": done,
+        "refused": refused,
+        "jobs": jobs,
+        "degraded_read_seconds": merged["degraded_read"].percentiles(),
+        "makespan_seconds": merged["makespan"].percentiles(),
+        "telemetry": {name: digest.to_dict() for name, digest in merged.items()},
+    }
+    return row, merged
+
+
+def run_grid(spec, policy, journal_path, cache, progress):
+    """Run ``spec.grid()`` of :func:`sweep_trial`; returns (keys, outcome, envelope).
+
+    The envelope (``accounting``, ``failures``) holds only what is a pure
+    function of the spec and the terminal trial outcomes -- never cache
+    hits, retries or journal replays -- so an interrupted-then-resumed
+    campaign emits byte-identical report JSON.
+    """
+    if policy is None:
+        policy = CampaignPolicy(on_error="collect")
+    configs, keys = spec.grid()
+    outcome = CampaignEngine(
+        runner=sweep_trial,
+        policy=policy,
+        journal_path=journal_path,
+        cache=cache,
+        progress=progress,
+    ).run(configs)
+    counters = outcome.counters
+    envelope = {
+        "accounting": {
+            "submitted": counters.submitted,
+            "done": counters.done,
+            "failed": counters.failed,
+            "quarantined": counters.quarantined,
+        },
+        "failures": [failure.to_dict() for failure in outcome.failures],
+    }
+    return keys, outcome, envelope
+
+
+def report_to_json(report: dict) -> str:
+    """Canonical, strict JSON of any campaign-shaped report."""
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def degraded_read_text(latency: dict) -> str:
+    """The degraded-read tail clause of a text report row."""
+    if not latency["count"]:
+        return "degraded reads: none observed"
+    return (
+        f"degraded reads n={latency['count']}"
+        f" p50={latency['p50']:.2f}s p95={latency['p95']:.2f}s"
+        f" p99={latency['p99']:.2f}s"
+    )
+
+
+def failure_lines(report: dict) -> list[str]:
+    """One text line per terminally failed trial of a report."""
+    return [
+        f"  FAILED trial {failure['index']} [{failure['kind']}] "
+        f"after {failure['attempts']} attempt(s): {failure['message']}"
+        for failure in report["failures"]
+    ]
+
+
+# -- the sweep (``repro campaign``) -------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -993,83 +1107,23 @@ def run_sweep(
     cache: ResultCache | None = None,
     progress=None,
 ) -> tuple[dict, CampaignOutcome]:
-    """Run (or resume) a sweep campaign; returns (report, outcome).
-
-    The report (schema ``repro.campaign-report/v1``) is canonical: it
-    contains only quantities that are a pure function of the spec and the
-    terminal trial outcomes -- never execution accidents like cache hits
-    or retry counts -- so an interrupted-then-resumed campaign emits
-    byte-identical report JSON.
-    """
-    if policy is None:
-        policy = CampaignPolicy(on_error="collect")
-    configs, keys = spec.grid()
-    engine = CampaignEngine(
-        runner=sweep_trial,
-        policy=policy,
-        journal_path=journal_path,
-        cache=cache,
-        progress=progress,
-    )
-    outcome = engine.run(configs)
-
-    from repro.obs.digest import LatencyDigest
-
-    rows: dict[str, dict] = {}
-    for scheduler in spec.schedulers:
-        merged = {
-            "degraded_read": LatencyDigest(),
-            "sojourn": LatencyDigest(),
-            "makespan": LatencyDigest(),
-        }
-        trials = done = refused = 0
-        jobs = {"submitted": 0, "completed": 0, "failed": 0}
-        # Merge in grid order -- the canonical order that keeps serial,
-        # parallel, and resumed campaigns bit-identical.
-        for (key_scheduler, _seed), payload in zip(keys, outcome.results):
-            if key_scheduler != scheduler:
-                continue
-            trials += 1
-            if payload is None:
-                continue
-            done += 1
-            if payload["refused"]:
-                refused += 1
-                continue
-            for name in jobs:
-                jobs[name] += payload["jobs"][name]
-            for name, digest in merged.items():
-                digest.merge(LatencyDigest.from_dict(payload["digests"][name]))
-        rows[scheduler] = {
-            "trials": trials,
-            "done": done,
-            "refused": refused,
-            "jobs": jobs,
-            "degraded_read_seconds": merged["degraded_read"].percentiles(),
-            "makespan_seconds": merged["makespan"].percentiles(),
-            "telemetry": {
-                name: digest.to_dict() for name, digest in merged.items()
-            },
-        }
-
+    """Run (or resume) a sweep; returns (``repro.campaign-report/v1``, outcome)."""
+    keys, outcome, envelope = run_grid(spec, policy, journal_path, cache, progress)
+    rows = {
+        scheduler: merge_trials(
+            payload
+            for (key_scheduler, _seed), payload in zip(keys, outcome.results)
+            if key_scheduler == scheduler
+        )[0]
+        for scheduler in spec.schedulers
+    }
     report = {
         "schema": REPORT_SCHEMA,
         "campaign": spec.to_dict(),
-        "accounting": {
-            "submitted": outcome.counters.submitted,
-            "done": outcome.counters.done,
-            "failed": outcome.counters.failed,
-            "quarantined": outcome.counters.quarantined,
-        },
-        "failures": [failure.to_dict() for failure in outcome.failures],
+        **envelope,
         "schedulers": rows,
     }
     return report, outcome
-
-
-def report_to_json(report: dict) -> str:
-    """Canonical JSON for a sweep report (bit-identical across runs)."""
-    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def render_sweep_report(report: dict) -> str:
@@ -1081,26 +1135,12 @@ def render_sweep_report(report: dict) -> str:
         f" {accounting['failed']} failed, {accounting['quarantined']} quarantined",
     ]
     for scheduler, row in report["schedulers"].items():
-        latency = row["degraded_read_seconds"]
-        if latency["count"]:
-            tail = (
-                f"degraded reads n={latency['count']}"
-                f" p50={latency['p50']:.2f}s p95={latency['p95']:.2f}s"
-                f" p99={latency['p99']:.2f}s"
-            )
-        else:
-            tail = "degraded reads: none observed"
         makespan = row["makespan_seconds"]
         head = (
             f"makespan p50={makespan['p50']:.1f}s" if makespan["count"] else "no data"
         )
         lines.append(
-            f"  {scheduler:>3}: {row['done']}/{row['trials']} trial(s); {head}; {tail}"
+            f"  {scheduler:>3}: {row['done']}/{row['trials']} trial(s); {head}; "
+            + degraded_read_text(row["degraded_read_seconds"])
         )
-    for failure in report["failures"]:
-        lines.append(
-            f"  FAILED trial {failure['index']} [{failure['kind']}] "
-            f"after {failure['attempts']} attempt(s): {failure['message']}"
-        )
-    return "\n".join(lines)
-
+    return "\n".join(lines + failure_lines(report))

@@ -93,7 +93,8 @@ def run_many(
     :class:`~repro.experiments.campaign.CampaignPolicy` to change retry/
     timeout/failure-collection behaviour, ``journal_path`` to make the run
     resumable, and ``cache_dir`` to reuse verified results across runs
-    (both require a JSON-payload runner such as :class:`DigestedRunner`).
+    (both require a JSON-payload runner such as
+    :func:`~repro.experiments.campaign.sweep_trial`).
     """
     from repro.experiments.campaign import CampaignEngine
 
@@ -101,79 +102,19 @@ def run_many(
         runner=runner,
         policy=policy,
         journal_path=journal_path,
-        cache=_open_cache(cache_dir),
+        cache=open_cache(cache_dir),
     )
     return engine.run(configs).results
 
 
-def _open_cache(cache_dir: str | None):
-    if cache_dir is None:
+def open_cache(cache_dir: str | None):
+    """The verified result cache under ``cache_dir`` (``None`` without one)."""
+    if not cache_dir:
         return None
     from repro import __version__
     from repro.experiments.cache import ResultCache
 
     return ResultCache(directory=cache_dir, code_version=__version__)
-
-
-@dataclass(frozen=True)
-class DigestedRunner:
-    """A picklable runner wrapper that ships digests, not full results.
-
-    Wraps any module-level trial runner so each pool worker folds its
-    trial's latency samples into :func:`repro.obs.digest.digest_result`
-    digests and returns only their serialised form -- O(1) memory per
-    worker and O(bins) bytes over the pipe, independent of trial size.
-    A ``None`` result from the wrapped runner stays ``None``.
-    """
-
-    runner: object = run_simulation
-
-    def __call__(self, config: SimulationConfig) -> dict | None:
-        from repro.obs.digest import digest_result
-
-        result = self.runner(config)
-        if result is None:
-            return None
-        return {
-            name: digest.to_dict() for name, digest in digest_result(result).items()
-        }
-
-
-def run_many_digested(
-    configs: list[SimulationConfig],
-    runner=run_simulation,
-    policy=None,
-    journal_path: str | None = None,
-    cache_dir: str | None = None,
-) -> dict:
-    """Run many trials, returning merged campaign telemetry digests.
-
-    Fans out like :func:`run_many` but each worker returns only its
-    trial's :class:`~repro.obs.digest.LatencyDigest` triple
-    (``degraded_read`` / ``sojourn`` / ``makespan``); the digests are
-    merged here **in trial order** -- the canonical order that makes
-    serial and process-pool aggregation bit-identical.  Digest payloads
-    are plain JSON, so these runs can always be journaled and cached.
-    """
-    from repro.obs.digest import LatencyDigest
-
-    merged: dict[str, LatencyDigest] = {}
-    for row in run_many(
-        configs,
-        runner=DigestedRunner(runner),
-        policy=policy,
-        journal_path=journal_path,
-        cache_dir=cache_dir,
-    ):
-        if row is None:
-            continue
-        for name, payload in row.items():
-            digest = LatencyDigest.from_dict(payload)
-            if name in merged:
-                merged[name].merge(digest)
-            else:
-                merged[name] = digest
-    return merged
 
 
 def run_failure_and_normal(

@@ -48,16 +48,20 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-import json
 import math
-import os
 from collections import deque
 from dataclasses import dataclass, field
 
 from repro.cluster.failures import FailurePattern
 from repro.cluster.network import mbps
 from repro.cluster.topology import ClusterTopology
-from repro.faults.errors import JobFailedError
+from repro.experiments.campaign import (
+    degraded_read_text,
+    merge_trials,
+    report_to_json,  # noqa: F401 -- the one definition, importable from here
+    run_or_partial,
+    trial_telemetry,
+)
 from repro.faults.models import (
     DAY,
     HOUR,
@@ -74,9 +78,7 @@ from repro.faults.schedule import (
     RecoverEvent,
 )
 from repro.mapreduce.config import JobConfig, SimulationConfig
-from repro.mapreduce.metrics import SimulationResult
-from repro.mapreduce.simulation import build_topology, run_simulation
-from repro.obs.digest import LatencyDigest, digest_result
+from repro.mapreduce.simulation import build_topology, check_env
 from repro.mapreduce.workload import ArrivalProcess, PoissonArrivals, arrivals_from_dict
 from repro.sim.rng import RngStreams
 from repro.storage.block import BlockId
@@ -383,53 +385,29 @@ def _replay_availability(
 # -- Phase B: windowed full-fidelity trials -----------------------------------
 
 
-def _window_runner(config: SimulationConfig) -> SimulationResult | None:
-    """Run one window trial, converting typed refusals into data.
-
-    Module-level so :func:`repro.experiments.common.run_many` can pickle it.
-    A window where churn makes data unavailable (or exhausts retry budgets)
-    is a legitimate campaign observation, not a crash: the partial result is
-    returned (``None`` when the trial refused at build time because a stripe
-    was already unrecoverable).  Invariant violations still propagate.
-    """
-    try:
-        return run_simulation(config)
-    except JobFailedError as error:  # includes DataUnavailableError
-        return error.result
-
-
 def _window_telemetry(config: SimulationConfig) -> dict | None:
-    """Run one window trial and fold it into O(1)-memory telemetry.
+    """One window trial as O(1)-memory telemetry (module-level: journals
+    hash its name).
 
-    Each pool worker keeps only the mergeable latency digests
-    (:func:`repro.obs.digest.digest_result`), job counters, and the
-    window's sojourn-vs-submit slope -- never the full task trace -- so a
-    campaign's memory and inter-process traffic stay constant per window
-    regardless of how many jobs and tasks a window runs.  ``None`` means
-    the trial refused at build time (an unrecoverable stripe), a data-loss
-    observation.
+    The shared :func:`~repro.experiments.campaign.trial_telemetry` payload
+    plus the window's own observations: whether data was lost and the
+    sojourn-vs-submit slope.  ``None`` means the trial refused at build
+    time (an unrecoverable stripe) -- a data-loss observation, not a crash.
     """
-    result = _window_runner(config)
+    result = run_or_partial(config)
     if result is None:
         return None
-    submitted = completed = failed = 0
-    points: list[tuple[float, float]] = []
-    for job in result.jobs.values():
-        submitted += 1
-        if job.failed or math.isnan(job.finish_time):
-            failed += 1
-            continue
-        completed += 1
-        points.append((job.submit_time, job.makespan))
+    jobs = result.jobs.values()
     return {
-        "data_loss": any(
-            job.failure_kind == "data-unavailable" for job in result.jobs.values()
+        "data_loss": any(job.failure_kind == "data-unavailable" for job in jobs),
+        "slope": _fit_slope(
+            [
+                (job.submit_time, job.makespan)
+                for job in jobs
+                if not (job.failed or math.isnan(job.finish_time))
+            ]
         ),
-        "jobs": {"submitted": submitted, "completed": completed, "failed": failed},
-        "slope": _fit_slope(points),
-        "digests": {
-            name: digest.to_dict() for name, digest in digest_result(result).items()
-        },
+        **trial_telemetry(result),
     }
 
 
@@ -502,37 +480,15 @@ def _fit_slope(points: list[tuple[float, float]]) -> float | None:
 
 
 def _summarize_policy(rows: list[dict | None]) -> dict:
-    """Aggregate one policy's window telemetry into the report entry.
+    """One policy's report entry from its window payloads, in window order
+    (the grid order :func:`~repro.experiments.campaign.merge_trials` needs).
 
-    Digests merge **in window order** -- the trial order ``run_many``
-    returns -- which is the canonical order that keeps serial and
-    process-pool campaigns bit-identical (float ``total`` sums are
-    order-dependent).  The merged digests ride along in the policy row's
-    ``telemetry`` block so reports stay mergeable downstream
-    (``repro obs report`` / cross-campaign aggregation).
+    A refused window (``None``) and a window that lost data both count as
+    data-loss windows; the stability verdict is the mean fitted slope
+    against :data:`SATURATION_SLOPE`.
     """
-    degraded = LatencyDigest()
-    sojourn = LatencyDigest()
-    makespan = LatencyDigest()
-    submitted = completed = failed = 0
-    slopes: list[float] = []
-    loss_windows = 0
-    for row in rows:
-        if row is None:
-            loss_windows += 1
-            continue
-        if row["data_loss"]:
-            loss_windows += 1
-        jobs = row["jobs"]
-        submitted += jobs["submitted"]
-        completed += jobs["completed"]
-        failed += jobs["failed"]
-        digests = row["digests"]
-        degraded.merge(LatencyDigest.from_dict(digests["degraded_read"]))
-        sojourn.merge(LatencyDigest.from_dict(digests["sojourn"]))
-        makespan.merge(LatencyDigest.from_dict(digests["makespan"]))
-        if row["slope"] is not None:
-            slopes.append(row["slope"])
+    row, merged = merge_trials(rows)
+    slopes = [r["slope"] for r in rows if r is not None and r["slope"] is not None]
     mean_slope = sum(slopes) / len(slopes) if slopes else None
     if mean_slope is None:
         stability = "no-data"
@@ -541,16 +497,12 @@ def _summarize_policy(rows: list[dict | None]) -> dict:
     else:
         stability = "stable"
     return {
-        "degraded_read_seconds": degraded.percentiles(),
-        "jobs": {"submitted": submitted, "completed": completed, "failed": failed},
-        "sojourn": {"mean": sojourn.mean, "slope": mean_slope},
+        "degraded_read_seconds": row["degraded_read_seconds"],
+        "jobs": row["jobs"],
+        "sojourn": {"mean": merged["sojourn"].mean, "slope": mean_slope},
         "stability": stability,
-        "data_loss_windows": loss_windows,
-        "telemetry": {
-            "degraded_read": degraded.to_dict(),
-            "sojourn": sojourn.to_dict(),
-            "makespan": makespan.to_dict(),
-        },
+        "data_loss_windows": sum(1 for r in rows if r is None or r["data_loss"]),
+        "telemetry": row["telemetry"],
     }
 
 
@@ -693,22 +645,13 @@ def run_campaign(
 
     from repro.experiments.common import run_many
 
-    previous = os.environ.get("REPRO_CHECK")
-    if check:
-        os.environ["REPRO_CHECK"] = "1"
-    try:
+    with check_env(check):
         results = run_many(
             grid,
             runner=_window_telemetry,
             journal_path=journal_path,
             cache_dir=cache_dir,
         )
-    finally:
-        if check:
-            if previous is None:
-                os.environ.pop("REPRO_CHECK", None)
-            else:
-                os.environ["REPRO_CHECK"] = previous
 
     by_policy: dict[str, list[dict | None]] = {
         policy: [] for policy in config.policies
@@ -727,11 +670,6 @@ def run_campaign(
             for policy in config.policies
         },
     }
-
-
-def report_to_json(report: dict) -> str:
-    """Canonical JSON for a campaign report (bit-identical across runs)."""
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def render_report(report: dict) -> str:
@@ -771,15 +709,7 @@ def render_report(report: dict) -> str:
         " at full MapReduce fidelity"
     )
     for policy, row in report["policies"].items():
-        latency = row["degraded_read_seconds"]
-        if latency["count"]:
-            tail = (
-                f"degraded reads n={latency['count']}"
-                f" p50={latency['p50']:.2f}s p95={latency['p95']:.2f}s"
-                f" p99={latency['p99']:.2f}s"
-            )
-        else:
-            tail = "degraded reads: none observed"
+        tail = degraded_read_text(row["degraded_read_seconds"])
         jobs = row["jobs"]
         lines.append(
             f"  {policy:>3}: {tail}; jobs {jobs['completed']}/{jobs['submitted']}"

@@ -18,21 +18,21 @@ guarantees, inherited wholesale.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field, replace
 
 from repro.core.scheduler import registered_schedulers
 from repro.experiments.cache import ResultCache
 from repro.experiments.campaign import (
-    CampaignEngine,
     CampaignOutcome,
     CampaignPolicy,
-    sweep_trial,
+    failure_lines,
+    merge_trials,
+    report_to_json,  # noqa: F401 -- the one definition, importable from here
+    run_grid,
 )
 from repro.mapreduce.config import SimulationConfig
 from repro.mapreduce.serialization import config_to_dict
-from repro.obs.digest import LatencyDigest
 
 #: Schema tag of the ranked tournament report.
 TOURNAMENT_SCHEMA = "repro.tournament-report/v1"
@@ -150,77 +150,33 @@ def run_tournament(
 ) -> tuple[dict, CampaignOutcome]:
     """Run (or resume) a tournament; returns (report, outcome).
 
-    The report (schema ``repro.tournament-report/v1``) contains only
-    quantities that are a pure function of the spec and the terminal trial
-    outcomes, so interrupted-and-resumed and serial-vs-parallel runs emit
-    byte-identical JSON.
+    The report (schema ``repro.tournament-report/v1``) is the shared
+    campaign envelope plus one :func:`~repro.experiments.campaign.merge_trials`
+    row per policy (merged in grid order), each extended with its mean
+    makespan and per-scenario completion counts, and the leaderboard.
     """
-    if policy is None:
-        policy = CampaignPolicy(on_error="collect")
-    configs, keys = spec.grid()
-    engine = CampaignEngine(
-        runner=sweep_trial,
-        policy=policy,
-        journal_path=journal_path,
-        cache=cache,
-        progress=progress,
-    )
-    outcome = engine.run(configs)
-
+    keys, outcome, envelope = run_grid(spec, policy, journal_path, cache, progress)
     rows: dict[str, dict] = {}
     for name in spec.policies:
-        merged = {
-            "degraded_read": LatencyDigest(),
-            "sojourn": LatencyDigest(),
-            "makespan": LatencyDigest(),
-        }
-        trials = done = refused = 0
-        jobs = {"submitted": 0, "completed": 0, "failed": 0}
-        scenarios_done: dict[str, int] = {
-            scenario_name: 0 for scenario_name, _ in spec.scenarios
-        }
-        # Merge in grid order -- the canonical order shared with the
-        # campaign layer that keeps every execution mode bit-identical.
-        for (scenario_name, _seed, key_policy), payload in zip(keys, outcome.results):
-            if key_policy != name:
-                continue
-            trials += 1
-            if payload is None:
-                continue
-            done += 1
-            if payload["refused"]:
-                refused += 1
-                continue
-            scenarios_done[scenario_name] += 1
-            for counter in jobs:
-                jobs[counter] += payload["jobs"][counter]
-            for digest_name, digest in merged.items():
-                digest.merge(LatencyDigest.from_dict(payload["digests"][digest_name]))
+        mine = [
+            (scenario_name, payload)
+            for (scenario_name, _seed, key_policy), payload in zip(keys, outcome.results)
+            if key_policy == name
+        ]
+        row, merged = merge_trials(payload for _scenario, payload in mine)
+        scenarios_done = {scenario_name: 0 for scenario_name, _ in spec.scenarios}
+        for scenario_name, payload in mine:
+            if payload is not None and not payload["refused"]:
+                scenarios_done[scenario_name] += 1
         rows[name] = {
-            "trials": trials,
-            "done": done,
-            "refused": refused,
-            "jobs": jobs,
+            **row,
             "scenarios": scenarios_done,
             "makespan_mean_s": merged["makespan"].mean,
-            "makespan_seconds": merged["makespan"].percentiles(),
-            "degraded_read_seconds": merged["degraded_read"].percentiles(),
-            "telemetry": {
-                digest_name: digest.to_dict()
-                for digest_name, digest in merged.items()
-            },
         }
-
     report = {
         "schema": TOURNAMENT_SCHEMA,
         "tournament": spec.to_dict(),
-        "accounting": {
-            "submitted": outcome.counters.submitted,
-            "done": outcome.counters.done,
-            "failed": outcome.counters.failed,
-            "quarantined": outcome.counters.quarantined,
-        },
-        "failures": [failure.to_dict() for failure in outcome.failures],
+        **envelope,
         "policies": rows,
         "leaderboard": _rank(rows),
     }
@@ -263,11 +219,6 @@ def _rank(rows: dict[str, dict]) -> list[dict]:
     return entries
 
 
-def report_to_json(report: dict) -> str:
-    """Canonical JSON for a tournament report (bit-identical across runs)."""
-    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
 def render_leaderboard(report: dict) -> str:
     """Human-readable ranked leaderboard (the CLI's default output)."""
     accounting = report["accounting"]
@@ -294,9 +245,4 @@ def render_leaderboard(report: dict) -> str:
             f" {_fmt(entry['degraded_p99_s'], '{:.2f}s'):>13}"
             f" {entry['jobs_completed']:>9,}"
         )
-    for failure in report["failures"]:
-        lines.append(
-            f"  FAILED trial {failure['index']} [{failure['kind']}] "
-            f"after {failure['attempts']} attempt(s): {failure['message']}"
-        )
-    return "\n".join(lines)
+    return "\n".join(lines + failure_lines(report))

@@ -68,11 +68,6 @@ class JobMetrics:
         return self.finish_time - self.first_launch_time
 
     @property
-    def total_attempts(self) -> int:
-        """Every attempt launched for this job: completions plus kills."""
-        return len(self.tasks) + self.killed_attempts + self.speculative_killed
-
-    @property
     def max_task_attempt(self) -> int:
         """Highest attempt number any completed task needed."""
         return max((task.attempt for task in self.tasks), default=0)

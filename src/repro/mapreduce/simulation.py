@@ -62,6 +62,25 @@ def expected_degraded_read_time(config: SimulationConfig) -> float:
     return (R - 1) * k * config.block_size / (R * config.rack_bandwidth)
 
 
+@contextlib.contextmanager
+def check_env(enabled: bool):
+    """Set ``REPRO_CHECK=1`` for the block when ``enabled``, then restore it.
+
+    The environment is how check mode reaches process-pool workers;
+    :func:`run_simulation` is its only reader.
+    """
+    previous = os.environ.get("REPRO_CHECK")
+    if enabled:
+        os.environ["REPRO_CHECK"] = "1"
+    try:
+        yield
+    finally:
+        if enabled and previous is None:
+            os.environ.pop("REPRO_CHECK", None)
+        elif enabled:
+            os.environ["REPRO_CHECK"] = previous
+
+
 def run_simulation(
     config: SimulationConfig, observer=None, check: bool | None = None
 ) -> SimulationResult:

@@ -75,9 +75,10 @@ class SlaveRuntime:
         if observer is not None:
             for semaphore in (*self.map_slots.values(), *self.reduce_slots.values()):
                 semaphore.observer = observer
-        #: Live task processes per node, in spawn order: a dict, not a set,
+        #: Task processes spawned per node, in spawn order: a dict, not a set,
         #: so a crash interrupts them in an order that does not depend on
-        #: ``id()`` (memory layout, hence ``PYTHONHASHSEED``).
+        #: ``id()`` (memory layout, hence ``PYTHONHASHSEED``).  Finished ones
+        #: stay until the node dies; ``Process.interrupt`` ignores them.
         self._running: dict[int, dict[Process, None]] = {
             node.node_id: {} for node in topology.nodes
         }
@@ -252,9 +253,6 @@ class SlaveRuntime:
 
     def _register(self, node_id: int, process: Process) -> None:
         self._running[node_id][process] = None
-
-    def _unregister(self, node_id: int, process: Process) -> None:
-        self._running[node_id].pop(process, None)
 
     def speed_of(self, node_id: int) -> float:
         """Effective speed factor of a node (including active slowdowns)."""

@@ -1,14 +1,11 @@
 """Static HTML dashboards and regression diffing over analysis documents.
 
-Two JSON document shapes flow through this module, each tagged with its
-schema string:
+Four JSON document shapes flow through this module, each tagged with its
+schema string: the **run summary** (``repro.run-summary/v1``, from
+:meth:`repro.obs.analyze.RunAnalysis.to_dict`) and the three campaign-shaped
+reports of :mod:`repro.experiments` -- reliability, tournament and sweep.
 
-* the **run summary** (``repro.run-summary/v1``) produced by
-  :meth:`repro.obs.analyze.RunAnalysis.to_dict`;
-* the **campaign report** (``repro.reliability-campaign/v1``) produced by
-  :func:`repro.experiments.reliability.run_campaign`.
-
-:func:`report_html` renders either into a fully self-contained HTML page --
+:func:`report_html` renders the first three into a self-contained HTML page --
 inline CSS, inline markup, zero external assets -- so a dashboard written
 to CI artifacts renders anywhere, offline, forever.  The styling follows
 the repository's chart conventions: CSS custom properties with light and
@@ -37,6 +34,9 @@ CAMPAIGN_SCHEMA = "repro.reliability-campaign/v1"
 
 #: Schema tag of policy-tournament reports (repro.experiments.tournament).
 TOURNAMENT_SCHEMA = "repro.tournament-report/v1"
+
+#: Schema tag of ``repro campaign`` sweep reports (diffable; no HTML page).
+SWEEP_SCHEMA = "repro.campaign-report/v1"
 
 #: Default relative-change threshold for ``repro obs diff``.
 DEFAULT_THRESHOLD = 0.10
@@ -76,75 +76,70 @@ def _run_metrics(summary: dict) -> dict[str, dict]:
     }
 
 
-def _campaign_metrics(report: dict) -> dict[str, dict]:
-    """The diffable metric set of one campaign report."""
-    availability = report.get("availability", {})
-    backlog = availability.get("backlog", {})
-    metrics: dict[str, dict] = {
-        "durability": {"value": availability.get("durability"), "direction": "higher"},
-        "backlog_peak": {"value": backlog.get("peak"), "direction": "lower"},
+def _at(*path: str, default=None):
+    """A getter for ``row[path[0]][path[1]]...`` that tolerates absences."""
+
+    def get(row: dict):
+        for key in path[:-1]:
+            row = row.get(key, {})
+        return row.get(path[-1], default)
+
+    return get
+
+
+#: The per-row (policy / scheduler) diff columns of the campaign-shaped
+#: schemas: ``{schema: {metric: (direction, getter)}}``.
+_ROW_METRICS = {
+    CAMPAIGN_SCHEMA: {
+        "degraded_p50_s": ("lower", _at("degraded_read_seconds", "p50")),
+        "degraded_p99_s": ("lower", _at("degraded_read_seconds", "p99")),
+        "sojourn_mean_s": ("lower", _at("sojourn", "mean")),
+        "jobs_completed": ("higher", _at("jobs", "completed")),
+        "data_loss_windows": ("lower", _at("data_loss_windows", default=0)),
+    },
+    TOURNAMENT_SCHEMA: {
+        "makespan_mean_s": ("lower", _at("makespan_mean_s")),
+        "makespan_p50_s": ("lower", _at("makespan_seconds", "p50")),
+        "degraded_p99_s": ("lower", _at("degraded_read_seconds", "p99")),
+        "jobs_completed": ("higher", _at("jobs", "completed")),
+    },
+    SWEEP_SCHEMA: {
+        "makespan_p50_s": ("lower", _at("makespan_seconds", "p50")),
+        "degraded_p50_s": ("lower", _at("degraded_read_seconds", "p50")),
+        "degraded_p99_s": ("lower", _at("degraded_read_seconds", "p99")),
+        "jobs_completed": ("higher", _at("jobs", "completed")),
+    },
+}
+
+
+def _row_metrics(document: dict) -> dict[str, dict]:
+    """``{row}:{metric}`` for every row of a campaign-shaped document."""
+    rows = document.get("policies") or document.get("schedulers") or {}
+    return {
+        f"{name}:{metric}": {"value": getter(row), "direction": direction}
+        for name, row in rows.items()
+        for metric, (direction, getter) in _ROW_METRICS[document["schema"]].items()
     }
-    for policy, row in report.get("policies", {}).items():
-        latency = row.get("degraded_read_seconds", {})
-        jobs = row.get("jobs", {})
-        metrics[f"{policy}:degraded_p50_s"] = {
-            "value": latency.get("p50"),
-            "direction": "lower",
-        }
-        metrics[f"{policy}:degraded_p99_s"] = {
-            "value": latency.get("p99"),
-            "direction": "lower",
-        }
-        metrics[f"{policy}:sojourn_mean_s"] = {
-            "value": row.get("sojourn", {}).get("mean"),
-            "direction": "lower",
-        }
-        metrics[f"{policy}:jobs_completed"] = {
-            "value": jobs.get("completed"),
-            "direction": "higher",
-        }
-        metrics[f"{policy}:data_loss_windows"] = {
-            "value": row.get("data_loss_windows", 0),
-            "direction": "lower",
-        }
-    return metrics
-
-
-def _tournament_metrics(report: dict) -> dict[str, dict]:
-    """The diffable metric set of one tournament report."""
-    metrics: dict[str, dict] = {}
-    for policy, row in report.get("policies", {}).items():
-        makespan = row.get("makespan_seconds", {})
-        degraded = row.get("degraded_read_seconds", {})
-        jobs = row.get("jobs", {})
-        metrics[f"{policy}:makespan_mean_s"] = {
-            "value": row.get("makespan_mean_s"),
-            "direction": "lower",
-        }
-        metrics[f"{policy}:makespan_p50_s"] = {
-            "value": makespan.get("p50"),
-            "direction": "lower",
-        }
-        metrics[f"{policy}:degraded_p99_s"] = {
-            "value": degraded.get("p99"),
-            "direction": "lower",
-        }
-        metrics[f"{policy}:jobs_completed"] = {
-            "value": jobs.get("completed"),
-            "direction": "higher",
-        }
-    return metrics
 
 
 def _metrics_of(document: dict) -> dict[str, dict]:
     schema = document.get("schema")
     if schema == RUN_SUMMARY_SCHEMA:
         return _run_metrics(document)
+    if schema not in _ROW_METRICS:
+        raise ValueError(f"unrecognised analysis document schema: {schema!r}")
+    metrics = _row_metrics(document)
     if schema == CAMPAIGN_SCHEMA:
-        return _campaign_metrics(document)
-    if schema == TOURNAMENT_SCHEMA:
-        return _tournament_metrics(document)
-    raise ValueError(f"unrecognised analysis document schema: {schema!r}")
+        availability = document.get("availability", {})
+        metrics["durability"] = {
+            "value": availability.get("durability"),
+            "direction": "higher",
+        }
+        metrics["backlog_peak"] = {
+            "value": availability.get("backlog", {}).get("peak"),
+            "direction": "lower",
+        }
+    return metrics
 
 
 def diff_reports(

@@ -105,10 +105,6 @@ class BlockMap:
         """Whether ``block``'s stored copy is checksum-bad."""
         return block in self._corrupt
 
-    def corrupt_blocks(self) -> list[BlockId]:
-        """All currently corrupt blocks, sorted."""
-        return sorted(self._corrupt)
-
     # -- failure-mode views --------------------------------------------------
 
     def lost_native_blocks(self, failed_nodes: Iterable[int]) -> list[BlockId]:

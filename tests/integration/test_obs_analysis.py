@@ -26,7 +26,8 @@ import pytest
 from repro import cli
 from repro.cluster.network import MB, mbps
 from repro.ec.codec import CodeParams
-from repro.experiments.common import run_many, run_many_digested
+from repro.experiments.campaign import merge_trials, sweep_trial
+from repro.experiments.common import run_many
 from repro.faults.schedule import (
     CorruptEvent,
     FailEvent,
@@ -181,13 +182,19 @@ class TestEventLogRoundTrip:
         assert audit["assignments"] > 0
 
 
+def _merged_digests(configs):
+    """The surviving digest path: telemetry trials folded in grid order."""
+    _row, merged = merge_trials(run_many(configs, runner=sweep_trial))
+    return merged
+
+
 class TestDigestBitIdentity:
     def test_serial_and_pool_aggregation_are_bit_identical(self, monkeypatch):
         configs = _campaign_configs()
         monkeypatch.setenv("REPRO_WORKERS", "1")
-        serial = run_many_digested(configs)
+        serial = _merged_digests(configs)
         monkeypatch.setenv("REPRO_WORKERS", "4")
-        pooled = run_many_digested(configs)
+        pooled = _merged_digests(configs)
         assert set(serial) == {"degraded_read", "sojourn", "makespan"}
         for name in serial:
             assert serial[name].to_dict() == pooled[name].to_dict(), name
@@ -198,7 +205,7 @@ class TestDigestBitIdentity:
 
         configs = _campaign_configs()
         monkeypatch.setenv("REPRO_WORKERS", "1")
-        merged = run_many_digested(configs)
+        merged = _merged_digests(configs)
         reference: dict[str, LatencyDigest] = {}
         for result in run_many(configs):
             for name, digest in digest_result(result).items():

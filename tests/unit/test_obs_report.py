@@ -178,6 +178,53 @@ class TestDiffCampaigns:
         assert by_name["EDF:degraded_p99_s"]["status"] == "improved"
 
 
+class TestDiffSweeps:
+    """``repro.campaign-report/v1`` is diffable like its two siblings."""
+
+    @staticmethod
+    def golden_sweep():
+        import json
+        import os
+
+        path = os.path.join(
+            os.path.dirname(__file__), "..", "golden", "reports", "sweep.json"
+        )
+        with open(path) as handle:
+            return json.load(handle), path
+
+    def test_identical_sweep_documents_are_all_ok(self, capsys):
+        from repro.cli import main
+
+        report, path = self.golden_sweep()
+        rows = diff_reports(report, report)
+        assert {row["metric"] for row in rows} == {
+            f"{scheduler}:{metric}"
+            for scheduler in ("LF", "BDF", "EDF")
+            for metric in (
+                "makespan_p50_s", "degraded_p50_s", "degraded_p99_s", "jobs_completed",
+            )
+        }
+        assert all(row["status"] == "ok" for row in rows)
+        by_name = {row["metric"]: row for row in rows}
+        assert by_name["LF:jobs_completed"]["direction"] == "higher"
+        assert by_name["LF:degraded_p99_s"]["direction"] == "lower"
+        assert main(["obs", "diff", path, path]) == 0
+        assert "within thresholds" in capsys.readouterr().out
+
+    def test_degraded_p99_regression_exits_4(self, tmp_path, capsys):
+        import json
+
+        from repro.cli import main
+
+        report, path = self.golden_sweep()
+        report["schedulers"]["EDF"]["degraded_read_seconds"]["p99"] *= 1.5
+        candidate = tmp_path / "slower.json"
+        candidate.write_text(json.dumps(report))
+        assert main(["obs", "diff", path, str(candidate)]) == 4
+        out = capsys.readouterr().out
+        assert "EDF:degraded_p99_s" in out and "1 regression(s)" in out
+
+
 class TestRenderDiffText:
     def test_table_lists_every_metric_and_the_verdict(self):
         rows = diff_reports(make_run_summary(), make_run_summary(makespan=115.0))
