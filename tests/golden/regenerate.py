@@ -1,4 +1,4 @@
-"""Regenerate the golden trajectory files and the golden reports.
+"""Regenerate the golden trajectories, reports and observability exports.
 
 Usage (from the repository root)::
 
@@ -9,7 +9,9 @@ that performance work never moves a ``result`` block; the ``dispatched``
 pin moves only when the core's own event schedule is changed on purpose
 (see ``tests/integration/test_golden_equivalence.py``), and no refactor of
 the campaign layers moves a byte under ``reports/``
-(see ``tests/integration/test_golden_reports.py``).
+(see ``tests/integration/test_golden_reports.py``), and no work on the
+event bus or the collector moves a byte under ``obs/``
+(see ``tests/integration/test_golden_obs.py``).
 
 Set ``GOLDEN_OUT=<dir>`` to write somewhere other than ``tests/golden/``;
 CI's golden-freshness check uses this to regenerate into a scratch tree
@@ -25,6 +27,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", ".."))
 
 from tests.integration.test_golden_equivalence import capture, golden_cases  # noqa: E402
+from tests.integration.test_golden_obs import OBS_CASES, golden_obs  # noqa: E402
 from tests.integration.test_golden_reports import golden_reports  # noqa: E402
 from tests.integration.test_policy_differential import capture_steal_trace  # noqa: E402
 
@@ -37,6 +40,15 @@ def _write(out_dir: str, name: str, payload: dict) -> str:
     return path
 
 
+def _write_texts(directory: str, documents: dict[str, str]) -> None:
+    os.makedirs(directory, exist_ok=True)
+    for name, text in sorted(documents.items()):
+        path = os.path.join(directory, name)
+        with open(path, "w", newline="") as handle:
+            handle.write(text)
+        print(f"wrote {path} ({len(text)} bytes)")
+
+
 def main() -> None:
     out_dir = os.environ.get("GOLDEN_OUT") or os.path.dirname(os.path.abspath(__file__))
     os.makedirs(out_dir, exist_ok=True)
@@ -47,13 +59,9 @@ def main() -> None:
     trace = capture_steal_trace()
     path = _write(out_dir, "steal-decisions", trace)
     print(f"wrote {path} (decisions={len(trace['decisions'])})")
-    reports_dir = os.path.join(out_dir, "reports")
-    os.makedirs(reports_dir, exist_ok=True)
-    for name, text in sorted(golden_reports().items()):
-        path = os.path.join(reports_dir, name)
-        with open(path, "w", newline="") as handle:
-            handle.write(text)
-        print(f"wrote {path} ({len(text)} bytes)")
+    _write_texts(os.path.join(out_dir, "reports"), golden_reports())
+    for name in OBS_CASES:
+        _write_texts(os.path.join(out_dir, "obs"), golden_obs(name))
 
 
 if __name__ == "__main__":
