@@ -1,6 +1,6 @@
 """Fixed workloads for the simulation-core performance suite.
 
-Four workloads probe the hot paths the core optimisation targeted:
+Five workloads probe the hot paths the core optimisation targeted:
 
 * :func:`engine_churn` -- raw event-loop throughput: processes that sleep,
   signal events and join each other, measured as dispatched callbacks per
@@ -14,6 +14,10 @@ Four workloads probe the hot paths the core optimisation targeted:
   and in-flight holds, measured as holds per wall-second.
 * :func:`fig7_single_trial` -- one end-to-end paper trial (the unit of work
   every figure's sweep repeats thousands of times).
+* :func:`observe_overhead` -- that trial plain, under an
+  ``ObservabilityCollector`` and under ``check=True``, interleaved in one
+  process, measured as the two wall-clock ratios over the plain trial (the
+  cost of the obs bus, the collector and the sanitizer).
 
 The workloads are deterministic (fixed LCG streams, no wall-clock
 dependence inside the simulated world) so before/after timings compare the
@@ -24,11 +28,14 @@ them, writes ``BENCH_sim.json`` and enforces the regression floor;
 
 from __future__ import annotations
 
+import statistics
 import time
 from dataclasses import replace
 
 from repro.mapreduce.config import SimulationConfig
+from repro.mapreduce.serialization import result_to_json
 from repro.mapreduce.simulation import run_simulation
+from repro.obs import ObservabilityCollector
 from repro.sim.engine import Simulator, Timeout
 from repro.sim.resources import ExclusivePathNetwork, FluidNetwork
 
@@ -184,12 +191,17 @@ def exclusive_churn(
     }
 
 
-def fig7_single_trial(num_blocks: int = 1440) -> dict:
-    """One end-to-end fig7-style trial (EDF, single-node failure)."""
-    config = SimulationConfig(scheduler="EDF", seed=1)
-    config = replace(
+def _fig7_config(scheduler: str, seed: int, num_blocks: int) -> SimulationConfig:
+    """The paper-default trial (single-node failure) with resized jobs."""
+    config = SimulationConfig(scheduler=scheduler, seed=seed)
+    return replace(
         config, jobs=tuple(replace(job, num_blocks=num_blocks) for job in config.jobs)
     )
+
+
+def fig7_single_trial(num_blocks: int = 1440) -> dict:
+    """One end-to-end fig7-style trial (EDF, single-node failure)."""
+    config = _fig7_config("EDF", 1, num_blocks)
     start = time.perf_counter()
     result = run_simulation(config)
     elapsed = time.perf_counter() - start
@@ -200,12 +212,56 @@ def fig7_single_trial(num_blocks: int = 1440) -> dict:
     }
 
 
+def observe_overhead(num_blocks: int = 1440, rounds: int = 3) -> dict:
+    """The fig7 trial plain, observed and checked, interleaved in one process.
+
+    Each round runs LF and EDF on one trial seed three ways back to back, so
+    machine drift lands on all three alike.  The overhead fractions are
+    ``median(mode walls) / median(plain walls) - 1``, the definition
+    ``benchmarks/e2e`` uses for its ``fig7_observed`` workload; observing
+    and checking must also leave the result untouched (``identical``).
+    """
+    modes = {
+        "plain": lambda config: run_simulation(config),
+        "observed": lambda config: run_simulation(
+            config, observer=ObservabilityCollector()
+        ),
+        "checked": lambda config: run_simulation(config, check=True),
+    }
+    walls: dict[str, list[float]] = {mode: [] for mode in modes}
+    identical = True
+    for run in modes.values():  # untimed warm-up
+        run(_fig7_config("EDF", 0, num_blocks))
+    for seed in range(rounds):
+        for scheduler in ("LF", "EDF"):
+            config = _fig7_config(scheduler, seed, num_blocks)
+            results = set()
+            for mode, run in modes.items():
+                start = time.perf_counter()
+                result = run(config)
+                walls[mode].append(time.perf_counter() - start)
+                results.add(result_to_json(result))
+            identical = identical and len(results) == 1
+    medians = {mode: statistics.median(values) for mode, values in walls.items()}
+    return {
+        "num_blocks": num_blocks,
+        "trials_per_mode": len(walls["plain"]),
+        "identical": identical,
+        "plain_seconds": medians["plain"],
+        "observed_seconds": medians["observed"],
+        "checked_seconds": medians["checked"],
+        "observe_overhead_frac": medians["observed"] / medians["plain"] - 1.0,
+        "check_overhead_frac": medians["checked"] / medians["plain"] - 1.0,
+    }
+
+
 def main() -> None:
     for name, fn in (
         ("engine_churn", engine_churn),
         ("fluid_churn", fluid_churn),
         ("exclusive_churn", exclusive_churn),
         ("fig7_single_trial", fig7_single_trial),
+        ("observe_overhead", observe_overhead),
     ):
         print(name, fn())
 

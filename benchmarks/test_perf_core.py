@@ -16,8 +16,9 @@ Environment knobs:
     Turn the checked-in floors (``perf_floor.json``) into hard assertions:
     a workload landing more than 30% below its floor fails the test.  The
     indexed-vs-reference recompute comparison must also hold its 3x
-    minimum -- that one is machine-independent, so it is asserted at full
-    strength.
+    minimum, and the observed / checked trials must stay under their
+    overhead ceilings -- those are same-process ratios, machine-independent,
+    so they are asserted at full strength.
 ``REPRO_BENCH_SIM_OUT``
     Override the output path (empty string disables the write).
 """
@@ -35,6 +36,7 @@ from benchmarks.perf_core import (
     exclusive_churn,
     fig7_single_trial,
     fluid_churn,
+    observe_overhead,
 )
 from repro.sim.engine import Simulator
 from repro.sim.resources import FluidNetwork
@@ -48,6 +50,7 @@ FLOOR_SLACK = 0.7
 with open(FLOOR_PATH) as _handle:
     _FLOOR_FILE = json.load(_handle)
 FLOORS = _FLOOR_FILE["floors"]
+CEILINGS = _FLOOR_FILE["ceilings"]
 SEED_BASELINE = _FLOOR_FILE["seed_baseline"]
 
 #: Workload name -> measured metrics, filled as the module's tests run.
@@ -82,6 +85,7 @@ def write_bench_sim():
         "small": SMALL,
         "enforced": ENFORCE,
         "floors": FLOORS,
+        "ceilings": CEILINGS,
         "workloads": workloads,
     }
     with open(out, "w") as handle:
@@ -204,3 +208,29 @@ def test_fig7_end_to_end_trial():
     _results["fig7_single_trial"] = result
     # No absolute floor: end-to-end seconds vary too much across runners.
     assert result["seconds"] > 0
+
+
+def test_observe_and_check_overhead():
+    """Same-process cost of observing and of checking one fig7 trial.
+
+    Plain, ``ObservabilityCollector`` and ``check=True`` trials run
+    interleaved, so runner speed cancels out of the two ratios; the
+    ceilings sit between what the routed bus and delta series cost and what
+    the wildcard ladder and full link scan before them cost.  A stall
+    inside one mode's few trials can still inflate a ratio (about one run
+    in ten at the small size), so a reading above a ceiling is re-measured,
+    twice at most, before it counts.
+    """
+    names = ("observe_overhead_frac", "check_overhead_frac")
+    for _attempt in range(3 if ENFORCE else 1):
+        result = observe_overhead(num_blocks=360 if SMALL else 1440)
+        assert result["identical"], "observing or checking changed a trial's result"
+        if all(result[name] <= CEILINGS[name] for name in names):
+            break
+    _results["observe_overhead"] = result
+    if ENFORCE:
+        for name in names:
+            assert result[name] <= CEILINGS[name], (
+                f"{name} is {result[name]:+.2f} of a plain trial, above the"
+                f" enforced ceiling {CEILINGS[name]:+.2f}"
+            )

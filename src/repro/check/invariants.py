@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from types import MethodType
 from typing import Any
 
 from repro.obs.collector import ObservabilityCollector
@@ -211,7 +212,10 @@ class InvariantMonitor:
         self._last_event_time = 0.0
         self._last_dispatch_time = 0.0
         self._dispatch_count = 0
-        self.bus.subscribe(WILDCARD, self._on_event)
+        for kind, handler in _HANDLERS.items():
+            self.bus.subscribe(kind, MethodType(handler, self))
+        # Ordering is the one check that must see every kind.
+        self.bus.subscribe(WILDCARD, self._check_event_order)
 
     # -- recording -----------------------------------------------------------
 
@@ -372,7 +376,7 @@ class InvariantMonitor:
 
     # -- bus subscriber --------------------------------------------------------
 
-    def _on_event(self, event: ObsEvent) -> None:
+    def _check_event_order(self, event: ObsEvent) -> None:
         if event.time < self._last_event_time:
             self._record(
                 event.time,
@@ -383,9 +387,6 @@ class InvariantMonitor:
             )
         else:
             self._last_event_time = event.time
-        handler = _HANDLERS.get(event.kind)
-        if handler is not None:
-            handler(self, event)
 
     # -- task lifecycle ---------------------------------------------------------
 

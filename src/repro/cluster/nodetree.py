@@ -79,9 +79,7 @@ class NodeTree:
         ``flow_started`` / ``flow_finished`` / ``rates_updated`` callbacks
         synchronously as transfers come and go.  Pass ``None`` to detach.
         """
-        if observer is not None and hasattr(observer, "register_links"):
-            observer.register_links(self._links.capacities)
-        self._links.observer = observer
+        self._links.set_observer(observer)
 
     @staticmethod
     def _downlink(rack_id: int) -> str:

@@ -5,8 +5,9 @@ its :class:`~repro.obs.metrics.MetricsRegistry`, and its
 :class:`~repro.obs.profile.Profiler`.  ``run_simulation(config, observer=...)``
 wires it into every subsystem:
 
-* the **bus** receives every structured event (the collector subscribes with
-  a wildcard and keeps the full log for the JSONL export);
+* the **bus** receives every structured event (the collector subscribes to
+  the three kinds it derives figures from; the full log kept for the JSONL
+  export is its own wildcard subscriber);
 * the **slot observer** hook tracks per-node map/reduce slot occupancy and
   semaphore queue depth as time-weighted series;
 * the **network observer** hook tracks per-link allocated bandwidth as a
@@ -46,34 +47,37 @@ class ObservabilityCollector:
         self.end_time = 0.0
         self._last_heartbeat: dict[int, float] = {}
         self._slot_capacities: dict[str, int] = {}
-        self._link_capacities: dict[str, float] = {}
-        self.bus.subscribe(WILDCARD, self._on_event)
+        #: Semaphore name -> its (occupancy series, queue-depth series).
+        self._slot_series: dict[str, tuple] = {}
+        #: Registered link -> (utilization series, capacity).
+        self._link_series: dict[str, tuple] = {}
+        #: The links the last ``rates_updated`` allocated bandwidth on.
+        self._busy_links: tuple[str, ...] = ()
+        self.bus.subscribe("heartbeat", self._on_heartbeat)
+        self.bus.subscribe("sched.decision", self._on_decision)
+        self.bus.subscribe("repair.backlog", self._on_backlog)
+        if keep_events:
+            self.bus.subscribe(WILDCARD, self.events.append)
 
-    # -- bus subscriber ------------------------------------------------------
+    # -- bus subscribers -----------------------------------------------------
 
-    def _on_event(self, event: ObsEvent) -> None:
-        if self.keep_events:
-            self.events.append(event)
-        if event.kind == "heartbeat":
-            self._note_heartbeat(event)
-        elif event.kind == "sched.decision":
-            self.decisions.append(event)
-            key = (event.fields.get("action", "?"), event.fields.get("reason", "?"))
-            self.decision_counts[key] = self.decision_counts.get(key, 0) + 1
-        elif event.kind == "repair.backlog":
-            self.registry.time_series("repair.backlog").record(
-                event.time, event.fields.get("depth", 0)
-            )
-
-    def _note_heartbeat(self, event: ObsEvent) -> None:
-        node = event.fields["node"]
+    def _on_heartbeat(self, event: ObsEvent) -> None:
+        fields = event.fields
+        node = fields["node"]
         previous = self._last_heartbeat.get(node)
-        assigned = event.fields.get("assigned_maps", 0) + event.fields.get(
-            "assigned_reduces", 0
-        )
+        assigned = fields.get("assigned_maps", 0) + fields.get("assigned_reduces", 0)
         if previous is not None and assigned > 0:
             self.heartbeat_latencies.append(event.time - previous)
         self._last_heartbeat[node] = event.time
+
+    def _on_decision(self, event: ObsEvent) -> None:
+        self.decisions.append(event)
+        key = (event.fields.get("action", "?"), event.fields.get("reason", "?"))
+        self.decision_counts[key] = self.decision_counts.get(key, 0) + 1
+
+    def _on_backlog(self, event: ObsEvent) -> None:
+        depth = event.fields.get("depth", 0)
+        self.registry.time_series("repair.backlog").record(event.time, depth)
 
     # -- slot observer protocol (see repro.sim.resources.Semaphore) ----------
 
@@ -82,14 +86,20 @@ class ObservabilityCollector:
     ) -> None:
         """A slot semaphore changed occupancy or queue depth."""
         self._slot_capacities[name] = capacity
-        self.registry.time_series(f"slot.{name}").record(now, in_use)
-        self.registry.time_series(f"queue.{name}").record(now, queued)
+        series = self._slot_series.get(name)
+        if series is None:
+            new = self.registry.time_series
+            series = self._slot_series[name] = new(f"slot.{name}"), new(f"queue.{name}")
+        series[0].record(now, in_use)
+        series[1].record(now, queued)
 
     # -- network observer protocol (see repro.sim.resources) -----------------
 
     def register_links(self, capacities: dict[str, float]) -> None:
-        """Learn the link names and capacities once, at wiring time."""
-        self._link_capacities.update(capacities)
+        """Learn the links once, at wiring time; each gets its series now."""
+        for link, capacity in capacities.items():
+            series = self.registry.time_series(f"link.{link}")
+            self._link_series[link] = series, capacity
 
     def flow_started(self, now: float, links: tuple[str, ...], size: float) -> None:
         """A network flow entered the contention model."""
@@ -105,17 +115,25 @@ class ObservabilityCollector:
         self, now: float, links: tuple[str, ...], size: float, moved: float
     ) -> None:
         """A network flow was aborted mid-flight (its source node died)."""
-        self.bus.emit(
-            "flow.cancel", now, links=list(links), size=size, moved=moved
-        )
+        self.bus.emit("flow.cancel", now, links=list(links), size=size, moved=moved)
 
     def rates_updated(self, now: float, link_rates: dict[str, float]) -> None:
-        """The contention model reallocated bandwidth; record utilization."""
-        for link, capacity in self._link_capacities.items():
-            allocated = link_rates.get(link, 0.0)
-            self.registry.time_series(f"link.{link}").record(
-                now, allocated / capacity if capacity > 0 else 0.0
-            )
+        """The contention model reallocated bandwidth; record utilization.
+
+        Only the links busy now or at the last settle are touched: any other
+        would repeat its zero, which a series drops.  A link never
+        registered (a throttle added after wiring) has no series: skipped.
+        """
+        link_series = self._link_series
+        for link in self._busy_links:
+            if link not in link_rates and link in link_series:
+                link_series[link][0].record(now, 0.0)
+        for link, allocated in link_rates.items():
+            entry = link_series.get(link)
+            if entry is not None:
+                series, capacity = entry
+                series.record(now, allocated / capacity if capacity > 0 else 0.0)
+        self._busy_links = tuple(link_rates)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -135,10 +153,7 @@ class ObservabilityCollector:
         for name in sorted(self._slot_capacities):
             if not name.startswith(f"{prefix}:"):
                 continue
-            series = self.registry.series.get(f"slot.{name}")
-            if series is None:
-                continue
-            average = series.integral(0.0, horizon) / horizon
+            average = self._slot_series[name][0].integral(0.0, horizon) / horizon
             capacity = self._slot_capacities[name]
             rows.append(
                 (name, average, capacity, average / capacity if capacity else 0.0)
@@ -149,11 +164,7 @@ class ObservabilityCollector:
         """Per-link ``(name, avg_utilization, peak_utilization)`` rows."""
         rows = []
         horizon = max(self.end_time, 1e-12)
-        for link in sorted(self._link_capacities):
-            series = self.registry.series.get(f"link.{link}")
-            if series is None:
-                rows.append((link, 0.0, 0.0))
-                continue
+        for link, (series, _capacity) in sorted(self._link_series.items()):
             rows.append((link, series.integral(0.0, horizon) / horizon, series.peak()))
         return rows
 

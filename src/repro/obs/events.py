@@ -57,19 +57,35 @@ kind                   emitted when
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 #: Subscription key matching every event kind.
 WILDCARD = "*"
 
 
-@dataclass(frozen=True)
 class ObsEvent:
-    """One structured observation: what happened, when, and its payload."""
+    """One structured observation: what happened, when, and its payload.
 
-    time: float
-    kind: str
-    fields: dict = field(default_factory=dict)
+    A ``__slots__`` value object, one built per emission; treat it as
+    immutable -- every subscriber shares it.
+    """
+
+    __slots__ = ("time", "kind", "fields")
+
+    def __init__(self, time: float, kind: str, fields: dict | None = None) -> None:
+        self.time = time
+        self.kind = kind
+        self.fields = {} if fields is None else fields
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.time, self.kind, self.fields) == (
+            other.time, other.kind, other.fields
+        )
+
+    def __repr__(self) -> str:
+        time, kind, fields = self.time, self.kind, self.fields
+        return f"ObsEvent({time=}, {kind=}, {fields=})"
 
     def to_dict(self) -> dict:
         """Flat JSON-friendly form.
@@ -88,17 +104,21 @@ class EventBus:
 
     Subscribers registered for a specific kind receive only that kind;
     subscribers registered for :data:`WILDCARD` receive everything.
-    Dispatch order is registration order (kind-specific before wildcard).
+    Dispatch order is registration order (kind-specific before wildcard);
+    that order is folded into one tuple per kind on the kind's first
+    emission, and every ``subscribe`` drops the folded routes.
     """
 
     def __init__(self) -> None:
         self._subscribers: dict[str, list[Callable[[ObsEvent], None]]] = {}
+        self._routes: dict[str, tuple[Callable[[ObsEvent], None], ...]] = {}
         self.emitted = 0
         self.counts: dict[str, int] = {}
 
     def subscribe(self, kind: str, handler: Callable[[ObsEvent], None]) -> None:
         """Register ``handler`` for ``kind`` (or :data:`WILDCARD`)."""
         self._subscribers.setdefault(kind, []).append(handler)
+        self._routes.clear()
 
     def emit(self, kind: str, time: float, /, **fields) -> ObsEvent:
         """Publish one event; subscribers run synchronously, in order.
@@ -106,11 +126,20 @@ class EventBus:
         ``kind`` and ``time`` are positional-only so payloads may reuse
         those words as field names (e.g. ``kind="map"`` on task events).
         """
-        event = ObsEvent(time=time, kind=kind, fields=fields)
+        event = ObsEvent(time, kind, fields)
         self.emitted += 1
-        self.counts[kind] = self.counts.get(kind, 0) + 1
-        for handler in self._subscribers.get(kind, ()):
-            handler(event)
-        for handler in self._subscribers.get(WILDCARD, ()):
+        counts = self.counts
+        try:
+            counts[kind] += 1
+        except KeyError:
+            counts[kind] = 1
+        try:
+            route = self._routes[kind]
+        except KeyError:
+            subscribers = self._subscribers
+            route = self._routes[kind] = (
+                *subscribers.get(kind, ()), *subscribers.get(WILDCARD, ())
+            )
+        for handler in route:
             handler(event)
         return event

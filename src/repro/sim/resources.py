@@ -131,6 +131,18 @@ class _Flow:
         return self.remaining <= max(1e-6 * self.size, 1e-9)
 
 
+def _set_observer(network, observer) -> None:
+    """Attach (``None`` detaches) a network's observer.
+
+    Its optional methods are resolved here, once: ``register_links`` is told
+    the capacities, ``flow_cancelled`` is kept for ``cancel`` to call.
+    """
+    if hasattr(observer, "register_links"):
+        observer.register_links(network.capacities)
+    network.observer = observer
+    network._flow_cancelled = getattr(observer, "flow_cancelled", None)
+
+
 class FluidNetwork:
     """Max-min fair fluid bandwidth sharing across named links.
 
@@ -168,6 +180,7 @@ class FluidNetwork:
         "_unsettled",
         "_completion_token",
         "observer",
+        "_flow_cancelled",
     )
 
     def __init__(self, sim: Simulator) -> None:
@@ -187,10 +200,10 @@ class FluidNetwork:
         #: Identifies the armed completion; heap entries carrying an older
         #: token are stale.
         self._completion_token = 0
-        #: Optional network observer: ``flow_started`` / ``flow_finished`` /
-        #: ``flow_cancelled`` called synchronously, ``rates_updated`` once
-        #: per settled instant.
-        self.observer = None
+        #: Optional network observer, attached with :meth:`set_observer`:
+        #: ``flow_started`` / ``flow_finished`` / ``flow_cancelled`` called
+        #: synchronously, ``rates_updated`` once per settled instant.
+        self.observer = self._flow_cancelled = None
 
     def add_link(self, name: str, capacity: float) -> None:
         """Register a link; capacity is in bytes (or bits) per second."""
@@ -209,6 +222,8 @@ class FluidNetwork:
     def capacities(self) -> dict[str, float]:
         """A copy of the registered link capacities."""
         return dict(self._capacities)
+
+    set_observer = _set_observer
 
     def transfer(self, links: list[str], size: float) -> Event:
         """Start a flow of ``size`` over ``links``; event fires on completion.
@@ -259,8 +274,8 @@ class FluidNetwork:
             return False
         self._advance()
         self._remove_flow(flow)
-        if self.observer is not None and hasattr(self.observer, "flow_cancelled"):
-            self.observer.flow_cancelled(
+        if self._flow_cancelled is not None:
+            self._flow_cancelled(
                 self._sim.now,
                 flow.links,
                 flow.size,
@@ -393,10 +408,13 @@ class FluidNetwork:
         flows = self._flows.values()
         now = self._sim.now
         if self.observer is not None:
+            # Buckets keep start order: the same sums as a scan of the flows.
             link_rates: dict[str, float] = {}
-            for flow in flows:
-                for link in flow.links:
-                    link_rates[link] = link_rates.get(link, 0.0) + flow.rate
+            for link, bucket in self._link_flows.items():
+                allocated = 0.0
+                for flow in bucket:
+                    allocated += flow.rate
+                link_rates[link] = allocated
             self.observer.rates_updated(now, link_rates)
         # A new token voids whatever completion an earlier settle armed.
         self._completion_token = token = self._completion_token + 1
@@ -443,7 +461,8 @@ class ExclusivePathNetwork:
     (links only get busier inside it).  See DESIGN.md section 10.
     """
 
-    __slots__ = ("_sim", "_capacities", "_busy", "_queue", "_active", "observer")
+    __slots__ = ("_sim", "_capacities", "_busy", "_queue", "_active", "observer",
+                 "_flow_cancelled")
 
     def __init__(self, sim: Simulator) -> None:
         self._sim = sim
@@ -454,7 +473,7 @@ class ExclusivePathNetwork:
         #: hold can be cancelled; a release that finds no entry was cancelled.
         self._active: dict[Event, tuple[tuple[str, ...], float, float]] = {}
         #: Optional network observer (same protocol as FluidNetwork's).
-        self.observer = None
+        self.observer = self._flow_cancelled = None
 
     def add_link(self, name: str, capacity: float) -> None:
         """Register a link with the given capacity."""
@@ -472,6 +491,8 @@ class ExclusivePathNetwork:
     def capacities(self) -> dict[str, float]:
         """A copy of the registered link capacities."""
         return dict(self._capacities)
+
+    set_observer = _set_observer
 
     def _notify_rates(self) -> None:
         """Held links run at full capacity; everything else is idle."""
@@ -517,9 +538,9 @@ class ExclusivePathNetwork:
         links, size, _started = hold
         self._busy.difference_update(links)
         if self.observer is not None:
-            if hasattr(self.observer, "flow_cancelled"):
+            if self._flow_cancelled is not None:
                 # Exclusive holds move no partial bytes; the hold simply ends.
-                self.observer.flow_cancelled(self._sim.now, links, size, 0.0)
+                self._flow_cancelled(self._sim.now, links, size, 0.0)
             self._notify_rates()
         self._drain()
         return True

@@ -208,7 +208,10 @@ def run_script(network_class, capacities, ops):
     for name, capacity in capacities.items():
         network.add_link(name, capacity)
     observer = RecordingNetworkObserver()
-    network.observer = observer
+    if network_class is ReferenceExclusiveNetwork:
+        network.observer = observer  # it predates ``set_observer``
+    else:
+        network.set_observer(observer)
     issued: dict[int, Event] = {}
     completions: list[tuple] = []
     cancels: list[tuple] = []

@@ -13,6 +13,7 @@ import pickle
 import pytest
 
 from repro.check.invariants import (
+    _HANDLERS,
     InvariantMonitor,
     InvariantViolation,
     InvariantViolationError,
@@ -254,6 +255,22 @@ class TestEventMonotonicity:
         monitor.on_dispatch(5.0)
         monitor.on_dispatch(4.0)
         assert kinds(monitor) == ["event-monotonicity"]
+
+    def test_a_kind_no_check_subscribes_to_is_still_ordered(self):
+        # The per-kind checks are subscribed per kind; ordering alone rides
+        # the wildcard, so it must see kinds nothing else listens to.
+        assert "shuffle.drain" not in _HANDLERS and "flow.end" not in _HANDLERS
+        monitor = InvariantMonitor()
+        monitor.bus.emit("heartbeat", 5.0, node=0)  # a kind with a check
+        monitor.bus.emit("shuffle.drain", 4.0, job_id=0, reduce_index=1)
+        monitor.flow_finished(3.0, ("rack0:up",), 64.0, 1.0)  # via the collector
+        assert kinds(monitor) == ["event-monotonicity"] * 2
+        assert [v.details["kind"] for v in monitor.violations] == [
+            "shuffle.drain", "flow.end"
+        ]
+        # The clock did not move back: t=4.5 is still out of order.
+        monitor.bus.emit("job.submit", 4.5, job_id=1)
+        assert len(monitor.violations) == 3
 
 
 class TestRunawayBounds:

@@ -221,7 +221,7 @@ class TestFluidSettleOnce:
     def network(self, sim):
         network = FluidNetwork(sim)
         network.add_link("l", 10.0)
-        network.observer = RateLog()
+        network.set_observer(RateLog())
         return network
 
     def test_same_instant_transfers_reallocate_once(self, sim, network):
@@ -345,7 +345,7 @@ class TestExclusivePathNetwork:
         network = ExclusivePathNetwork(sim)
         network.add_link("l", 10.0)
         observer = RecordingNetworkObserver()
-        network.observer = observer
+        network.set_observer(observer)
         log = []
         record_transfer(sim, network, ["l"], 100.0, log, "holder")
         sim.run(until=1.0)
@@ -370,7 +370,7 @@ class TestExclusivePathNetwork:
         record_transfer(sim, network, ["a"], 100.0, log, "third")
         sim.run(until=4.0)
         observer = RecordingNetworkObserver()
-        network.observer = observer
+        network.set_observer(observer)
         assert network.cancel(held) is True
         # Both links freed at t=4: first and second start now, in arrival
         # order; third still waits behind first on "a".
@@ -410,7 +410,7 @@ class TestExclusivePathNetwork:
         record_transfer(sim, network, ["a"], 100.0, log, "narrow")
         sim.run(until=1.0)
         observer = RecordingNetworkObserver()
-        network.observer = observer
+        network.set_observer(observer)
         # Granted on arrival: its link is free, the queue is not scanned.
         record_transfer(sim, network, ["c"], 90.0, log, "late")
         sim.run(until=1.0)
@@ -443,7 +443,7 @@ class TestExclusivePathNetwork:
         network.add_link("a", 10.0)
         network.add_link("b", 20.0)
         observer = RecordingNetworkObserver()
-        network.observer = observer
+        network.set_observer(observer)
         woken = []
         first = network.transfer(["a", "b"], 100.0)
         second = network.transfer(["b"], 100.0)
@@ -469,3 +469,48 @@ class TestExclusivePathNetwork:
         assert woken == [(10.0, 10.0, False, 1)]
         assert second.value == 5.0
         assert sim.dispatched == 4  # spawn step, two releases, one resume
+
+
+@pytest.mark.parametrize("network_class", [FluidNetwork, ExclusivePathNetwork])
+class TestSetObserver:
+    """The optional observer methods are resolved once, at ``set_observer``."""
+
+    def test_full_observer_learns_links_and_hears_cancels(self, sim, network_class):
+        network = network_class(sim)
+        network.add_link("a", 10.0)
+        network.add_link("b", 20.0)
+
+        class Full(RecordingNetworkObserver):
+            def register_links(self, capacities):
+                self.log.append(("register_links", dict(capacities)))
+
+        observer = Full()
+        network.set_observer(observer)
+        assert observer.log == [("register_links", {"a": 10.0, "b": 20.0})]
+        done = network.transfer(["a"], 100.0)
+        sim.run(until=1.0)
+        assert network.cancel(done) is True
+        assert "flow_cancelled" in [entry[1] for entry in observer.log[1:]]
+
+    def test_minimal_observer_needs_neither_optional_method(self, sim, network_class):
+        network = network_class(sim)
+        network.add_link("a", 10.0)
+        observer = RateLog()  # no register_links, no flow_cancelled
+        network.set_observer(observer)
+        done = network.transfer(["a"], 100.0)
+        sim.run(until=1.0)
+        assert network.cancel(done) is True
+        sim.run()
+        assert observer.updates[-1] == (1.0, {})
+
+    def test_detach(self, sim, network_class):
+        network = network_class(sim)
+        network.add_link("a", 10.0)
+        observer = RecordingNetworkObserver()
+        network.set_observer(observer)
+        network.set_observer(None)
+        done = network.transfer(["a"], 100.0)
+        sim.run(until=1.0)
+        assert network.cancel(done) is True
+        sim.run()
+        assert observer.log == []
