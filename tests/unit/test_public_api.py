@@ -73,3 +73,56 @@ class TestSubpackageSurfaces:
             module = importlib.import_module(module_name)
             for name in getattr(module, "__all__", []):
                 assert hasattr(module, name), f"{module_name}.__all__ lists missing {name}"
+
+
+class TestEcSurface:
+    """The ``repro.ec`` imports downstream code uses, however they resolve."""
+
+    def test_coder_names_import_from_the_package(self):
+        from repro.ec import CodeParams, ErasureCodec, ReedSolomon
+        from repro.ec.codec import CodeParams as codec_params
+        from repro.ec.codec import ErasureCodec as codec_class
+        from repro.ec.reed_solomon import ReedSolomon as coder_class
+
+        assert ReedSolomon is coder_class
+        assert ErasureCodec is codec_class
+        assert CodeParams is codec_params
+
+    def test_package_attribute_and_all(self):
+        import repro.ec
+
+        assert "ReedSolomon" in repro.ec.__all__
+        assert repro.ec.ReedSolomon is repro.ec.reed_solomon.ReedSolomon
+        with pytest.raises(AttributeError):
+            _ = repro.ec.does_not_exist
+
+    @pytest.mark.parametrize(
+        "algorithm,module,name",
+        [
+            ("vandermonde", "repro.ec.reed_solomon", "ReedSolomon"),
+            ("cauchy", "repro.ec.cauchy", "CauchyReedSolomon"),
+        ],
+    )
+    def test_codec_builds_the_named_coder(self, algorithm, module, name):
+        from repro.ec import CodeParams, ErasureCodec, ReedSolomon
+
+        codec = ErasureCodec(CodeParams(6, 4), algorithm=algorithm)
+        expected = getattr(importlib.import_module(module), name)
+        assert type(codec.coder) is expected
+        assert isinstance(codec.coder, ReedSolomon)
+        assert (codec.coder.n, codec.coder.k) == (6, 4)
+        natives = [bytes([value]) * 8 for value in range(4)]
+        stripe = codec.encode_stripe(natives)
+        survivors = {position: stripe[position] for position in (1, 2, 4, 5)}
+        assert codec.degraded_read(0, survivors) == natives[0]
+
+    def test_default_algorithm_is_vandermonde(self):
+        from repro.ec import CodeParams, ErasureCodec, ReedSolomon
+
+        assert type(ErasureCodec(CodeParams(4, 3)).coder) is ReedSolomon
+
+    def test_unknown_algorithm_is_refused_before_any_coder_is_built(self):
+        from repro.ec import CodeParams, ErasureCodec
+
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            ErasureCodec(CodeParams(4, 3), algorithm="lrc")

@@ -94,3 +94,57 @@ class TestDraws:
         rng = RngStreams(1)
         for _ in range(100):
             assert 3 <= rng.randint("r", 3, 7) <= 7
+
+
+class TestSpawnContract:
+    """Pinned before the children stopped sharing one registry dict."""
+
+    def test_nested_spawn_same_grandchild(self):
+        rng = RngStreams(1)
+        assert rng.spawn("a").spawn("b") is rng.spawn("a").spawn("b")
+
+    def test_prefixes_compose(self):
+        rng = RngStreams(5)
+        grandchild = rng.spawn("a").spawn("b")
+        assert (rng.prefix, rng.spawn("a").prefix, grandchild.prefix) == ("", "a:", "a:b:")
+        assert grandchild.master_seed == 5
+
+    def test_every_access_path_reaches_one_stream_object(self):
+        rng = RngStreams(1)
+        via_grandchild = rng.spawn("a").spawn("b").stream("c")
+        assert via_grandchild is rng.spawn("a").stream("b:c")
+        assert via_grandchild is rng.stream("a:b:c")
+        assert via_grandchild is rng.spawn("a:b").stream("c")
+
+    def test_a_stream_first_made_by_the_root_is_the_childs_too(self):
+        rng = RngStreams(1)
+        made_by_root = rng.stream("a:x")
+        assert rng.spawn("a").stream("x") is made_by_root
+
+    def test_draws_equal_hand_composed_names(self):
+        composed, spawned = RngStreams(11), RngStreams(11)
+        items = list(range(30))
+        repair = spawned.spawn("repair")
+        node = spawned.spawn("model").spawn("exp")
+        for block in range(5):
+            assert repair.sample(str(block), items, 3) == composed.sample(
+                f"repair:{block}", items, 3
+            )
+            assert node.exponential(f"node:{block}", 40.0) == composed.exponential(
+                f"model:exp:node:{block}", 40.0
+            )
+            assert repair.normal("t", 10.0, 2.0) == composed.normal("repair:t", 10.0, 2.0)
+            assert repair.randint("r", 0, 99) == composed.randint("repair:r", 0, 99)
+            assert repair.choice("c", items) == composed.choice("repair:c", items)
+
+    def test_interleaved_paths_advance_one_sequence(self):
+        reference = RngStreams(3).stream("a:b")
+        expected = [reference.random() for _ in range(4)]
+        rng = RngStreams(3)
+        drawn = [
+            rng.spawn("a").stream("b").random(),
+            rng.stream("a:b").random(),
+            rng.spawn("a").stream("b").random(),
+            rng.stream("a:b").random(),
+        ]
+        assert drawn == expected

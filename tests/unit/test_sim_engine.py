@@ -216,3 +216,193 @@ class TestInterrupt:
         sim.call_in(1.0, lambda: process.interrupt())
         sim.run()
         assert process.finished.fired
+
+
+class TestAllOfContract:
+    """What ``AllOf`` / ``Simulator._add_callback`` promise to their callers.
+
+    Pinned on the per-call-class shim before it was hoisted: values, wake
+    order and the exact ``dispatched`` count must not move with it.
+    """
+
+    @staticmethod
+    def _gather(sim, events, log):
+        def waiter():
+            try:
+                values = yield AllOf(events)
+            except Interrupt as interrupt:
+                log.append((sim.now, "interrupted", interrupt.cause))
+                return
+            log.append((sim.now, values))
+
+        return sim.spawn(waiter(), name="gatherer")
+
+    def test_values_follow_the_given_order_not_the_firing_order(self, sim):
+        first, second, third = (sim.event() for _ in range(3))
+        log = []
+        self._gather(sim, [first, second, third], log)
+        sim.call_in(1.0, lambda: third.succeed("c"))
+        sim.call_in(2.0, lambda: first.succeed("a"))
+        sim.call_in(3.0, lambda: second.succeed("b"))
+        sim.run()
+        assert log == [(3.0, ["a", "b", "c"])]
+        # spawn + 3 calls + 3 shim wake-ups + the gate's resume
+        assert sim.dispatched == 8
+
+    def test_already_fired_member_counts_at_once(self, sim):
+        early, late = sim.event(), sim.event()
+        early.succeed("early")
+        log = []
+        self._gather(sim, [early, late], log)
+        sim.call_in(2.0, lambda: late.succeed("late"))
+        sim.run()
+        assert log == [(2.0, ["early", "late"])]
+        assert sim.dispatched == 5
+
+    def test_every_member_already_fired(self, sim):
+        events = [sim.event() for _ in range(2)]
+        for index, event in enumerate(events):
+            event.succeed(index)
+        log = []
+        self._gather(sim, events, log)
+        sim.run()
+        assert log == [(0.0, [0, 1])]
+        assert sim.dispatched == 4
+
+    def test_one_event_listed_twice(self, sim):
+        event = sim.event()
+        log = []
+        self._gather(sim, [event, event], log)
+        sim.call_in(1.0, lambda: event.succeed("x"))
+        sim.run()
+        assert log == [(1.0, ["x", "x"])]
+        assert sim.dispatched == 5
+
+    def test_members_firing_in_one_instant(self, sim):
+        events = [sim.event() for _ in range(3)]
+        log = []
+        self._gather(sim, events, log)
+
+        def fire_all():
+            for index, event in enumerate(events):
+                event.succeed(index)
+
+        sim.call_in(1.0, fire_all)
+        sim.run()
+        assert log == [(1.0, [0, 1, 2])]
+        assert sim.dispatched == 6
+
+    def test_failed_member_raises_out_of_run(self, sim):
+        good, bad = sim.event(), sim.event()
+        log = []
+        process = self._gather(sim, [good, bad], log)
+        sim.call_in(1.0, lambda: good.succeed("ok"))
+        sim.call_in(2.0, lambda: bad.fail(RuntimeError("boom")))
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run()
+        assert log == []
+        assert not process.finished.fired
+        assert sim.dispatched == 5
+
+    def test_already_failed_member_raises_when_armed(self, sim):
+        bad = sim.event()
+        bad.fail(RuntimeError("boom"))
+        log = []
+        self._gather(sim, [sim.event(), bad], log)
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run()
+        assert log == []
+        assert sim.dispatched == 1
+
+    def test_interrupting_a_process_parked_on_the_gate(self, sim):
+        first, second = sim.event(), sim.event()
+        log = []
+        process = self._gather(sim, [first, second], log)
+        sim.call_in(1.0, lambda: process.interrupt("stop"))
+        sim.call_in(2.0, lambda: first.succeed("a"))
+        sim.call_in(3.0, lambda: second.succeed("b"))
+        sim.run()
+        # The members still fire, the gate completes, nobody is woken twice.
+        assert log == [(1.0, "interrupted", "stop")]
+        assert process.finished.fired
+        assert sim.dispatched == 7
+
+    def test_late_gate_does_not_wake_the_interrupted_process_early(self, sim):
+        member = sim.event()
+        log = []
+
+        def waiter():
+            try:
+                yield AllOf([member])
+            except Interrupt:
+                log.append((sim.now, "interrupted"))
+            yield Timeout(10.0)
+            log.append((sim.now, "slept"))
+
+        process = sim.spawn(waiter())
+        sim.call_in(1.0, lambda: process.interrupt())
+        sim.call_in(2.0, lambda: member.succeed("late"))
+        sim.run()
+        assert log == [(1.0, "interrupted"), (11.0, "slept")]
+        assert sim.dispatched == 6
+
+    def test_member_that_never_fires_parks_the_process_for_good(self, sim):
+        fires, never = sim.event(), sim.event()
+        log = []
+        process = self._gather(sim, [fires, never], log)
+        sim.call_in(1.0, lambda: fires.succeed("a"))
+        sim.run()
+        assert log == []
+        assert not process.finished.fired
+        assert sim.now == 1.0
+        assert sim.dispatched == 3
+
+    def test_wake_order_among_ordinary_waiters_of_the_same_event(self, sim):
+        event = sim.event()
+        log = []
+
+        def plain(name):
+            value = yield event
+            log.append((name, value))
+
+        sim.spawn(plain("before"))
+        self._gather(sim, [event], log)
+        sim.spawn(plain("after"))
+        sim.call_in(1.0, lambda: event.succeed("v"))
+        sim.run()
+        # The shim takes its turn in arrival order, and the gate it fires
+        # resumes the gatherer one heap entry later -- behind "after".
+        assert log == [("before", "v"), ("after", "v"), (1.0, ["v"])]
+        assert sim.dispatched == 8
+
+    def test_add_callback_on_a_pending_event_runs_at_the_firing_instant(self, sim):
+        event = sim.event()
+        log = []
+        sim._add_callback(event, lambda value: log.append((sim.now, value)))
+        sim.call_in(2.0, lambda: event.succeed("v"))
+        sim.run()
+        assert log == [(2.0, "v")]
+        assert sim.dispatched == 2
+
+    def test_add_callback_on_a_fired_event_is_deferred_to_the_heap(self, sim):
+        event = sim.event()
+        event.succeed("v")
+        log = []
+        sim._add_callback(event, log.append)
+        assert log == []  # never synchronous
+        sim.run()
+        assert log == ["v"]
+        assert sim.dispatched == 1
+
+    def test_add_callback_on_a_failed_event_raises(self, sim):
+        event = sim.event()
+        event.fail(KeyError("gone"))
+        with pytest.raises(KeyError):
+            sim._add_callback(event, lambda value: None)
+
+    def test_callback_of_an_event_that_fails_later_raises_out_of_run(self, sim):
+        event = sim.event()
+        sim._add_callback(event, lambda value: None)
+        sim.call_in(1.0, lambda: event.fail(KeyError("gone")))
+        with pytest.raises(KeyError):
+            sim.run()
