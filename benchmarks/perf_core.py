@@ -1,6 +1,6 @@
 """Fixed workloads for the simulation-core performance suite.
 
-Five workloads probe the hot paths the core optimisation targeted:
+Six workloads probe the hot paths the core optimisation targeted:
 
 * :func:`engine_churn` -- raw event-loop throughput: processes that sleep,
   signal events and join each other, measured as dispatched callbacks per
@@ -18,6 +18,11 @@ Five workloads probe the hot paths the core optimisation targeted:
   ``ObservabilityCollector`` and under ``check=True``, interleaved in one
   process, measured as the two wall-clock ratios over the plain trial (the
   cost of the obs bus, the collector and the sanitizer).
+* :func:`footprint` -- what a simulator *process* costs, measured in fresh
+  interpreters: wall and resident memory of the import closure
+  ``run_simulation`` needs, peak resident memory after six fig7 trials, and
+  the objects a final ``gc.collect()`` finds (a finished trial is acyclic,
+  so: none).
 
 The workloads are deterministic (fixed LCG streams, no wall-clock
 dependence inside the simulated world) so before/after timings compare the
@@ -28,10 +33,15 @@ them, writes ``BENCH_sim.json`` and enforces the regression floor;
 
 from __future__ import annotations
 
+import json
+import os
 import statistics
+import subprocess
+import sys
 import time
 from dataclasses import replace
 
+import repro
 from repro.mapreduce.config import SimulationConfig
 from repro.mapreduce.serialization import result_to_json
 from repro.mapreduce.simulation import run_simulation
@@ -255,6 +265,83 @@ def observe_overhead(num_blocks: int = 1440, rounds: int = 3) -> dict:
     }
 
 
+#: Peak resident size from VmHWM, which starts at zero with the new
+#: program; ``ru_maxrss`` starts at the size of the process that forked it.
+_PROBE_PRELUDE = """
+import gc, json, sys, time
+def peak_rss_mb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024
+"""
+
+#: Runs in a fresh interpreter: the import closure a simulator process pays
+#: for before its first trial (``run_simulation`` resolves lazily).
+_IMPORT_PROBE = _PROBE_PRELUDE + """
+start = time.perf_counter()
+import repro
+repro.run_simulation
+seconds = time.perf_counter() - start
+print(json.dumps({
+    "import_seconds": seconds,
+    "import_rss_mb": peak_rss_mb(),
+    "numpy_imported": "numpy" in sys.modules,
+}))
+"""
+
+#: Runs in a fresh interpreter, collector left as the interpreter sets it:
+#: two seeds of LF / BDF / EDF, the group the end-to-end benchmark repeats.
+_TRIALS_PROBE = _PROBE_PRELUDE + """
+from dataclasses import replace
+from repro import SimulationConfig, run_simulation
+for seed in (0, 1):
+    for scheduler in ("LF", "BDF", "EDF"):
+        config = SimulationConfig(scheduler=scheduler, seed=seed)
+        run_simulation(replace(config, jobs=tuple(
+            replace(job, num_blocks={num_blocks}) for job in config.jobs)))
+print(json.dumps({{
+    "trials": 6,
+    "peak_rss_mb": peak_rss_mb(),
+    "final_collect_objects": gc.collect(),
+    "numpy_imported": "numpy" in sys.modules,
+}}))
+"""
+
+
+def _probe(code: str) -> dict:
+    """Run ``code`` in a fresh interpreter; its last stdout line is one JSON object."""
+    source_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([source_root, env.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def footprint(num_blocks: int = 1440, starts: int = 5) -> dict:
+    """What one simulator process costs: start-up, resident memory, garbage.
+
+    Everything is read in fresh interpreters, because this process has
+    already imported numpy-free and numpy-laden modules alike.  The import
+    figures are medians over ``starts`` interpreter starts; the six trials
+    run once (their peak repeats to 0.1-0.3 MiB).
+    """
+    imports = [_probe(_IMPORT_PROBE) for _ in range(starts)]
+    trials = _probe(_TRIALS_PROBE.format(num_blocks=num_blocks))
+    return {
+        "num_blocks": num_blocks,
+        "starts": starts,
+        "import_seconds": statistics.median(run["import_seconds"] for run in imports),
+        "import_rss_mb": statistics.median(run["import_rss_mb"] for run in imports),
+        "numpy_imported": trials["numpy_imported"]
+        or any(run["numpy_imported"] for run in imports),
+        "trials": trials["trials"],
+        "peak_rss_mb": trials["peak_rss_mb"],
+        "final_collect_objects": trials["final_collect_objects"],
+    }
+
+
 def main() -> None:
     for name, fn in (
         ("engine_churn", engine_churn),
@@ -262,6 +349,7 @@ def main() -> None:
         ("exclusive_churn", exclusive_churn),
         ("fig7_single_trial", fig7_single_trial),
         ("observe_overhead", observe_overhead),
+        ("footprint", footprint),
     ):
         print(name, fn())
 

@@ -14,6 +14,11 @@ Quickstart
 >>> result = run_simulation(SimulationConfig(scheduler="EDF", seed=1))
 >>> result.job(0).runtime  # doctest: +SKIP
 270.9
+
+``import repro``, ``import repro.cli`` and a whole ``run_simulation`` stay
+numpy-free: of :mod:`repro.ec` they load only ``CodeParams`` and the stripe
+layout.  The coders, the GF(2^8) tables and numpy load when the first
+:class:`~repro.ec.ErasureCodec` is built (the testbed, ``repro.ec`` users).
 """
 
 from repro.cluster.failures import FailurePattern

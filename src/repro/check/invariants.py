@@ -357,9 +357,13 @@ class InvariantMonitor:
 
         The leftover-attempt check only applies to trials whose jobs all
         retired: an aborted trial legitimately strands parked attempts.
+        The trial wiring ends here: the monitor outlives the trial and must
+        not pin the tracker, runtime and block map (a cycle via ``sim.monitor``).
         """
         self.collector.finalize(now)
-        if self._tracker is None or not self._tracker.finished:
+        tracker = self._tracker
+        self._tracker = self._runtime = self._block_map = None
+        if tracker is None or not tracker.finished:
             return
         for key in sorted(self._running, key=repr):
             job_id, task, ident, node = key

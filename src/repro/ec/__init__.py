@@ -13,10 +13,14 @@ This package implements, from scratch, everything the paper's storage layer
   :class:`~repro.ec.codec.CodeParams`.
 * :mod:`repro.ec.stripe` -- stripe layout helpers and the ``B_{i,j}`` /
   ``P_{i,j}`` block-naming scheme used throughout the paper's examples.
+
+Importing the package loads only ``codec`` and ``stripe`` (pure Python; the
+simulator and the CLI need just ``CodeParams``).  ``galois``, ``matrix`` and
+``reed_solomon`` -- with them numpy and the field tables -- load on the first
+``ErasureCodec(...)`` or the first touch of ``repro.ec.ReedSolomon``.
 """
 
 from repro.ec.codec import CodeParams, ErasureCodec
-from repro.ec.reed_solomon import ReedSolomon
 from repro.ec.stripe import BlockKind, StripeLayout, block_name
 
 __all__ = [
@@ -27,3 +31,12 @@ __all__ = [
     "StripeLayout",
     "block_name",
 ]
+
+
+def __getattr__(name: str):
+    """Resolve ``ReedSolomon`` on first touch; nothing else here needs numpy."""
+    if name != "ReedSolomon":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro.ec.reed_solomon import ReedSolomon
+
+    return ReedSolomon

@@ -10,9 +10,12 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.ec.reed_solomon import ReedSolomon
 from repro.ec.stripe import StripeLayout
+
+if TYPE_CHECKING:
+    from repro.ec.reed_solomon import ReedSolomon
 
 
 @dataclass(frozen=True)
@@ -72,12 +75,13 @@ class ErasureCodec:
         self.params = params
         self.algorithm = algorithm
         self.layout = StripeLayout(n=params.n, k=params.k)
+        # Imported here, not at module level: the simulator and the CLI need
+        # only CodeParams; the coders pull in numpy and the GF(2^8) tables.
         if algorithm == "cauchy":
-            from repro.ec.cauchy import CauchyReedSolomon
-
-            self._coder: ReedSolomon = CauchyReedSolomon(params.n, params.k)
+            from repro.ec.cauchy import CauchyReedSolomon as coder_class
         else:
-            self._coder = ReedSolomon(params.n, params.k)
+            from repro.ec.reed_solomon import ReedSolomon as coder_class
+        self._coder: ReedSolomon = coder_class(params.n, params.k)
 
     @property
     def coder(self) -> ReedSolomon:

@@ -179,8 +179,11 @@ class Process:
         except StopIteration as stop:
             self.finished.succeed(stop.value)
             return
-        except Interrupt:
-            # An unhandled interrupt terminates the process quietly.
+        except Interrupt as interrupt:
+            # An unhandled interrupt terminates the process quietly.  Its
+            # traceback holds this frame, whose ``payload`` is the interrupt:
+            # a cycle that would pin the killed process's frames.
+            interrupt.__traceback__ = None
             self.finished.succeed(None)
             return
         if type(yielded) is Timeout:
@@ -236,6 +239,25 @@ class Process:
         raise SimulationError(f"process {self.name!r} yielded unsupported {yielded!r}")
 
 
+class _CallbackShim:
+    """Quacks like a Process for Event's waiter set: a one-shot callback.
+
+    It holds the callback and no reference back to the event, so the shim
+    of an event that never fires (a cancelled flow) dies with that event.
+    """
+
+    __slots__ = ("_fn",)
+    _epoch = 0  # callbacks are one-shot; no staleness to track
+
+    def __init__(self, fn: Callable[[Any], None]) -> None:
+        self._fn = fn
+
+    def _step(self, kind: str, payload: Any) -> None:
+        if kind == "throw":
+            raise payload
+        self._fn(payload)
+
+
 class Simulator:
     """The event loop: a heap of timestamped tuple entries and a virtual clock.
 
@@ -244,7 +266,7 @@ class Simulator:
     closures (see the module docstring).
     """
 
-    __slots__ = ("_now", "_heap", "_sequence", "dispatched", "monitor")
+    __slots__ = ("_now", "_heap", "_sequence", "dispatched", "monitor", "__weakref__")
 
     def __init__(self) -> None:
         self._now = 0.0
@@ -371,17 +393,4 @@ class Simulator:
                 raise event._error
             self._push(self._now, lambda: fn(event._value))
             return
-
-        class _CallbackShim:
-            """Quacks like a Process for Event's waiter set."""
-
-            __slots__ = ()
-            _epoch = 0  # callbacks are one-shot; no staleness to track
-            finished = event  # only `.fired` is consulted, never re-fired
-
-            def _step(self, kind: str, payload: Any) -> None:
-                if kind == "throw":
-                    raise payload
-                fn(payload)
-
-        event._waiters[_CallbackShim()] = None  # type: ignore[index]
+        event._waiters[_CallbackShim(fn)] = None  # type: ignore[index]

@@ -23,7 +23,7 @@ class RngStreams:
     prefix:
         Label prefix prepended to every stream name.  User code never passes
         it directly; :meth:`spawn` builds prefixed children that share this
-        factory's caches, so ``rng.spawn("a").stream("b")`` *is*
+        factory's stream cache, so ``rng.spawn("a").stream("b")`` *is*
         ``rng.stream("a:b")``.
     """
 
@@ -51,14 +51,14 @@ class RngStreams:
         byte-identical values through ``rng.spawn("repair").sample(str(block),
         ...)``, so adopting ``spawn`` never perturbs trajectories.  Children
         are cached: repeated ``spawn`` calls with one name return one object.
+        Each factory owns its direct children and nothing points back up, so
+        the tree (and every cached stream) dies with its root.
         """
-        full = f"{self.prefix}{name}:"
-        child = self._children.get(full)
+        child = self._children.get(name)
         if child is None:
-            child = RngStreams(self.master_seed, prefix=full)
+            child = RngStreams(self.master_seed, prefix=f"{self.prefix}{name}:")
             child._streams = self._streams
-            child._children = self._children
-            self._children[full] = child
+            self._children[name] = child
         return child
 
     def normal(self, name: str, mean: float, std: float, minimum: float = 1e-9) -> float:

@@ -36,6 +36,7 @@ workers let in-flight rebuilds drain and stop dequeuing new work.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from collections.abc import Generator
 from dataclasses import dataclass
@@ -113,7 +114,9 @@ class RepairDriver:
     tracker:
         The :class:`~repro.mapreduce.master.JobTracker`; the driver uses
         its failure/blacklist view for planning and notifies it when a
-        block lands (task reclassification + parked-task wakeup).
+        block lands (task reclassification + parked-task wakeup).  Held
+        weakly: the tracker owns the driver (``tracker.repair_driver``),
+        and a strong pointer back would make every repair trial a cycle.
     block_size:
         Bytes per block (every rebuild downloads ``k`` of them).
     bus:
@@ -145,7 +148,7 @@ class RepairDriver:
         self.block_map = block_map
         self.nodetree = nodetree
         self.rng = rng
-        self.tracker = tracker
+        self.tracker = weakref.proxy(tracker)
         self.block_size = float(block_size)
         self.bus = bus
         self.planner = RepairPlanner(block_map, nodetree.topology)

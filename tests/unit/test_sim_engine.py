@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim.engine import (
@@ -216,6 +219,38 @@ class TestInterrupt:
         sim.call_in(1.0, lambda: process.interrupt())
         sim.run()
         assert process.finished.fired
+
+    def test_quietly_killed_process_is_freed_without_a_collection(self, sim):
+        """The quiet-interrupt path must not keep the interrupt's traceback.
+
+        The traceback holds ``Process._step``'s frame, whose ``payload`` is
+        the interrupt itself: a cycle that pinned the killed process, its
+        generator and everything its frames could reach until a collection.
+        """
+
+        class Held:
+            pass
+
+        def sleeper(held):
+            yield Timeout(100.0)
+            return held
+
+        gc.collect()
+        gc.disable()
+        try:
+            held = Held()
+            process = sim.spawn(sleeper(held))
+            frame_owner = weakref.ref(process._generator)
+            local = weakref.ref(held)
+            sim.call_in(1.0, lambda: process.interrupt("kill"))
+            del held
+            sim.run()
+            assert process.finished.fired
+            del process
+            assert frame_owner() is None
+            assert local() is None
+        finally:
+            gc.enable()
 
 
 class TestAllOfContract:
