@@ -107,7 +107,6 @@ def test_engine_events_per_sec():
     else:
         result = engine_churn()
     _results["engine_churn"] = result
-    assert result["events_per_sec"] > 0
 
 
 def test_fluid_churn_throughput():
