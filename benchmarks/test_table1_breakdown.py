@@ -10,6 +10,7 @@ from __future__ import annotations
 from conftest import one_shot
 from repro.experiments.table1_breakdown import format_table, run_table1
 from repro.mapreduce.job import MapTaskCategory, TaskKind
+from repro.mapreduce.metrics import mean_task_runtime
 
 NORMAL = (
     MapTaskCategory.NODE_LOCAL,
@@ -25,13 +26,13 @@ def test_table1(benchmark):
     for job_name, by_scheduler in results.items():
         lf = by_scheduler["LF"]
         edf = by_scheduler["EDF"]
-        lf_degraded = lf.mean_runtime(TaskKind.MAP, MapTaskCategory.DEGRADED)
-        edf_degraded = edf.mean_runtime(TaskKind.MAP, MapTaskCategory.DEGRADED)
+        lf_degraded = mean_task_runtime(lf.tasks, TaskKind.MAP, MapTaskCategory.DEGRADED)
+        edf_degraded = mean_task_runtime(edf.tasks, TaskKind.MAP, MapTaskCategory.DEGRADED)
         if edf_degraded < lf_degraded:
             degraded_wins += 1
         # Normal maps are unaffected by the scheduling policy (within noise).
-        lf_normal = lf.mean_runtime(TaskKind.MAP, *NORMAL)
-        edf_normal = edf.mean_runtime(TaskKind.MAP, *NORMAL)
+        lf_normal = mean_task_runtime(lf.tasks, TaskKind.MAP, *NORMAL)
+        edf_normal = mean_task_runtime(edf.tasks, TaskKind.MAP, *NORMAL)
         assert abs(lf_normal - edf_normal) <= 0.5 * max(lf_normal, edf_normal), (
             f"normal map means diverged for {job_name}"
         )

@@ -26,10 +26,10 @@ def main() -> None:
 
     for code in (CodeParams(6, 4), CodeParams(9, 6), CodeParams(12, 10)):
         # (12,10) stripes are wider than the rack rule permits on 3 racks,
-        # exactly like the paper's testbed; node-failure tolerance only.
+        # exactly like the paper's testbed, so the cluster places them with
+        # the rule off; node-failure tolerance only.
         cluster = HdfsRaidCluster(
-            topology, code, num_native_blocks=240, placement="declustered", rng=rng,
-            rack_fault_tolerant=code.parity * topology.num_racks >= code.n,
+            topology, code, num_native_blocks=240, placement="declustered", rng=rng
         )
         planner = RepairPlanner(cluster.block_map, topology)
         plan = planner.plan(frozenset({0}), rng)

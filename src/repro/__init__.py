@@ -4,9 +4,9 @@ A full reproduction of Li, Lee & Hu (DSN 2014): the LF / BDF / EDF
 schedulers (:mod:`repro.core`), the erasure-coding and HDFS-RAID storage
 substrates (:mod:`repro.ec`, :mod:`repro.storage`), a discrete-event
 MapReduce simulator (:mod:`repro.sim`, :mod:`repro.mapreduce`), the
-closed-form analysis (:mod:`repro.analysis`), a functional threaded testbed
-(:mod:`repro.testbed`), and per-figure experiment harnesses
-(:mod:`repro.experiments`).
+closed-form analysis (:mod:`repro.analysis`), a testbed that runs real job
+logic on the simulator's clock (:mod:`repro.testbed`), and per-figure
+experiment harnesses (:mod:`repro.experiments`).
 
 Quickstart
 ----------

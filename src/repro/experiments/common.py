@@ -26,21 +26,23 @@ DEFAULT_NUM_SEEDS = 30
 
 
 def _env_int(name: str, default: int) -> int:
-    """Read an integer environment override, failing with a usable message.
+    """Read a positive integer environment override, failing with a usable message.
 
-    A malformed value (``REPRO_SEEDS=lots``) raises a :class:`ValueError`
-    naming the variable and the offending text instead of the bare
-    ``int()`` traceback it used to.
+    A malformed value (``REPRO_SEEDS=lots``) or a zero or negative one
+    raises a :class:`ValueError` naming the variable and the offending text.
     """
     raw = os.environ.get(name)
     if raw is None:
         return default
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise ValueError(
             f"environment variable {name} must be an integer, got {raw!r}"
         ) from None
+    if value <= 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return value
 
 
 def default_seeds() -> list[int]:
@@ -49,27 +51,16 @@ def default_seeds() -> list[int]:
     Set ``REPRO_SEEDS=5`` to run quick 5-sample experiments (useful in CI);
     unset, the paper's 30 samples are used.
     """
-    count = _env_int("REPRO_SEEDS", DEFAULT_NUM_SEEDS)
-    if count <= 0:
-        raise ValueError(f"REPRO_SEEDS must be positive, got {count}")
-    return list(range(count))
+    return list(range(_env_int("REPRO_SEEDS", DEFAULT_NUM_SEEDS)))
 
 
 def max_workers() -> int:
     """Process-pool width, honouring the ``REPRO_WORKERS`` override.
 
     Defaults to every core: simulation trials are single-threaded and
-    independent, and experiment batches are trivially parallel.  Like
-    ``REPRO_SEEDS``, a zero or negative override raises a
-    :class:`ValueError` naming the variable instead of being silently
-    clamped to one worker.
+    independent, and experiment batches are trivially parallel.
     """
-    if os.environ.get("REPRO_WORKERS") is not None:
-        count = _env_int("REPRO_WORKERS", 1)
-        if count <= 0:
-            raise ValueError(f"REPRO_WORKERS must be positive, got {count}")
-        return count
-    return max(1, os.cpu_count() or 1)
+    return _env_int("REPRO_WORKERS", max(1, os.cpu_count() or 1))
 
 
 def run_many(

@@ -19,9 +19,9 @@ shuffle.
 
 from __future__ import annotations
 
-import os
 import statistics
 
+from repro.experiments.common import _env_int
 from repro.testbed.engine import TestbedCluster, TestbedConfig, TestbedJobResult
 from repro.testbed.jobs import GrepJob, LineCountJob, MapReduceJob, WordCountJob
 
@@ -30,8 +30,12 @@ SCHEDULERS = ("LF", "EDF")
 
 
 def default_runs() -> int:
-    """Repetitions per configuration; the paper averages five runs."""
-    return int(os.environ.get("REPRO_TESTBED_RUNS", "3"))
+    """Repetitions per configuration; the paper averages five runs.
+
+    ``REPRO_TESTBED_RUNS`` overrides the default of 3 and, like
+    ``REPRO_SEEDS``, must be a positive integer.
+    """
+    return _env_int("REPRO_TESTBED_RUNS", 3)
 
 
 def make_jobs() -> list[MapReduceJob]:

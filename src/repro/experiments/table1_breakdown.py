@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from repro.experiments.fig9_testbed import build_cluster, collect_task_breakdown
 from repro.mapreduce.job import MapTaskCategory, TaskKind
+from repro.mapreduce.metrics import mean_task_runtime
 from repro.testbed.engine import TestbedCluster, TestbedJobResult
 
 #: The table's row structure: label -> (kind, categories).
@@ -46,7 +47,8 @@ def format_table(results: dict[str, dict[str, TestbedJobResult]]) -> str:
         row = f"{label:>14}"
         for job_name in jobs:
             for scheduler in ("LF", "EDF"):
-                mean = results[job_name][scheduler].mean_runtime(kind, *categories)
+                tasks = results[job_name][scheduler].tasks
+                mean = mean_task_runtime(tasks, kind, *categories)
                 row += f"  {mean:>14.3f}"
         lines.append(row)
     return "\n".join(lines)

@@ -42,6 +42,24 @@ class TaskRecord:
         return self.finish_time - self.launch_time
 
 
+def mean_task_runtime(
+    tasks: list[TaskRecord], kind: TaskKind, *categories: MapTaskCategory
+) -> float:
+    """Average runtime of one kind of ``tasks`` (NaN if none), as in Table I.
+
+    For maps, ``categories`` narrows the average to those categories.
+    """
+    if kind is TaskKind.REDUCE:
+        selected = [task for task in tasks if task.kind is TaskKind.REDUCE]
+    elif categories:
+        selected = [task for task in tasks if task.category in categories]
+    else:
+        selected = [task for task in tasks if task.kind is TaskKind.MAP]
+    if not selected:
+        return math.nan
+    return sum(task.runtime for task in selected) / len(selected)
+
+
 @dataclass
 class JobMetrics:
     """Summary of one job's execution."""
@@ -105,15 +123,7 @@ class JobMetrics:
 
     def mean_runtime(self, kind: TaskKind, *categories: MapTaskCategory) -> float:
         """Average task runtime for a kind (and optional map categories)."""
-        if kind is TaskKind.REDUCE:
-            selected = [task for task in self.tasks if task.kind is TaskKind.REDUCE]
-        else:
-            selected = self.tasks_of(*categories) if categories else [
-                task for task in self.tasks if task.kind is TaskKind.MAP
-            ]
-        if not selected:
-            return math.nan
-        return sum(task.runtime for task in selected) / len(selected)
+        return mean_task_runtime(self.tasks, kind, *categories)
 
     def mean_degraded_read_time(self) -> float:
         """Average degraded-read (download) time over degraded tasks."""

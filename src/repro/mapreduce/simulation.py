@@ -20,7 +20,7 @@ from __future__ import annotations
 import contextlib
 import os
 
-from repro.cluster.failures import FailureInjector
+from repro.cluster.failures import FailureInjector, FailurePattern
 from repro.cluster.nodetree import NodeTree
 from repro.cluster.topology import ClusterTopology
 from repro.core.scheduler import SchedulerContext, make_scheduler
@@ -33,6 +33,7 @@ from repro.mapreduce.slave import SlaveRuntime
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.storage.hdfs import HdfsRaidCluster
+from repro.storage.placement import PlacementError, rack_rule_feasible
 from repro.storage.repair_driver import RepairDriver
 
 
@@ -177,6 +178,18 @@ def _build_trial(
     sim = Simulator()
     rng = RngStreams(config.seed)
     topology = build_topology(config)
+
+    # A rack failure needs the Section III rack rule, which storage enforces
+    # wherever the layout admits it; the paper's testbed layout does not.
+    if (
+        config.failure is FailurePattern.RACK
+        and config.failure_schedule is None
+        and not rack_rule_feasible(topology, config.code)
+    ):
+        raise PlacementError(
+            f"failure=rack needs the rack rule, which code {config.code} "
+            f"cannot satisfy on {config.num_nodes} nodes in {config.num_racks} racks"
+        )
 
     # Storage: one erasure-coded file shared by all jobs, as in the paper's
     # simulator setup ("we create 1440 blocks in total").

@@ -25,6 +25,7 @@ from repro.storage.placement import (
     RackConstrainedRandomPlacement,
     RoundRobinPlacement,
     make_placement_policy,
+    rack_rule_feasible,
 )
 from repro.storage.repair import BlockRepair, RepairPlan, RepairPlanner
 
@@ -45,4 +46,5 @@ __all__ = [
     "SourceSelection",
     "StoredBlock",
     "make_placement_policy",
+    "rack_rule_feasible",
 ]

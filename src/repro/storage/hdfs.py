@@ -16,7 +16,7 @@ from repro.sim.rng import RngStreams
 from repro.storage.block import BlockId
 from repro.storage.degraded import DegradedReadPlanner, SourceSelection
 from repro.storage.namenode import BlockMap
-from repro.storage.placement import make_placement_policy
+from repro.storage.placement import make_placement_policy, rack_rule_feasible
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,11 @@ class HdfsRaidCluster:
         Random streams used by randomized placement.
     source_selection:
         Degraded-read source policy.
-    rack_fault_tolerant:
-        Enforce the at-most-``n-k``-blocks-per-rack rule (see
-        :mod:`repro.storage.placement`).  Disable for layouts like the
-        paper's testbed, where stripes are wider than any rack allows.
+
+    The at-most-``n-k``-blocks-per-rack rule (see
+    :mod:`repro.storage.placement`) is enforced wherever the layout admits
+    it; on layouts like the paper's testbed, where stripes are wider than
+    any rack allows, the file tolerates node failures only.
     """
 
     def __init__(
@@ -63,14 +64,13 @@ class HdfsRaidCluster:
         placement: str,
         rng: RngStreams,
         source_selection: SourceSelection = SourceSelection.RANDOM,
-        rack_fault_tolerant: bool = True,
     ) -> None:
         if num_native_blocks <= 0:
             raise ValueError(f"need a positive native block count, got {num_native_blocks}")
         self.topology = topology
         self.params = params
         policy = make_placement_policy(
-            placement, topology, params, rack_fault_tolerant
+            placement, topology, params, rack_rule_feasible(topology, params)
         )
         num_stripes = -(-num_native_blocks // params.k)
         assignment = policy.place_file(num_stripes, rng)

@@ -32,6 +32,15 @@ class PlacementError(RuntimeError):
     """Raised when a stripe cannot be placed under the rack constraint."""
 
 
+def rack_rule_feasible(topology: ClusterTopology, params: CodeParams) -> bool:
+    """Whether ``topology`` can hold stripes with at most ``n - k`` blocks per rack.
+
+    The paper's own testbed layout cannot: each (12,10) stripe spans all 12
+    slaves, 4 per rack, so that layout tolerates node failures only.
+    """
+    return sum(min(len(rack), params.parity) for rack in topology.racks) >= params.n
+
+
 class PlacementPolicy(ABC):
     """Assigns the ``n`` blocks of each stripe to nodes.
 
@@ -44,9 +53,9 @@ class PlacementPolicy(ABC):
     rack_fault_tolerant:
         When True (default), enforce the paper's Section III rule: at most
         ``n - k`` blocks of a stripe per rack, so any single-rack failure is
-        survivable.  The paper's own 13-node testbed cannot satisfy this
-        (each (12,10) stripe spans all 12 slaves, 4 per rack), so the
-        testbed disables it and tolerates node failures only.
+        survivable.  Callers that place a whole file pass
+        :func:`rack_rule_feasible`, turning the rule off only on layouts
+        that cannot satisfy it.
     """
 
     def __init__(
@@ -66,14 +75,10 @@ class PlacementPolicy(ABC):
             raise PlacementError(
                 f"cannot place stripes of width n={n} on {self.topology.num_nodes} nodes"
             )
-        capacity = sum(
-            min(len(rack), cap) if cap > 0 else len(rack)
-            for rack in self.topology.racks
-        )
-        if capacity < n:
+        if cap > 0 and not rack_rule_feasible(self.topology, self.params):
             raise PlacementError(
                 f"rack constraint unsatisfiable: at most {cap} blocks per rack "
-                f"allows {capacity} < n={n} blocks per stripe"
+                f"on {len(self.topology.racks)} racks cannot hold n={n} blocks per stripe"
             )
 
     @abstractmethod

@@ -1,18 +1,20 @@
-"""A functional mini-MapReduce runtime (the paper's testbed, Section VI).
+"""The paper's testbed (Section VI): real job logic, real decode, modelled time.
 
-Where :mod:`repro.mapreduce` *simulates* task execution on a virtual clock,
-this package really runs it: blocks hold real bytes, HDFS-RAID encoding uses
-the real Reed-Solomon coder, degraded reads really decode, and WordCount /
-Grep / LineCount really tokenise text -- on a pool of worker threads with
-per-node slot limits and an emulated network.  It substitutes for the
-paper's 13-node Hadoop 0.22 + HDFS-RAID cluster.
+Where a plain :mod:`repro.mapreduce` trial only *models* task work, the
+testbed also does it: blocks hold real bytes, HDFS-RAID encoding uses the
+real Reed-Solomon coder, degraded reads really decode, and WordCount / Grep
+/ LineCount really tokenise, partition and reduce text.  The time those
+jobs take comes from one simulation trial on the exclusive-hold network,
+sized by what the real pass measured.  It substitutes for the paper's
+13-node Hadoop 0.22 + HDFS-RAID cluster.
 
 * :mod:`repro.testbed.textgen` -- seeded Gutenberg-like corpus generator.
 * :mod:`repro.testbed.localfs` -- in-memory datanode stores + HDFS-RAID fs.
-* :mod:`repro.testbed.netem` -- wall-clock network emulation (scaled).
+* :mod:`repro.testbed.netem` -- wall-clock network emulation (scaled), for
+  filesystem users that want reads to take real time.
 * :mod:`repro.testbed.jobs` -- the three I/O-heavy MapReduce jobs.
-* :mod:`repro.testbed.engine` -- the threaded MapReduce engine with
-  pluggable (LF / BDF / EDF) scheduling.
+* :mod:`repro.testbed.engine` -- the runtime: a real pass over the bytes,
+  then one simulation trial under LF / BDF / EDF.
 """
 
 from repro.testbed.engine import TestbedCluster, TestbedConfig, TestbedJobResult

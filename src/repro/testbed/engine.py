@@ -1,39 +1,47 @@
-"""The threaded mini-MapReduce engine of the testbed.
+"""The testbed's MapReduce runtime: real bytes on the simulator's clock.
 
-Architecture mirrors Hadoop 0.22 as the paper describes it: a master
-(scheduler) thread polls every live slave on a heartbeat interval and fills
-free map/reduce slots using one of the three scheduling policies
-(:mod:`repro.core`); worker threads execute tasks for real -- block reads
-(including genuine Reed-Solomon degraded reads) cross the emulated network,
-map functions tokenise real text, intermediate data is partitioned by key
-hash, and reducers fetch their partitions over the network before reducing.
+A batch of jobs runs in two steps, on one thread and with no wall clock.
 
-Time is wall-clock (optionally compressed through the network's
-``time_scale``); runtimes are reported in simulated seconds.
+1. **Real pass.**  Every native block is read through
+   :class:`~repro.testbed.localfs.HdfsRaidFilesystem`'s own read path -- a
+   block on a failed node takes a genuine Reed-Solomon degraded read --
+   and each job's ``map_fn`` and combiner run on the bytes.  The pairs are
+   partitioned by a stable hash of the key and ``reduce_fn`` runs per
+   partition.  This yields the job's output and the sizes the clock
+   needs: block payload lengths and per-reducer partition bytes.
+2. **Timing.**  One :func:`~repro.mapreduce.simulation.run_simulation`
+   trial replays the batch on the same topology, code, placement and
+   scheduler, over the exclusive-hold network (the link-hold semantic of
+   the paper's NodeTree and of :mod:`repro.testbed.netem`).  Map time is
+   the measured payload length over ``map_processing_rate``; reduce time
+   and shuffle volume come from the measured partition bytes.
+
+The bytes reach the clock only through those sizes, which is the paper's
+point: a scheduler changes *when* work runs, never *what* is computed.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
+import statistics
+import zlib
 from dataclasses import dataclass, field
 
+from repro.cluster.failures import FailurePattern
 from repro.cluster.topology import ClusterTopology
-from repro.cluster.network import NetworkSpec
-from repro.core.scheduler import SchedulerContext, make_scheduler
-from repro.core.tasks import JobTaskState
 from repro.ec.codec import CodeParams
-from repro.mapreduce.config import JobConfig
-from repro.mapreduce.job import MapAssignment, MapTaskCategory, ReduceAssignment, TaskKind
+from repro.mapreduce.config import JobConfig, SimulationConfig
 from repro.mapreduce.metrics import TaskRecord
+from repro.mapreduce.simulation import run_simulation
 from repro.sim.rng import RngStreams
 from repro.storage.degraded import SourceSelection
-from repro.storage.hdfs import FailureView
 from repro.testbed.jobs import MapReduceJob
 from repro.testbed.localfs import HdfsRaidFilesystem
-from repro.testbed.netem import EmulatedNetwork
 from repro.testbed.textgen import generate_corpus
+
+#: At-start failure pattern for each killed-node count the testbed accepts.
+_FAILURE_PATTERNS = (
+    FailurePattern.NONE, FailurePattern.SINGLE_NODE, FailurePattern.DOUBLE_NODE
+)
 
 
 @dataclass(frozen=True)
@@ -41,21 +49,18 @@ class TestbedConfig:
     """Configuration of the testbed cluster.
 
     Defaults scale the paper's testbed down by 512x in block size (128 KB
-    instead of 64 MB) so a run takes seconds instead of hours, keeping the
-    paper's proportions: 12 slaves in 3 racks, 4 map + 1 reduce slot each, a
-    (12, 10) code, 8 reduce tasks, round-robin placement, and 240 blocks of
-    synthetic Gutenberg-like text.
+    instead of 64 MB), keeping the paper's proportions: 12 slaves in 3
+    racks, 4 map + 1 reduce slot each, a (12, 10) code, 8 reduce tasks,
+    round-robin placement, and 240 blocks of synthetic Gutenberg-like text.
 
-    Because Python's GIL would serialise real per-task CPU across the 44
-    worker threads (destroying the parallel-compute dynamics the paper
-    studies), the bulk of each task's cost is modelled as a *processing
-    rate* -- an emulated disk-scan/framework delay proportional to the data
-    handled, which sleeps and therefore parallelises -- on top of the real
-    (cheap) tokenisation.  ``map_processing_rate`` is chosen so a map task
-    takes ~0.25 s, and the emulated network bandwidth so an uncontended
-    block transfer is a small fraction of that, as 64 MB at 1 Gbps is of
-    the paper's ~31 s map tasks.  Degraded reads then hurt mainly through
-    end-of-phase link contention -- the paper's central mechanism.
+    Task processing is modelled time, charged as a simulator timeout: a map
+    takes its block's payload bytes over ``map_processing_rate`` (~0.25 s
+    at the defaults) and a reduce its partition bytes over
+    ``reduce_processing_rate``, on top of the transfers the network
+    charges.  The rack bandwidth makes an uncontended block transfer a
+    small fraction of a map, as 64 MB at 1 Gbps is of the paper's ~31 s map
+    tasks.  Degraded reads then hurt mainly through end-of-phase link
+    contention -- the paper's central mechanism.
     """
 
     num_racks: int = 3
@@ -72,7 +77,6 @@ class TestbedConfig:
     map_processing_rate: float = 512 * 1024
     vocabulary_size: int = 400
     reduce_processing_rate: float = 4 * 1024 * 1024
-    time_scale: float = 1.0
     heartbeat_interval: float = 0.025
     reduce_slowstart: float = 0.05
     seed: int = 0
@@ -90,7 +94,12 @@ class TestbedConfig:
 
 @dataclass
 class TestbedJobResult:
-    """Outcome of one testbed job run."""
+    """Outcome of one testbed job run.
+
+    ``runtime`` and ``tasks`` are the job's simulated metrics (runtime is
+    first launch to last completion); ``output`` is what its reducers
+    computed from the real bytes.
+    """
 
     job_name: str
     scheduler: str
@@ -98,46 +107,9 @@ class TestbedJobResult:
     tasks: list[TaskRecord]
     output: dict[str, object]
 
-    def mean_runtime(self, kind: TaskKind, *categories: MapTaskCategory) -> float:
-        """Average task runtime, as in the paper's Table I."""
-        if kind is TaskKind.REDUCE:
-            chosen = [task for task in self.tasks if task.kind is TaskKind.REDUCE]
-        elif categories:
-            chosen = [task for task in self.tasks if task.category in categories]
-        else:
-            chosen = [task for task in self.tasks if task.kind is TaskKind.MAP]
-        if not chosen:
-            return float("nan")
-        return sum(task.runtime for task in chosen) / len(chosen)
-
-
-class _JobRun:
-    """Mutable execution state of one job inside the engine."""
-
-    def __init__(
-        self,
-        job_id: int,
-        job: MapReduceJob,
-        state: JobTaskState,
-        num_reduce_tasks: int,
-    ) -> None:
-        self.job_id = job_id
-        self.job = job
-        self.state = state
-        self.tasks: list[TaskRecord] = []
-        self.first_launch: float | None = None
-        self.finish: float | None = None
-        # Per-reducer intermediate queues: (src_node, size_bytes, pairs).
-        self.partitions: list[list[tuple[int, int, list]]] = [
-            [] for _ in range(num_reduce_tasks)
-        ]
-        self.fetched_counts: list[int] = [0] * num_reduce_tasks
-        self.output: dict[str, object] = {}
-        self.done = threading.Event()
-
 
 class TestbedCluster:
-    """A ready-to-run testbed: topology, network, filesystem and corpus.
+    """A ready-to-run testbed: topology, filesystem and corpus.
 
     Parameters
     ----------
@@ -154,14 +126,12 @@ class TestbedCluster:
             map_slots=config.map_slots,
             reduce_slots=config.reduce_slots,
         )
-        self.network = NetworkSpec(rack_download_bw=config.rack_bandwidth)
-        self.netem = EmulatedNetwork(self.topology, self.network, config.time_scale)
         self.rng = RngStreams(config.seed)
+        # No network: the simulator owns the clock, so reads move bytes only.
         self.fs = HdfsRaidFilesystem(
             self.topology,
             config.code,
             config.block_size,
-            self.netem,
             placement=config.placement,
             rng=self.rng,
             source_selection=config.source_selection,
@@ -195,259 +165,102 @@ class TestbedCluster:
         """Run several jobs submitted together, FIFO-scheduled.
 
         This is the paper's multi-job scenario: all jobs enter the queue in
-        order at once and compete for slots under the chosen policy.
+        order at once and compete for slots under the chosen policy.  Each
+        call draws its trial seed from the cluster's random streams, so
+        repeated calls give distinct samples, deterministic per seed.
         """
-        engine = _Engine(self, jobs, scheduler, failed_nodes)
-        return engine.run()
+        if not jobs:
+            raise ValueError("need at least one job")
+        if len(failed_nodes) >= len(_FAILURE_PATTERNS):
+            raise ValueError(
+                f"the testbed fails at most {len(_FAILURE_PATTERNS) - 1} nodes, "
+                f"got {sorted(failed_nodes)}"
+            )
+        block_map = self.fs.block_map
+        # The reader only anchors degraded-read source selection; the
+        # trial below times every read.
+        payloads = [
+            self.fs.read_block(block, block_map.node_of(block), failed_nodes)[0]
+            for block in block_map.native_blocks()
+        ]
+        outputs, job_configs = zip(*(self._real_pass(job, payloads) for job in jobs))
+        trial = run_simulation(self._trial_config(job_configs, scheduler, failed_nodes))
+        return [
+            TestbedJobResult(
+                job_name=job.name,
+                scheduler=scheduler,
+                runtime=trial.jobs[job_id].runtime,
+                tasks=trial.jobs[job_id].tasks,
+                output=output,
+            )
+            for job_id, (job, output) in enumerate(zip(jobs, outputs))
+        ]
 
     def kill_node(self, rng_name: str = "testbed-failure") -> frozenset[int]:
         """Pick one slave at random to fail (the paper kills one datanode)."""
         victim = self.rng.choice(rng_name, sorted(self.topology.node_ids()))
         return frozenset({victim})
 
+    # -- the two steps ---------------------------------------------------------
 
-class _Engine:
-    """One FIFO batch execution over a testbed cluster."""
+    def _real_pass(
+        self, job: MapReduceJob, payloads: list[bytes]
+    ) -> tuple[dict[str, object], JobConfig]:
+        """Run ``job`` over the block payloads.
 
-    def __init__(
-        self,
-        cluster: TestbedCluster,
-        jobs: list[MapReduceJob],
-        scheduler_name: str,
-        failed_nodes: frozenset[int],
-    ) -> None:
-        if not jobs:
-            raise ValueError("need at least one job")
-        if cluster.fs.block_map is None:
-            raise RuntimeError("testbed filesystem holds no file")
-        self.cluster = cluster
-        self.config = cluster.config
-        self.failed_nodes = failed_nodes
-        self.scheduler_name = scheduler_name
-        self._lock = threading.Lock()
-        self._start = time.monotonic()
-        self._live_nodes = [
-            node_id
-            for node_id in sorted(cluster.topology.node_ids())
-            if node_id not in failed_nodes
-        ]
-        self._free_map_slots = {
-            node_id: cluster.topology.node(node_id).map_slots for node_id in self._live_nodes
-        }
-        self._free_reduce_slots = {
-            node_id: cluster.topology.node(node_id).reduce_slots
-            for node_id in self._live_nodes
-        }
-
-        block_map = cluster.fs.block_map
-        lost = tuple(block_map.lost_native_blocks(failed_nodes))
-        lost_set = set(lost)
-        available = tuple(
-            block for block in block_map.native_blocks() if block not in lost_set
-        )
-        view = FailureView(
-            failed_nodes=failed_nodes, lost_blocks=lost, available_blocks=available
+        Returns the job's output and the simulated job whose task times and
+        shuffle volume the measured sizes set.  Partitioning uses CRC-32 of
+        the UTF-8 key, not ``hash()``: string hashing is salted per process,
+        which would make each reducer's bytes (and so its simulated time)
+        depend on ``PYTHONHASHSEED``.
+        """
+        config = self.config
+        partitions: list[dict[str, list]] = [{} for _ in range(config.num_reduce_tasks)]
+        partition_bytes = [0] * config.num_reduce_tasks
+        for payload in payloads:
+            for key, value in job.combine(job.map_fn(payload)):
+                index = zlib.crc32(key.encode()) % config.num_reduce_tasks
+                partitions[index].setdefault(key, []).append(value)
+                partition_bytes[index] += len(key) + 8
+        output: dict[str, object] = {}
+        for partition in partitions:
+            for key, values in partition.items():
+                output.update(job.reduce_fn(key, values))
+        map_seconds = [len(payload) / config.map_processing_rate for payload in payloads]
+        reduce_seconds = [size / config.reduce_processing_rate for size in partition_bytes]
+        return output, JobConfig(
+            num_blocks=len(payloads),
+            map_time_mean=statistics.fmean(map_seconds),
+            map_time_std=statistics.pstdev(map_seconds),
+            reduce_time_mean=statistics.fmean(reduce_seconds),
+            reduce_time_std=statistics.pstdev(reduce_seconds),
+            num_reduce_tasks=config.num_reduce_tasks,
+            shuffle_ratio=sum(partition_bytes) / (len(payloads) * config.block_size),
         )
 
-        self.runs: list[_JobRun] = []
-        for job_id, job in enumerate(jobs):
-            job_config = JobConfig(
-                num_blocks=block_map.num_native_blocks,
-                map_time_mean=1.0,
-                map_time_std=0.0,
-                reduce_time_mean=1.0,
-                reduce_time_std=0.0,
-                num_reduce_tasks=self.config.num_reduce_tasks,
-                shuffle_ratio=0.0,
-            )
-            state = JobTaskState(
-                job_id=job_id,
-                config=job_config,
-                view=view,
-                block_map=block_map,
-                topology=cluster.topology,
-            )
-            self.runs.append(_JobRun(job_id, job, state, self.config.num_reduce_tasks))
-
-        R = cluster.config.num_racks  # noqa: N806 - paper notation
-        threshold = (
-            (R - 1)
-            * cluster.config.code.k
-            * cluster.config.block_size
-            / (R * cluster.config.rack_bandwidth)
+    def _trial_config(
+        self, jobs: tuple[JobConfig, ...], scheduler: str, failed_nodes: frozenset[int]
+    ) -> SimulationConfig:
+        """One simulation trial of this cluster running ``jobs``."""
+        config = self.config
+        return SimulationConfig(
+            num_nodes=config.num_nodes,
+            num_racks=config.num_racks,
+            map_slots=config.map_slots,
+            reduce_slots=config.reduce_slots,
+            rack_bandwidth=config.rack_bandwidth,
+            network_model="exclusive",
+            code=config.code,
+            block_size=config.block_size,
+            placement=config.placement,
+            source_selection=config.source_selection,
+            jobs=jobs,
+            failure=_FAILURE_PATTERNS[len(failed_nodes)],
+            failure_eligible=tuple(sorted(failed_nodes)),
+            scheduler=scheduler,
+            heartbeat_interval=config.heartbeat_interval,
+            reduce_slowstart=config.reduce_slowstart,
+            # Reducers poll for shuffle data once per heartbeat.
+            shuffle_drain_interval=config.heartbeat_interval,
+            seed=self.rng.randint("testbed-trial", 0, 2**31 - 1),
         )
-        self.scheduler = make_scheduler(
-            scheduler_name,
-            SchedulerContext(
-                topology=cluster.topology,
-                live_nodes=frozenset(self._live_nodes),
-                expected_degraded_read_time=threshold,
-                map_time_mean=1.0,
-                reduce_slowstart=self.config.reduce_slowstart,
-            ),
-        )
-        total_slots = sum(self._free_map_slots.values()) + sum(
-            self._free_reduce_slots.values()
-        )
-        self._pool = ThreadPoolExecutor(max_workers=total_slots, thread_name_prefix="slot")
-
-    # -- time ------------------------------------------------------------------
-
-    def _now(self) -> float:
-        """Simulated seconds since the batch started."""
-        return (time.monotonic() - self._start) / self.config.time_scale
-
-    # -- main loop ----------------------------------------------------------------
-
-    def run(self) -> list[TestbedJobResult]:
-        """Drive heartbeats until every job completes."""
-        try:
-            while not all(run.done.is_set() for run in self.runs):
-                self._heartbeat_round()
-                time.sleep(self.config.heartbeat_interval * self.config.time_scale)
-        finally:
-            self._pool.shutdown(wait=True)
-        results = []
-        for run in self.runs:
-            assert run.first_launch is not None and run.finish is not None
-            results.append(
-                TestbedJobResult(
-                    job_name=run.job.name,
-                    scheduler=self.scheduler_name,
-                    runtime=run.finish - run.first_launch,
-                    tasks=run.tasks,
-                    output=run.output,
-                )
-            )
-        return results
-
-    def _heartbeat_round(self) -> None:
-        """One poll of every live slave, in shuffled order."""
-        order = list(self._live_nodes)
-        self.cluster.rng.shuffle("testbed-heartbeat", order)
-        for node_id in order:
-            with self._lock:
-                active = [run.state for run in self.runs if not run.done.is_set()]
-                if not active:
-                    return
-                maps, reduces = self.scheduler.assign(
-                    node_id,
-                    self._free_map_slots[node_id],
-                    self._free_reduce_slots[node_id],
-                    active,
-                    self._now(),
-                )
-                for assignment in maps:
-                    self._free_map_slots[node_id] -= 1
-                    self._note_launch(assignment.job_id)
-                for assignment in reduces:
-                    self._free_reduce_slots[node_id] -= 1
-                    self._note_launch(assignment.job_id)
-            for assignment in maps:
-                self._pool.submit(self._run_map, assignment)
-            for assignment in reduces:
-                self._pool.submit(self._run_reduce, assignment)
-
-    def _note_launch(self, job_id: int) -> None:
-        run = self.runs[job_id]
-        if run.first_launch is None:
-            run.first_launch = self._now()
-
-    # -- task bodies ---------------------------------------------------------------
-
-    def _run_map(self, assignment: MapAssignment) -> None:
-        run = self.runs[assignment.job_id]
-        record = TaskRecord(
-            job_id=assignment.job_id,
-            kind=TaskKind.MAP,
-            category=assignment.category,
-            slave_id=assignment.slave_id,
-            launch_time=self._now(),
-        )
-        try:
-            payload, transfer_time = self.cluster.fs.read_block(
-                assignment.block, assignment.slave_id, self.failed_nodes
-            )
-            record.download_time = transfer_time
-            # Emulated scan/processing cost (see TestbedConfig docstring).
-            time.sleep(
-                len(payload) / self.config.map_processing_rate * self.config.time_scale
-            )
-            pairs = run.job.combine(run.job.map_fn(payload))
-            buckets: dict[int, list] = {}
-            for key, value in pairs:
-                index = hash(key) % self.config.num_reduce_tasks if self.config.num_reduce_tasks else 0
-                buckets.setdefault(index, []).append((key, value))
-            record.finish_time = self._now()
-            with self._lock:
-                for index, bucket in buckets.items():
-                    size = sum(len(key) + 8 for key, _value in bucket)
-                    run.partitions[index].append((assignment.slave_id, size, bucket))
-                run.state.on_map_complete()
-                run.tasks.append(record)
-                self._free_map_slots[assignment.slave_id] += 1
-                self._check_completion(run)
-        except Exception:
-            run.done.set()
-            raise
-
-    def _run_reduce(self, assignment: ReduceAssignment) -> None:
-        run = self.runs[assignment.job_id]
-        index = assignment.reduce_index
-        record = TaskRecord(
-            job_id=assignment.job_id,
-            kind=TaskKind.REDUCE,
-            category=None,
-            slave_id=assignment.slave_id,
-            launch_time=self._now(),
-        )
-        merged: dict[str, list] = {}
-        shuffle_time = 0.0
-        try:
-            while True:
-                with self._lock:
-                    queue = run.partitions[index]
-                    pending = queue[run.fetched_counts[index]:]
-                    run.fetched_counts[index] = len(queue)
-                    maps_done = run.state.maps_all_completed()
-                for src_node, size, bucket in pending:
-                    shuffle_time += self.cluster.netem.transfer(
-                        src_node, assignment.slave_id, size
-                    )
-                    for key, value in bucket:
-                        merged.setdefault(key, []).append(value)
-                if maps_done and not pending:
-                    with self._lock:
-                        if run.fetched_counts[index] == len(run.partitions[index]):
-                            break
-                    continue
-                if not pending:
-                    time.sleep(self.config.heartbeat_interval * self.config.time_scale)
-            record.download_time = shuffle_time
-            # Emulated merge/processing cost over everything shuffled in.
-            fetched_bytes = sum(
-                size for _src, size, _bucket in run.partitions[index]
-            )
-            time.sleep(
-                fetched_bytes / self.config.reduce_processing_rate * self.config.time_scale
-            )
-            output: dict[str, object] = {}
-            for key, values in merged.items():
-                for out_key, out_value in run.job.reduce_fn(key, values):
-                    output[out_key] = out_value
-            record.finish_time = self._now()
-            with self._lock:
-                run.output.update(output)
-                run.state.on_reduce_complete()
-                run.tasks.append(record)
-                self._free_reduce_slots[assignment.slave_id] += 1
-                self._check_completion(run)
-        except Exception:
-            run.done.set()
-            raise
-
-    def _check_completion(self, run: _JobRun) -> None:
-        """Mark a job finished once maps and reduces are all complete."""
-        if run.state.job_completed() and not run.done.is_set():
-            run.finish = self._now()
-            run.done.set()

@@ -3,8 +3,10 @@
 Real bytes, real coding: ``write_file`` splits a byte string into blocks,
 encodes each group of ``k`` into parity with the Reed-Solomon coder, and
 scatters the stripe over per-node stores via a placement policy.  Reads in
-failure mode perform genuine degraded reads -- download ``k`` surviving
-blocks over the emulated network and decode.
+failure mode perform genuine degraded reads -- fetch ``k`` surviving blocks
+and decode.  With an :class:`EmulatedNetwork` attached, every fetch also
+crosses it and reads report its transfer time; without one (the testbed's
+MapReduce runtime, whose clock is the simulator's) they report zero.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from repro.ec.codec import CodeParams, ErasureCodec
 from repro.sim.rng import RngStreams
 from repro.storage.block import BlockId
 from repro.storage.degraded import DegradedReadPlanner, SourceSelection
+from repro.storage.hdfs import HdfsRaidCluster
 from repro.storage.namenode import BlockMap
-from repro.storage.placement import make_placement_policy
 from repro.storage.repair import RepairPlan, RepairPlanner
 from repro.testbed.netem import EmulatedNetwork
 
@@ -67,7 +69,8 @@ class HdfsRaidFilesystem:
     block_size:
         Bytes per block.
     netem:
-        The emulated network all transfers cross.
+        The emulated network all transfers cross, or ``None`` for no
+        network: reads then move bytes only and report zero seconds.
     placement:
         Placement policy name (the paper's testbed used round-robin).
     rng:
@@ -81,7 +84,7 @@ class HdfsRaidFilesystem:
         topology: ClusterTopology,
         params: CodeParams,
         block_size: int,
-        netem: EmulatedNetwork,
+        netem: EmulatedNetwork | None = None,
         placement: str = "round-robin",
         rng: RngStreams | None = None,
         source_selection: SourceSelection = SourceSelection.RACK_LOCAL_FIRST,
@@ -138,22 +141,20 @@ class HdfsRaidFilesystem:
                 for start in range(0, num_native, self.params.k)
             ]
         )
-        # The testbed (like the paper's) tolerates node failures only: with
-        # 12 slaves and (12,10) stripes the Section III rack rule cannot hold.
-        policy = make_placement_policy(
-            self._placement_name, self.topology, self.params, rack_fault_tolerant=False
+        # Placed by the simulator's own storage layer, so a simulated trial
+        # of this cluster sees exactly this block map.
+        layout = HdfsRaidCluster(
+            self.topology, self.params, num_native, self._placement_name, self.rng,
+            self._source_selection,
         )
-        assignment = policy.place_file(len(stripes), self.rng)
         self._block_lengths: dict[BlockId, int] = {}
         for stripe_id, stripe in enumerate(stripes):
             for position, payload in enumerate(stripe):
                 block = BlockId(stripe_id=stripe_id, position=position, k=self.params.k)
-                self.stores[assignment[block]].put(block, payload)
+                self.stores[layout.block_map.node_of(block)].put(block, payload)
                 self._block_lengths[block] = len(payload)
-        self.block_map = BlockMap(self.params, assignment, num_native)
-        self.planner = DegradedReadPlanner(
-            self.block_map, self.topology, self._source_selection
-        )
+        self.block_map = layout.block_map
+        self.planner = layout.planner
         return self.block_map
 
     # -- reading -----------------------------------------------------------
@@ -175,9 +176,13 @@ class HdfsRaidFilesystem:
         home = self.block_map.node_of(block)
         if home not in failed_nodes:
             payload = self.stores[home].get(block)
-            elapsed = self.netem.transfer(home, reader_node, len(payload))
-            return payload, elapsed
+            return payload, self._transfer(home, reader_node, len(payload))
         return self.degraded_read(block, reader_node, failed_nodes)
+
+    def _transfer(self, src_node: int, dst_node: int, size: int) -> float:
+        if self.netem is None:
+            return 0.0
+        return self.netem.transfer(src_node, dst_node, size)
 
     def degraded_read(
         self,
@@ -187,9 +192,9 @@ class HdfsRaidFilesystem:
     ) -> tuple[bytes, float]:
         """Reconstruct a lost block: fetch ``k`` survivors, then decode.
 
-        The ``k`` downloads run sequentially in the calling worker thread
-        (as a single HDFS-RAID client read does) over the emulated network;
-        decoding uses the real Reed-Solomon implementation.
+        The ``k`` downloads run sequentially in the calling thread (as a
+        single HDFS-RAID client read does) over the emulated network, if
+        any; decoding uses the real Reed-Solomon implementation.
         """
         if self.planner is None:
             raise RuntimeError("no file written yet")
@@ -198,7 +203,7 @@ class HdfsRaidFilesystem:
         available: dict[int, bytes] = {}
         for source in plan.sources:
             payload = self.stores[source.node_id].get(source.block)
-            elapsed += self.netem.transfer(source.node_id, reader_node, len(payload))
+            elapsed += self._transfer(source.node_id, reader_node, len(payload))
             available[source.block.position] = payload
         rebuilt = self.codec.degraded_read(
             block.position, available, lost_length=self._block_lengths.get(block)

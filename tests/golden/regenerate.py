@@ -11,7 +11,10 @@ pin moves only when the core's own event schedule is changed on purpose
 the campaign layers moves a byte under ``reports/``
 (see ``tests/integration/test_golden_reports.py``), and no work on the
 event bus or the collector moves a byte under ``obs/``
-(see ``tests/integration/test_golden_obs.py``).
+(see ``tests/integration/test_golden_obs.py``).  The testbed trajectory
+(``testbed-edf-wordcount.json``) moves only with the simulator's or the
+testbed runtime's semantics (see
+``tests/integration/test_testbed_runtime.py``).
 
 Set ``GOLDEN_OUT=<dir>`` to write somewhere other than ``tests/golden/``;
 CI's golden-freshness check uses this to regenerate into a scratch tree
@@ -30,6 +33,7 @@ from tests.integration.test_golden_equivalence import capture, golden_cases  # n
 from tests.integration.test_golden_obs import OBS_CASES, golden_obs  # noqa: E402
 from tests.integration.test_golden_reports import golden_reports  # noqa: E402
 from tests.integration.test_policy_differential import capture_steal_trace  # noqa: E402
+from tests.integration.test_testbed_runtime import golden_testbed  # noqa: E402
 
 
 def _write(out_dir: str, name: str, payload: dict) -> str:
@@ -59,6 +63,7 @@ def main() -> None:
     trace = capture_steal_trace()
     path = _write(out_dir, "steal-decisions", trace)
     print(f"wrote {path} (decisions={len(trace['decisions'])})")
+    _write_texts(out_dir, golden_testbed())
     _write_texts(os.path.join(out_dir, "reports"), golden_reports())
     for name in OBS_CASES:
         _write_texts(os.path.join(out_dir, "obs"), golden_obs(name))

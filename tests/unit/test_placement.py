@@ -13,6 +13,7 @@ from repro.storage.placement import (
     RackConstrainedRandomPlacement,
     RoundRobinPlacement,
     make_placement_policy,
+    rack_rule_feasible,
 )
 
 
@@ -44,6 +45,26 @@ class TestFeasibility:
             small_topology, CodeParams(6, 4), rack_fault_tolerant=False
         )
         assert policy.rack_cap == 0
+
+    @pytest.mark.parametrize(
+        "racks,code,feasible",
+        [
+            ([3, 3], CodeParams(6, 4), False),  # cap 2/rack allows only 4 < 6
+            ([3, 3], CodeParams(4, 2), True),
+            ([4, 4, 4], CodeParams(12, 10), False),  # the paper's testbed
+            ([4, 4, 4], CodeParams(6, 4), True),
+            ([4, 4, 4, 4], CodeParams(8, 6), True),
+            ([1, 1, 4], CodeParams(6, 4), False),  # small racks cap below n-k
+        ],
+    )
+    def test_rack_rule_feasible_agrees_with_the_policy(self, racks, code, feasible):
+        topology = ClusterTopology.from_rack_sizes(racks)
+        assert rack_rule_feasible(topology, code) is feasible
+        if feasible:
+            RoundRobinPlacement(topology, code)
+        else:
+            with pytest.raises(PlacementError, match="rack constraint unsatisfiable"):
+                RoundRobinPlacement(topology, code)
 
 
 class TestRandomPlacement:

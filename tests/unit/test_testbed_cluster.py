@@ -1,4 +1,4 @@
-"""Unit tests for TestbedCluster setup (not the threaded engine)."""
+"""Unit tests for TestbedCluster setup (not the job runtime)."""
 
 from __future__ import annotations
 
