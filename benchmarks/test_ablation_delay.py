@@ -11,27 +11,19 @@ tuning.
 
 from __future__ import annotations
 
-import statistics
-
-from conftest import one_shot
-from repro.experiments.common import default_seeds, run_many
+from conftest import check, mean_runtimes, one_shot
+from repro.experiments.common import default_seeds
 from repro.mapreduce.config import SimulationConfig
 
 SCHEDULERS = ("LF", "LF-DELAY", "EDF")
 
 
 def run_ablation() -> dict[str, float]:
-    seeds = default_seeds()
-    configs = [
-        SimulationConfig().with_scheduler(name).with_seed(seed)
-        for seed in seeds
+    return mean_runtimes(
+        (name, SimulationConfig().with_scheduler(name).with_seed(seed))
+        for seed in default_seeds()
         for name in SCHEDULERS
-    ]
-    results = run_many(configs)
-    samples: dict[str, list[float]] = {name: [] for name in SCHEDULERS}
-    for config, result in zip(configs, results):
-        samples[config.scheduler].append(result.job(0).runtime)
-    return {name: statistics.mean(values) for name, values in samples.items()}
+    )
 
 
 def test_ablation_delay_scheduling(benchmark):
@@ -39,7 +31,5 @@ def test_ablation_delay_scheduling(benchmark):
     print("\nAblation: delay scheduling vs degraded-first (mean runtime, s)")
     for name in SCHEDULERS:
         print(f"  {name:>9}: {means[name]:8.1f}")
-    assert means["EDF"] < means["LF"], "EDF must beat plain locality-first"
-    assert means["EDF"] < means["LF-DELAY"], (
-        "locality tuning alone must not match degraded-first scheduling"
-    )
+    check("EDF beats plain locality-first", means["EDF"], "<", means["LF"])
+    check("EDF beats locality tuning alone", means["EDF"], "<", means["LF-DELAY"])

@@ -10,28 +10,20 @@ full EDF is the best or statistically tied for best.
 
 from __future__ import annotations
 
-import statistics
-
-from conftest import one_shot
-from repro.experiments.common import default_seeds, run_many
+from conftest import check, mean_runtimes, one_shot
+from repro.experiments.common import default_seeds
 from repro.experiments.fig8_bdf_edf import heterogeneous_config
 
 SCHEDULERS = ("BDF", "EDF-SLAVE", "EDF-RACK", "EDF")
 
 
 def run_ablation() -> dict[str, float]:
-    seeds = default_seeds()
     base = heterogeneous_config()
-    configs = [
-        base.with_scheduler(name).with_seed(seed)
-        for seed in seeds
+    return mean_runtimes(
+        (name, base.with_scheduler(name).with_seed(seed))
+        for seed in default_seeds()
         for name in SCHEDULERS
-    ]
-    results = run_many(configs)
-    means: dict[str, list[float]] = {name: [] for name in SCHEDULERS}
-    for config, result in zip(configs, results):
-        means[config.scheduler].append(result.job(0).runtime)
-    return {name: statistics.mean(samples) for name, samples in means.items()}
+    )
 
 
 def test_ablation_edf_guards(benchmark):
@@ -41,6 +33,6 @@ def test_ablation_edf_guards(benchmark):
         print(f"  {name:>10}: {means[name]:8.1f}")
     # Each guard alone should not hurt materially; both together should not
     # lose to no-guards by more than noise.
-    assert means["EDF"] <= means["BDF"] * 1.05
-    assert means["EDF-SLAVE"] <= means["BDF"] * 1.08
-    assert means["EDF-RACK"] <= means["BDF"] * 1.08
+    check("EDF <= BDF x 1.05", means["EDF"], "<=", means["BDF"] * 1.05)
+    check("EDF-SLAVE <= BDF x 1.08", means["EDF-SLAVE"], "<=", means["BDF"] * 1.08)
+    check("EDF-RACK <= BDF x 1.08", means["EDF-RACK"], "<=", means["BDF"] * 1.08)

@@ -7,11 +7,10 @@ depend on that modelling choice: EDF beats LF under both.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import replace
 
-from conftest import one_shot
-from repro.experiments.common import default_seeds, run_many
+from conftest import check, mean_runtimes, one_shot
+from repro.experiments.common import default_seeds
 from repro.mapreduce.config import SimulationConfig
 
 MODELS = ("fluid", "exclusive")
@@ -19,23 +18,12 @@ SCHEDULERS = ("LF", "EDF")
 
 
 def run_ablation() -> dict[tuple[str, str], float]:
-    seeds = default_seeds()
-    configs = []
-    for model in MODELS:
-        for name in SCHEDULERS:
-            for seed in seeds:
-                configs.append(
-                    replace(
-                        SimulationConfig(network_model=model), scheduler=name, seed=seed
-                    )
-                )
-    results = run_many(configs)
-    samples: dict[tuple[str, str], list[float]] = {}
-    for config, result in zip(configs, results):
-        samples.setdefault((config.network_model, config.scheduler), []).append(
-            result.job(0).runtime
-        )
-    return {key: statistics.mean(values) for key, values in samples.items()}
+    return mean_runtimes(
+        ((model, name), replace(SimulationConfig(network_model=model), scheduler=name, seed=seed))
+        for model in MODELS
+        for name in SCHEDULERS
+        for seed in default_seeds()
+    )
 
 
 def test_ablation_network_model(benchmark):
@@ -45,4 +33,4 @@ def test_ablation_network_model(benchmark):
         lf = means[(model, "LF")]
         edf = means[(model, "EDF")]
         print(f"  {model:>9}: LF={lf:8.1f}  EDF={edf:8.1f}  reduction={(lf - edf) / lf:.1%}")
-        assert edf < lf, f"EDF must beat LF under the {model} model"
+        check(f"EDF beats LF under the {model} model", edf, "<", lf)

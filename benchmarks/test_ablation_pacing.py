@@ -10,27 +10,19 @@ two degraded reads on one slave at once.
 
 from __future__ import annotations
 
-import statistics
-
-from conftest import one_shot
-from repro.experiments.common import default_seeds, run_many
+from conftest import check, mean_runtimes, one_shot
+from repro.experiments.common import default_seeds
 from repro.mapreduce.config import SimulationConfig
 
 SCHEDULERS = ("LF", "EAGER", "BDF-UNCAPPED", "BDF")
 
 
 def run_ablation() -> dict[str, float]:
-    seeds = default_seeds()
-    configs = [
-        SimulationConfig().with_scheduler(name).with_seed(seed)
-        for seed in seeds
+    return mean_runtimes(
+        (name, SimulationConfig().with_scheduler(name).with_seed(seed))
+        for seed in default_seeds()
         for name in SCHEDULERS
-    ]
-    results = run_many(configs)
-    means: dict[str, list[float]] = {name: [] for name in SCHEDULERS}
-    for config, result in zip(configs, results):
-        means[config.scheduler].append(result.job(0).runtime)
-    return {name: statistics.mean(samples) for name, samples in means.items()}
+    )
 
 
 def test_ablation_pacing(benchmark):
@@ -38,6 +30,6 @@ def test_ablation_pacing(benchmark):
     print("\nAblation: pacing and the per-heartbeat cap (mean runtime, s)")
     for name in SCHEDULERS:
         print(f"  {name:>12}: {means[name]:8.1f}")
-    assert means["BDF"] < means["LF"], "pacing must beat locality-first"
-    assert means["EAGER"] < means["LF"], "even eager degraded launch beats LF"
-    assert means["BDF"] <= means["EAGER"] * 1.02, "pacing should not lose to eager"
+    check("pacing beats locality-first (BDF < LF)", means["BDF"], "<", means["LF"])
+    check("eager degraded launch beats LF", means["EAGER"], "<", means["LF"])
+    check("pacing does not lose to eager (x 1.02)", means["BDF"], "<=", means["EAGER"] * 1.02)

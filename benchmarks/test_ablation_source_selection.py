@@ -8,11 +8,10 @@ must hold under both; rack-local-first should not be slower.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import replace
 
-from conftest import one_shot
-from repro.experiments.common import default_seeds, run_many
+from conftest import check, mean_runtimes, one_shot
+from repro.experiments.common import default_seeds
 from repro.mapreduce.config import SimulationConfig
 from repro.storage.degraded import SourceSelection
 
@@ -21,25 +20,15 @@ SCHEDULERS = ("LF", "EDF")
 
 
 def run_ablation() -> dict[tuple[str, str], float]:
-    seeds = default_seeds()
-    configs = []
-    for selection in SELECTIONS:
-        for name in SCHEDULERS:
-            for seed in seeds:
-                configs.append(
-                    replace(
-                        SimulationConfig(source_selection=selection),
-                        scheduler=name,
-                        seed=seed,
-                    )
-                )
-    results = run_many(configs)
-    samples: dict[tuple[str, str], list[float]] = {}
-    for config, result in zip(configs, results):
-        samples.setdefault(
-            (config.source_selection.value, config.scheduler), []
-        ).append(result.job(0).runtime)
-    return {key: statistics.mean(values) for key, values in samples.items()}
+    return mean_runtimes(
+        (
+            (selection.value, name),
+            replace(SimulationConfig(source_selection=selection), scheduler=name, seed=seed),
+        )
+        for selection in SELECTIONS
+        for name in SCHEDULERS
+        for seed in default_seeds()
+    )
 
 
 def test_ablation_source_selection(benchmark):
@@ -52,9 +41,8 @@ def test_ablation_source_selection(benchmark):
             f"  {selection.value:>16}: LF={lf:8.1f}  EDF={edf:8.1f}  "
             f"reduction={(lf - edf) / lf:.1%}"
         )
-        assert edf < lf, f"EDF must beat LF with {selection.value} sources"
+        check(f"EDF beats LF with {selection.value} sources", edf, "<", lf)
     # Preferring in-rack sources reduces core-switch traffic: LF's contended
     # tail should not get worse.
-    assert (
-        means[("rack-local-first", "LF")] <= means[("random", "LF")] * 1.05
-    )
+    local_lf, random_lf = means[("rack-local-first", "LF")], means[("random", "LF")]
+    check("rack-local-first LF vs random LF x 1.05", local_lf, "<=", random_lf * 1.05)

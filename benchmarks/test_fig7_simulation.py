@@ -9,7 +9,7 @@ Sample counts follow ``REPRO_SEEDS`` (abbreviated by default; 30 = paper).
 
 from __future__ import annotations
 
-from conftest import one_shot
+from conftest import check, one_shot
 from repro.experiments.fig7_simulation import (
     run_fig7a,
     run_fig7b,
@@ -25,9 +25,7 @@ def _assert_edf_wins(table, rows=None):
     for label, columns in table.rows.items():
         if rows is not None and label not in rows:
             continue
-        assert columns["EDF"].median <= columns["LF"].median, (
-            f"EDF should beat LF at {label}"
-        )
+        check(f"EDF median vs LF at {label}", columns["EDF"].median, "<=", columns["LF"].median)
 
 
 def test_fig7a(benchmark):
@@ -36,14 +34,15 @@ def test_fig7a(benchmark):
     # Reduction grows with (n, k): compare the extremes.
     small = table.reduction("(8,6)", "LF", "EDF")
     large = table.reduction("(20,15)", "LF", "EDF")
-    assert large > small, "larger codes should benefit more (paper: 17% -> 33%)"
+    check("larger codes should benefit more (paper: 17% -> 33%)", large, ">", small)
 
 
 def test_fig7b(benchmark):
     table = one_shot(benchmark, run_fig7b)
     _assert_edf_wins(table)
     for label in table.rows:
-        assert table.reduction(label, "LF", "EDF") > 0.15  # paper: ~35-40%
+        reduction = table.reduction(label, "LF", "EDF")
+        check(f"EDF reduction at {label} (paper: ~35-40%)", reduction, ">", 0.15)
 
 
 def test_fig7c(benchmark):
@@ -51,6 +50,7 @@ def test_fig7c(benchmark):
     _assert_edf_wins(table)
     # Both schedulers slow down as bandwidth shrinks.
     lf_medians = [columns["LF"].median for columns in table.rows.values()]
+    print(f"  check LF medians non-increasing with bandwidth: {lf_medians}")
     assert lf_medians == sorted(lf_medians, reverse=True)
 
 
@@ -59,10 +59,11 @@ def test_fig7d(benchmark):
     _assert_edf_wins(table, rows=("single-node", "double-node"))
     single = table.reduction("single-node", "LF", "EDF")
     rack = table.reduction("rack", "LF", "EDF")
-    assert single > rack, "rack failures leave less room to win (paper: 33% vs 6%)"
+    check("rack failures leave less room to win (paper: 33% vs 6%)", single, ">", rack)
     # Severity ordering: more failures, higher normalized runtime.
     lf = {label: columns["LF"].median for label, columns in table.rows.items()}
-    assert lf["single-node"] < lf["double-node"] < lf["rack"]
+    check("LF median single-node < double-node", lf["single-node"], "<", lf["double-node"])
+    check("LF median double-node < rack", lf["double-node"], "<", lf["rack"])
 
 
 def test_fig7e(benchmark):
@@ -71,7 +72,7 @@ def test_fig7e(benchmark):
     # EDF's normalized runtime creeps up with shuffle volume (its degraded
     # reads now compete with live shuffle traffic).
     edf = [columns["EDF"].median for columns in table.rows.values()]
-    assert edf[-1] >= edf[0]
+    check("EDF median at 30% >= at 1%", edf[-1], ">=", edf[0])
 
 
 def test_fig7f(benchmark):
@@ -82,4 +83,4 @@ def test_fig7f(benchmark):
         for columns in table.rows.values()
         if columns["EDF"].median <= columns["LF"].median
     )
-    assert wins >= 8, f"EDF should win for nearly every job, won {wins}/10"
+    check("EDF should win for nearly every job (jobs won of 10)", wins, ">=", 8)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import one_shot
+from conftest import check, one_shot
 from repro.experiments.fig8_bdf_edf import (
     Fig8Data,
     run_fig8a,
@@ -32,8 +32,8 @@ def test_fig8a(benchmark, data):
     print("\n" + table.format())
     homo = table.rows["homogeneous"]
     # Paper: BDF +35% remote tasks, EDF -10.7% (homogeneous cluster).
-    assert homo["EDF"].mean < 0, "EDF should launch fewer off-node tasks than LF"
-    assert homo["BDF"].mean > homo["EDF"].mean, "BDF should steal more than EDF"
+    check("EDF should launch fewer off-node tasks than LF", homo["EDF"].mean, "<", 0)
+    check("BDF should steal more than EDF", homo["BDF"].mean, ">", homo["EDF"].mean)
 
 
 def test_fig8b(benchmark, data):
@@ -41,9 +41,10 @@ def test_fig8b(benchmark, data):
     print("\n" + table.format())
     for label, columns in table.rows.items():
         # Paper: ~80-85% degraded-read time reduction for both.
-        assert columns["BDF"].mean > 0.5, f"BDF cut too small at {label}"
-        assert columns["EDF"].mean > 0.5, f"EDF cut too small at {label}"
-        assert columns["EDF"].mean >= columns["BDF"].mean - 0.10
+        check(f"BDF cut at {label}", columns["BDF"].mean, ">", 0.5)
+        check(f"EDF cut at {label}", columns["EDF"].mean, ">", 0.5)
+        edf, bdf = columns["EDF"].mean, columns["BDF"].mean
+        check(f"EDF cut vs BDF cut - 0.10 at {label}", edf, ">=", bdf - 0.10)
 
 
 def test_fig8c(benchmark, data):
@@ -51,8 +52,8 @@ def test_fig8c(benchmark, data):
     print("\n" + table.format())
     for label, columns in table.rows.items():
         # Paper: 24-34% runtime savings.
-        assert columns["BDF"].mean > 0.10, f"BDF saving too small at {label}"
-        assert columns["EDF"].mean > 0.10, f"EDF saving too small at {label}"
+        check(f"BDF saving at {label}", columns["BDF"].mean, ">", 0.10)
+        check(f"EDF saving at {label}", columns["EDF"].mean, ">", 0.10)
 
 
 def test_fig8d(benchmark, data):
@@ -60,5 +61,6 @@ def test_fig8d(benchmark, data):
     print("\n" + table.format())
     extreme = table.rows["extreme"]
     # Paper: EDF 32.6% vs BDF 11.7% in the extreme case.
-    assert extreme["EDF"].mean > 0.10
-    assert extreme["EDF"].mean >= extreme["BDF"].mean - 0.05
+    check("EDF saving, extreme case", extreme["EDF"].mean, ">", 0.10)
+    edf, bdf = extreme["EDF"].mean, extreme["BDF"].mean
+    check("EDF saving vs BDF saving - 0.05, extreme", edf, ">=", bdf - 0.05)

@@ -1,7 +1,7 @@
 """The scheduler zoo: policies beyond the paper's LF/BDF/EDF triple.
 
-ROADMAP item 1 turns the reproduction into a scheduling research platform;
-these are the first residents.  Each policy is a normal
+The policy framework turns the reproduction into a scheduling research
+platform; these are the first residents.  Each policy is a normal
 :class:`~repro.core.scheduler.Scheduler` subclass registered under its
 ``name`` -- nothing here is special-cased anywhere else, so the zoo doubles
 as a worked example of the third-party policy contract (DESIGN.md §16):

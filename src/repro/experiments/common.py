@@ -7,13 +7,17 @@ normal mode; report the *normalized runtime* (failure over normal) as a
 boxplot over the 30 samples.
 
 ``run_many`` fans simulation trials out over a process pool, since each
-trial is an independent single-threaded event-loop run.
+trial is an independent single-threaded event-loop run.  ``run_grouped``
+is how every simulated figure and ablation uses it: the experiment
+declares its ``(key, config)`` pairs and gets back one batch's results
+grouped by key.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Hashable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 from repro.cluster.failures import FailurePattern
@@ -108,6 +112,37 @@ def open_cache(cache_dir: str | None):
     return ResultCache(directory=cache_dir, code_version=__version__)
 
 
+def run_grouped(
+    pairs: Iterable[tuple[Hashable, SimulationConfig]],
+) -> dict[Hashable, list[SimulationResult]]:
+    """Run ``(key, config)`` pairs as one :func:`run_many` batch.
+
+    Returns each key's results in the order its pairs were submitted.
+    """
+    pairs = list(pairs)
+    results = run_many([config for _key, config in pairs])
+    grouped: dict[Hashable, list[SimulationResult]] = {}
+    for (key, _config), result in zip(pairs, results):
+        grouped.setdefault(key, []).append(result)
+    return grouped
+
+
+def failure_and_normal_pairs(
+    base: SimulationConfig,
+    schedulers: tuple[str, ...],
+    seeds: list[int],
+) -> Iterator[tuple[str, SimulationConfig]]:
+    """Per seed, every scheduler in failure mode plus one ``"normal"`` LF run.
+
+    In normal mode there are no degraded tasks, so one reference suffices.
+    """
+    normal = base.with_scheduler("LF").with_failure(FailurePattern.NONE)
+    for seed in seeds:
+        for scheduler in schedulers:
+            yield scheduler, base.with_scheduler(scheduler).with_seed(seed)
+        yield "normal", normal.with_seed(seed)
+
+
 def run_failure_and_normal(
     base: SimulationConfig,
     schedulers: tuple[str, ...],
@@ -116,26 +151,10 @@ def run_failure_and_normal(
     """Run every scheduler in failure mode plus a normal-mode reference.
 
     Returns results keyed by scheduler name, with the extra key
-    ``"normal"`` holding the no-failure reference runs (one per seed).  In
-    normal mode there are no degraded tasks, so all three schedulers behave
-    identically and a single reference run per seed suffices.
+    ``"normal"`` holding the no-failure reference runs (one per seed).
     """
     seeds = default_seeds() if seeds is None else seeds
-    grid: list[SimulationConfig] = []
-    keys: list[tuple[str, int]] = []
-    for seed in seeds:
-        for scheduler in schedulers:
-            grid.append(base.with_scheduler(scheduler).with_seed(seed))
-            keys.append((scheduler, seed))
-        grid.append(
-            base.with_scheduler("LF").with_failure(FailurePattern.NONE).with_seed(seed)
-        )
-        keys.append(("normal", seed))
-    results = run_many(grid)
-    grouped: dict[str, list[SimulationResult]] = {name: [] for name in (*schedulers, "normal")}
-    for (name, _seed), result in zip(keys, results):
-        grouped[name].append(result)
-    return grouped
+    return run_grouped(failure_and_normal_pairs(base, schedulers, seeds))
 
 
 class NormalizationError(ValueError):

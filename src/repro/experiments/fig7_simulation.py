@@ -28,8 +28,9 @@ from repro.ec.codec import CodeParams
 from repro.experiments.common import (
     ExperimentTable,
     default_seeds,
+    failure_and_normal_pairs,
     normalized_runtimes,
-    run_failure_and_normal,
+    run_grouped,
 )
 from repro.mapreduce.config import SimulationConfig
 from repro.sim.rng import RngStreams
@@ -52,6 +53,28 @@ def default_config() -> SimulationConfig:
     return SimulationConfig()
 
 
+def _sweep(
+    title: str, rows: dict[str, SimulationConfig], seeds: list[int] | None
+) -> ExperimentTable:
+    """One batch over every row's failure and normal trials, one table row each."""
+    seeds = default_seeds() if seeds is None else seeds
+    grouped = run_grouped(
+        ((label, name), trial)
+        for label, config in rows.items()
+        for name, trial in failure_and_normal_pairs(config, SCHEDULERS, seeds)
+    )
+    table = ExperimentTable(title)
+    for label in rows:
+        row = {name: grouped[label, name] for name in (*SCHEDULERS, "normal")}
+        table.add_row(label, normalized_runtimes(row, seeds=seeds))
+    return table
+
+
+def _with_jobs(base: SimulationConfig, **changes) -> SimulationConfig:
+    """``base`` with ``changes`` applied to every job."""
+    return replace(base, jobs=tuple(replace(job, **changes) for job in base.jobs))
+
+
 def run_fig7a(
     base: SimulationConfig | None = None,
     seeds: list[int] | None = None,
@@ -59,58 +82,39 @@ def run_fig7a(
 ) -> ExperimentTable:
     """Figure 7(a): normalized runtime vs erasure-coding scheme."""
     base = base or default_config()
-    table = ExperimentTable("Figure 7(a): normalized runtime vs (n,k)")
-    for code in codes:
-        grouped = run_failure_and_normal(replace(base, code=code), SCHEDULERS, seeds)
-        table.add_row(str(code), normalized_runtimes(grouped))
-    return table
+    rows = {str(code): replace(base, code=code) for code in codes}
+    return _sweep("Figure 7(a): normalized runtime vs (n,k)", rows, seeds)
 
 
 def run_fig7b(base: SimulationConfig | None = None, seeds: list[int] | None = None) -> ExperimentTable:
     """Figure 7(b): normalized runtime vs number of native blocks."""
     base = base or default_config()
-    table = ExperimentTable("Figure 7(b): normalized runtime vs number of blocks")
-    for blocks in FIG7B_BLOCKS:
-        config = replace(
-            base, jobs=tuple(replace(job, num_blocks=blocks) for job in base.jobs)
-        )
-        grouped = run_failure_and_normal(config, SCHEDULERS, seeds)
-        table.add_row(str(blocks), normalized_runtimes(grouped))
-    return table
+    rows = {str(blocks): _with_jobs(base, num_blocks=blocks) for blocks in FIG7B_BLOCKS}
+    return _sweep("Figure 7(b): normalized runtime vs number of blocks", rows, seeds)
 
 
 def run_fig7c(base: SimulationConfig | None = None, seeds: list[int] | None = None) -> ExperimentTable:
     """Figure 7(c): normalized runtime vs rack download bandwidth."""
     base = base or default_config()
-    table = ExperimentTable("Figure 7(c): normalized runtime vs bandwidth")
-    for bandwidth in FIG7C_BANDWIDTHS_MBPS:
-        config = replace(base, rack_bandwidth=mbps(bandwidth))
-        grouped = run_failure_and_normal(config, SCHEDULERS, seeds)
-        table.add_row(f"{bandwidth}Mbps", normalized_runtimes(grouped))
-    return table
+    rows = {
+        f"{bandwidth}Mbps": replace(base, rack_bandwidth=mbps(bandwidth))
+        for bandwidth in FIG7C_BANDWIDTHS_MBPS
+    }
+    return _sweep("Figure 7(c): normalized runtime vs bandwidth", rows, seeds)
 
 
 def run_fig7d(base: SimulationConfig | None = None, seeds: list[int] | None = None) -> ExperimentTable:
     """Figure 7(d): normalized runtime vs failure pattern."""
     base = base or default_config()
-    table = ExperimentTable("Figure 7(d): normalized runtime vs failure pattern")
-    for pattern in FIG7D_FAILURES:
-        grouped = run_failure_and_normal(base.with_failure(pattern), SCHEDULERS, seeds)
-        table.add_row(pattern.value, normalized_runtimes(grouped))
-    return table
+    rows = {pattern.value: base.with_failure(pattern) for pattern in FIG7D_FAILURES}
+    return _sweep("Figure 7(d): normalized runtime vs failure pattern", rows, seeds)
 
 
 def run_fig7e(base: SimulationConfig | None = None, seeds: list[int] | None = None) -> ExperimentTable:
     """Figure 7(e): normalized runtime vs amount of intermediate (shuffle) data."""
     base = base or default_config()
-    table = ExperimentTable("Figure 7(e): normalized runtime vs shuffle ratio")
-    for ratio in FIG7E_SHUFFLE_RATIOS:
-        config = replace(
-            base, jobs=tuple(replace(job, shuffle_ratio=ratio) for job in base.jobs)
-        )
-        grouped = run_failure_and_normal(config, SCHEDULERS, seeds)
-        table.add_row(f"{ratio:.0%}", normalized_runtimes(grouped))
-    return table
+    rows = {f"{ratio:.0%}": _with_jobs(base, shuffle_ratio=ratio) for ratio in FIG7E_SHUFFLE_RATIOS}
+    return _sweep("Figure 7(e): normalized runtime vs shuffle ratio", rows, seeds)
 
 
 def multi_job_config(base: SimulationConfig, seed: int) -> SimulationConfig:
@@ -129,20 +133,14 @@ def run_fig7f(base: SimulationConfig | None = None, seeds: list[int] | None = No
     """Figure 7(f): per-job normalized runtime with ten concurrent jobs."""
     base = base or default_config()
     seeds = default_seeds() if seeds is None else seeds
-    per_job: dict[int, dict[str, list[float]]] = {
-        job_id: {name: [] for name in SCHEDULERS} for job_id in range(FIG7F_NUM_JOBS)
-    }
-    for seed in seeds:
-        config = multi_job_config(base, seed)
-        grouped = run_failure_and_normal(config, SCHEDULERS, seeds=[seed])
-        for job_id in range(FIG7F_NUM_JOBS):
-            for name in SCHEDULERS:
-                failure_runtime = grouped[name][0].job(job_id).runtime
-                normal_runtime = grouped["normal"][0].job(job_id).runtime
-                per_job[job_id][name].append(failure_runtime / normal_runtime)
+    grouped = run_grouped(
+        pair
+        for seed in seeds
+        for pair in failure_and_normal_pairs(multi_job_config(base, seed), SCHEDULERS, [seed])
+    )
     table = ExperimentTable("Figure 7(f): per-job normalized runtime, 10 FIFO jobs")
     for job_id in range(FIG7F_NUM_JOBS):
-        table.add_row(f"job {job_id}", per_job[job_id])
+        table.add_row(f"job {job_id}", normalized_runtimes(grouped, job_id=job_id, seeds=seeds))
     return table
 
 

@@ -23,16 +23,16 @@ that left their storage node, which corresponds to our
 from __future__ import annotations
 
 from dataclasses import replace
+from operator import attrgetter, methodcaller
 
-from repro.experiments.common import (
-    ExperimentTable,
-    run_failure_and_normal,
-)
+from repro.experiments.common import ExperimentTable, default_seeds, run_grouped
 from repro.mapreduce.config import JobConfig, SimulationConfig
-from repro.mapreduce.metrics import SimulationResult
 
 #: Schedulers compared against the LF baseline.
 SCHEDULERS = ("LF", "BDF", "EDF")
+
+#: The two clusters of Figures 8(a)-(c); 8(d) is the extreme case alone.
+CLUSTERS = ("homogeneous", "heterogeneous")
 
 
 def homogeneous_config() -> SimulationConfig:
@@ -79,118 +79,82 @@ def extreme_config() -> SimulationConfig:
     )
 
 
-def _percent_change(results: list[SimulationResult], baseline: list[SimulationResult], metric) -> list[float]:
-    """Per-seed percentage change of ``metric`` relative to the LF baseline."""
-    samples = []
-    for candidate, reference in zip(results, baseline):
-        base_value = metric(reference.job(0))
-        if base_value == 0:
-            continue
-        samples.append((metric(candidate.job(0)) - base_value) / base_value)
-    if not samples:
-        raise RuntimeError("baseline metric was zero in every trial")
-    return samples
-
-
 class Fig8Data:
     """The three Figure 8 scenarios' raw results, computed once.
 
     Each of the four sub-figures is a different statistic over the same
-    simulation runs, so sharing the runs cuts the experiment's cost 4x.
+    simulation runs, so all of them share one batch of every scenario x
+    scheduler x seed.  No statistic reads a normal-mode run, so none is made.
+    ``results`` maps ``(scenario, scheduler)`` to the runs in seed order.
     """
 
     def __init__(self, seeds: list[int] | None = None) -> None:
-        self.homogeneous = run_failure_and_normal(homogeneous_config(), SCHEDULERS, seeds)
-        self.heterogeneous = run_failure_and_normal(
-            heterogeneous_config(), SCHEDULERS, seeds
+        seeds = default_seeds() if seeds is None else seeds
+        cases = {
+            "homogeneous": homogeneous_config(),
+            "heterogeneous": heterogeneous_config(),
+            "extreme": extreme_config(),
+        }
+        self.results = run_grouped(
+            ((case, name), config.with_scheduler(name).with_seed(seed))
+            for case, config in cases.items()
+            for seed in seeds
+            for name in SCHEDULERS
         )
-        self.extreme = run_failure_and_normal(extreme_config(), SCHEDULERS, seeds)
 
-    def case(self, label: str):
-        """Grouped results for a scenario label."""
-        return getattr(self, label)
+
+def _vs_lf(
+    title: str,
+    data: Fig8Data,
+    labels: tuple[str, ...],
+    metric,
+    reduction: bool = True,
+) -> ExperimentTable:
+    """BDF's and EDF's per-seed fractional change in ``metric`` vs LF, a row per case.
+
+    Seeds where LF's value is zero are skipped.  With ``reduction`` the sign
+    is flipped, so + means smaller than LF.
+    """
+    sign = -1.0 if reduction else 1.0
+    table = ExperimentTable(title)
+    for label in labels:
+        baseline = [metric(result.job(0)) for result in data.results[label, "LF"]]
+        row = {}
+        for name in ("BDF", "EDF"):
+            values = [metric(result.job(0)) for result in data.results[label, name]]
+            row[name] = [
+                sign * ((value - base) / base) for value, base in zip(values, baseline) if base != 0
+            ]
+            if not row[name]:
+                raise RuntimeError("baseline metric was zero in every trial")
+        table.add_row(label, row)
+    return table
 
 
 def run_fig8a(seeds: list[int] | None = None, data: Fig8Data | None = None) -> ExperimentTable:
     """Figure 8(a): change in remote-task count vs LF (negative = fewer)."""
-    data = data or Fig8Data(seeds)
-    table = ExperimentTable("Figure 8(a): remote tasks vs LF (fraction, + = more)")
-    for label in ("homogeneous", "heterogeneous"):
-        grouped = data.case(label)
-        table.add_row(
-            label,
-            {
-                name: _percent_change(
-                    grouped[name], grouped["LF"], lambda job: job.stolen_task_count
-                )
-                for name in ("BDF", "EDF")
-            },
-        )
-    return table
+    title = "Figure 8(a): remote tasks vs LF (fraction, + = more)"
+    stolen = attrgetter("stolen_task_count")
+    return _vs_lf(title, data or Fig8Data(seeds), CLUSTERS, stolen, reduction=False)
 
 
 def run_fig8b(seeds: list[int] | None = None, data: Fig8Data | None = None) -> ExperimentTable:
     """Figure 8(b): reduction of degraded read time vs LF (+ = faster)."""
-    data = data or Fig8Data(seeds)
-    table = ExperimentTable("Figure 8(b): degraded read time reduction vs LF")
-    for label in ("homogeneous", "heterogeneous"):
-        grouped = data.case(label)
-        table.add_row(
-            label,
-            {
-                name: [
-                    -delta
-                    for delta in _percent_change(
-                        grouped[name],
-                        grouped["LF"],
-                        lambda job: job.mean_degraded_read_time(),
-                    )
-                ]
-                for name in ("BDF", "EDF")
-            },
-        )
-    return table
+    title = "Figure 8(b): degraded read time reduction vs LF"
+    read_time = methodcaller("mean_degraded_read_time")
+    return _vs_lf(title, data or Fig8Data(seeds), CLUSTERS, read_time)
 
 
 def run_fig8c(seeds: list[int] | None = None, data: Fig8Data | None = None) -> ExperimentTable:
     """Figure 8(c): reduction of MapReduce runtime vs LF (+ = faster)."""
-    data = data or Fig8Data(seeds)
-    table = ExperimentTable("Figure 8(c): runtime reduction vs LF")
-    for label in ("homogeneous", "heterogeneous"):
-        grouped = data.case(label)
-        table.add_row(
-            label,
-            {
-                name: [
-                    -delta
-                    for delta in _percent_change(
-                        grouped[name], grouped["LF"], lambda job: job.runtime
-                    )
-                ]
-                for name in ("BDF", "EDF")
-            },
-        )
-    return table
+    title = "Figure 8(c): runtime reduction vs LF"
+    return _vs_lf(title, data or Fig8Data(seeds), CLUSTERS, attrgetter("runtime"))
 
 
 def run_fig8d(seeds: list[int] | None = None, data: Fig8Data | None = None) -> ExperimentTable:
     """Figure 8(d): runtime reduction vs LF in the extreme case."""
-    data = data or Fig8Data(seeds)
-    table = ExperimentTable("Figure 8(d): runtime reduction vs LF, extreme case")
-    grouped = data.extreme
-    table.add_row(
-        "extreme",
-        {
-            name: [
-                -delta
-                for delta in _percent_change(
-                    grouped[name], grouped["LF"], lambda job: job.runtime
-                )
-            ]
-            for name in ("BDF", "EDF")
-        },
-    )
-    return table
+    title = "Figure 8(d): runtime reduction vs LF, extreme case"
+    return _vs_lf(title, data or Fig8Data(seeds), ("extreme",), attrgetter("runtime"))
 
 
 def main() -> str:

@@ -1,10 +1,10 @@
 """Policy tournament: every registered scheduler over a shared scenario set.
 
-The tournament is the research-platform payoff of the policy framework
-(ROADMAP item 1): take a scenario set -- figure-7/figure-8 style
-configurations plus, optionally, the fuzzer's corpus -- and run *every*
-policy over every scenario and seed through the crash-safe campaign engine
-(journaled, cached, resumable).  Per-policy makespan and degraded-read
+The tournament is the research-platform payoff of the policy framework:
+take a scenario set -- figure-7/figure-8 style configurations plus,
+optionally, the fuzzer's corpus -- and run *every* policy over every
+scenario and seed through the crash-safe campaign engine (journaled,
+cached, resumable).  Per-policy makespan and degraded-read
 :class:`~repro.obs.digest.LatencyDigest` aggregates feed a ranked
 leaderboard emitted as a ``repro.tournament-report/v1`` JSON document and
 an HTML dashboard (``repro obs report``).

@@ -1,7 +1,6 @@
 """Wall-clock profiling hooks for the simulator itself.
 
-The ROADMAP's north star (run as fast as the hardware allows) needs a
-baseline before any hot path can be optimised.  The :class:`Profiler`
+A hot path can be optimised only against a baseline.  The :class:`Profiler`
 measures *host* time -- ``time.perf_counter`` spans around the phases of
 ``run_simulation`` -- and pairs it with the engine's always-on dispatch
 counter to report events processed, events per wall-second, and

@@ -1,7 +1,8 @@
 """Golden report bytes: refactors of the campaign layers move no report.
 
-"Report bytes stay identical" (ROADMAP item 3) used to be checked only
-*within* a run -- serial against pooled against resumed.  The files under
+"Report bytes stay identical" (a fixed point of the ROADMAP's design aim)
+used to be checked only *within* a run -- serial against pooled against
+resumed.  The files under
 ``tests/golden/reports/`` pin it *across commits*: every campaign-shaped
 document this repo emits (sweep, tournament, reliability; JSON, CLI text
 and HTML) plus the run-summary dashboard, generated through the public
