@@ -39,7 +39,8 @@ Commands
     ``run`` executes a seeds x schedulers grid with per-trial retries,
     timeouts, and quarantine, journaling every completion to ``--journal``;
     ``resume`` replays the journal and finishes only the missing trials
-    (the final report is bit-identical to an uninterrupted run); ``status``
+    (the final report is bit-identical to an uninterrupted run; a journal
+    written by another code version is refused with exit 2); ``status``
     summarises a journal without running anything.  ``--cache-dir`` adds a
     content-addressed, sha256-verified result cache shared across
     campaigns.
@@ -740,7 +741,7 @@ def _cmd_reliability(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"bad campaign options: {error}", file=sys.stderr)
         return 2
-    from repro.experiments.campaign import CampaignInterrupted
+    from repro.experiments.campaign import CampaignInterrupted, StaleJournalError
 
     try:
         report = run_campaign(
@@ -756,6 +757,9 @@ def _cmd_reliability(args: argparse.Namespace) -> int:
     except CampaignInterrupted as stop:
         print(_interrupted_message(stop, args.journal_path), file=sys.stderr)
         return 5
+    except StaleJournalError as error:
+        print(error, file=sys.stderr)
+        return 2
     print(render_report(report))
     if args.json_path and not _write_output(args.json_path, report_to_json(report)):
         return 2
@@ -781,11 +785,16 @@ def _run_engine_command(args, spec, run, render, exports, label, check=False) ->
 
     Policy from the engine flags -> cache -> per-trial progress lines ->
     ``run(spec, policy, journal, cache, progress)`` (exit 5 when
-    interrupted and checkpointed) -> ``render(report)`` -> ``exports``, a
+    interrupted and checkpointed, exit 2 when the journal was written by
+    another code version) -> ``render(report)`` -> ``exports``, a
     list of ``(path or None, serialise, what)`` (exit 2 when unwritable) ->
     cache statistics; exit 1 when a trial failed terminally.
     """
-    from repro.experiments.campaign import CampaignInterrupted, CampaignPolicy
+    from repro.experiments.campaign import (
+        CampaignInterrupted,
+        CampaignPolicy,
+        StaleJournalError,
+    )
     from repro.experiments.common import open_cache
     from repro.mapreduce.simulation import check_env
 
@@ -812,6 +821,9 @@ def _run_engine_command(args, spec, run, render, exports, label, check=False) ->
     except CampaignInterrupted as stop:
         print(_interrupted_message(stop, args.journal_path), file=sys.stderr)
         return 5
+    except StaleJournalError as error:
+        print(error, file=sys.stderr)
+        return 2
     print(render(report))
     for path, serialise, what in exports:
         if not path:

@@ -6,7 +6,9 @@ golden-equivalence and serial-vs-parallel bit-identity) guarantees that a
 trial's result is a pure function of its canonical spec and the code that
 produced it.  That makes caching sound: a :class:`ResultCache` entry is
 keyed by ``sha256(code_version | canonical spec JSON)`` and a repeated
-trial is free.
+trial is free.  The code version is :func:`code_version`, a digest of the
+package's own source, so any edit to the simulator misses every entry
+written before it.
 
 What makes it *safe* is that nothing from disk is ever trusted blindly:
 
@@ -31,11 +33,14 @@ built on ``trial_telemetry``) instead.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
+import sys
 import tempfile
 from dataclasses import dataclass, field
+from pathlib import Path
 
 #: Schema tag stamped on (and required of) every cache entry.
 ENTRY_SCHEMA = "repro.result-cache/v1"
@@ -57,6 +62,26 @@ def canonical_json(payload) -> str:
 def payload_sha256(payload) -> str:
     """Hex sha256 of a payload's canonical JSON."""
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+
+
+@functools.cache
+def code_version() -> str:
+    """SHA-256 of the code that produces a result; computed once per process.
+
+    It covers every ``repro/**/*.py`` file, by its package-relative path
+    and its bytes in sorted path order, plus the Python major.minor
+    version.  Any edit to the package moves it, so results cached or
+    journaled before the edit are never served after it.  (``__version__``
+    is a release label and is not part of it.)
+    """
+    package = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256(f"python {sys.version_info[0]}.{sys.version_info[1]}\n".encode())
+    for path in sorted(package.rglob("*.py"), key=lambda path: path.as_posix()):
+        data = path.read_bytes()
+        name = path.relative_to(package.parent).as_posix()
+        digest.update(f"{name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def cache_key(spec_hash: str, code_version: str) -> str:

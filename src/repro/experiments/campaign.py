@@ -63,10 +63,10 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro import __version__ as CODE_VERSION
 from repro.experiments.cache import (
     ResultCache,
     canonical_json,
+    code_version,
     payload_sha256,
 )
 from repro.faults.errors import JobFailedError
@@ -121,6 +121,14 @@ class CampaignTrialError(CampaignError):
 
 class CampaignPayloadError(CampaignError):
     """A journaled/cached campaign got a non-JSON-serialisable payload."""
+
+
+class StaleJournalError(CampaignError):
+    """A journal written by another code version was opened to append to.
+
+    Its rows can never be replayed by this code, and rows appended under
+    its header could never be replayed by any, so the journal is refused.
+    """
 
 
 @dataclass(frozen=True)
@@ -286,8 +294,10 @@ class Journal:
     the final line; :meth:`load` skips any line that fails to parse or
     whose ``payload_sha256`` does not verify, and the affected trials are
     simply recomputed.  The first line is a header binding the journal to
-    the code version; rows journaled by a different version are stale and
-    ignored wholesale (results are a function of code version too).
+    the code version (:func:`~repro.experiments.cache.code_version`);
+    :meth:`load` ignores rows journaled by a different version wholesale
+    (results are a function of code version too), and opening such a
+    journal to append to raises :class:`StaleJournalError`.
     """
 
     def __init__(self, path: str) -> None:
@@ -296,14 +306,35 @@ class Journal:
         if directory:
             os.makedirs(directory, exist_ok=True)
         fresh = not os.path.exists(path) or os.path.getsize(path) == 0
+        if not fresh:
+            self._refuse_other_version(path)
         self._handle = open(path, "a")
         if fresh:
             self._append(
                 {
                     "kind": "header",
                     "schema": JOURNAL_SCHEMA,
-                    "code_version": CODE_VERSION,
+                    "code_version": code_version(),
                 }
+            )
+
+    @staticmethod
+    def _refuse_other_version(path: str) -> None:
+        with open(path) as handle:
+            first = handle.readline()
+        try:
+            header = json.loads(first)
+        except ValueError:
+            return  # a torn header: load() already skips what follows it
+        if not isinstance(header, dict) or header.get("kind") != "header":
+            return
+        written_by = header.get("code_version")
+        if written_by != code_version():
+            raise StaleJournalError(
+                f"journal {path} was written by code version {written_by}, "
+                f"but this is code version {code_version()}: its trials cannot "
+                "be replayed, so finish it with the code that wrote it or "
+                "start a new journal"
             )
 
     def _append(self, record: dict) -> None:
@@ -360,7 +391,7 @@ class Journal:
             if record.get("kind") == "header":
                 state.valid = (
                     record.get("schema") == JOURNAL_SCHEMA
-                    and record.get("code_version") == CODE_VERSION
+                    and record.get("code_version") == code_version()
                 )
                 continue
             if not state.valid or record.get("kind") != "trial":

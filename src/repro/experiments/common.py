@@ -106,10 +106,9 @@ def open_cache(cache_dir: str | None):
     """The verified result cache under ``cache_dir`` (``None`` without one)."""
     if not cache_dir:
         return None
-    from repro import __version__
-    from repro.experiments.cache import ResultCache
+    from repro.experiments.cache import ResultCache, code_version
 
-    return ResultCache(directory=cache_dir, code_version=__version__)
+    return ResultCache(directory=cache_dir, code_version=code_version())
 
 
 def run_grouped(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.storage.block import BlockId
 
@@ -56,6 +57,28 @@ class MapAssignment:
     slave_id: int
     speculative: bool = False
 
+    kind: ClassVar[str] = "map"
+
+    @property
+    def task(self) -> BlockId:
+        """What names the task within its job: the block it maps."""
+        return self.block
+
+    @property
+    def label(self) -> str:
+        """How a failure reason names the task."""
+        return f"map task for block {self.block}"
+
+    def event_fields(self, category: bool = False) -> dict:
+        """The fields naming the task in a ``task.*`` event.
+
+        ``category`` adds the locality class, which ``task.launch`` and
+        ``task.finish`` carry.
+        """
+        if category:
+            return {"block": str(self.block), "category": self.category.value}
+        return {"block": str(self.block)}
+
 
 @dataclass(frozen=True)
 class ReduceAssignment:
@@ -64,3 +87,22 @@ class ReduceAssignment:
     job_id: int
     reduce_index: int
     slave_id: int
+
+    kind: ClassVar[str] = "reduce"
+    #: Reduces have no locality class and no backup attempts.
+    category: ClassVar[None] = None
+    speculative: ClassVar[bool] = False
+
+    @property
+    def task(self) -> int:
+        """What names the task within its job: its partition index."""
+        return self.reduce_index
+
+    @property
+    def label(self) -> str:
+        """How a failure reason names the task."""
+        return f"reduce task {self.reduce_index}"
+
+    def event_fields(self, category: bool = False) -> dict:
+        """The fields naming the task in a ``task.*`` event."""
+        return {"reduce_index": self.reduce_index}

@@ -11,10 +11,14 @@ Fault tolerance lives here too (see :mod:`repro.faults`):
   a tracker has been silent past the expiry interval -- the omniscient
   :meth:`fail_node` remains as the declaration's mechanism (and as the
   legacy at-start path);
-* every launched attempt is registered in-flight, so a declared death can
-  requeue exactly the work the dead node held;
-* per-task failure counts enforce a retry budget (``max_attempts``); a task
-  that exhausts it fails its whole job cleanly via :meth:`_fail_job`;
+* every launched attempt, map or reduce, is registered in-flight under one
+  key shape, so a declared death can requeue exactly the work the dead node
+  held;
+* every attempt killed with its node goes through :meth:`on_task_killed`:
+  per-task failure counts enforce a retry budget (``max_attempts``), a task
+  that exhausts it fails its whole job cleanly via :meth:`_fail_job`, and
+  only the requeue itself differs by kind (a map returns to the pending
+  pool unless a sibling still runs; a reduce also restarts its shuffle);
 * per-node consecutive death counts feed a blacklist the schedulers' live
   view respects;
 * when a job's map phase is fully dispatched, stragglers get speculative
@@ -60,9 +64,7 @@ class RunningAttempt:
 
 
 def _attempt_key(assignment: MapAssignment | ReduceAssignment) -> AttemptKey:
-    if isinstance(assignment, MapAssignment):
-        return ("map", assignment.job_id, assignment.block)
-    return ("reduce", assignment.job_id, assignment.reduce_index)
+    return (assignment.kind, assignment.job_id, assignment.task)
 
 
 class JobTracker:
@@ -237,9 +239,7 @@ class JobTracker:
                 maps = maps + self._speculative_assignments(
                     slave_id, free_map_slots - len(maps)
                 )
-            for assignment in maps:
-                self._note_launch(assignment.job_id)
-            for assignment in reduces:
+            for assignment in (*maps, *reduces):
                 self._note_launch(assignment.job_id)
         if self.bus is not None:
             self.bus.emit(
@@ -292,10 +292,8 @@ class JobTracker:
 
     def attempt_of(self, assignment: MapAssignment | ReduceAssignment) -> int:
         """Attempt number of a registered in-flight assignment (1 if unknown)."""
-        for attempt in self._attempts_by_task.get(_attempt_key(assignment), []):
-            if attempt.assignment == assignment:
-                return attempt.number
-        return 1
+        attempt = self.attempt_record(assignment)
+        return 1 if attempt is None else attempt.number
 
     def _deregister(self, assignment: MapAssignment | ReduceAssignment) -> None:
         key = _attempt_key(assignment)
@@ -313,32 +311,23 @@ class JobTracker:
     # -- completion callbacks ---------------------------------------------------
 
     def on_map_complete(
-        self,
-        record: TaskRecord,
-        shuffle_bytes: float,
-        assignment: MapAssignment | None = None,
+        self, record: TaskRecord, shuffle_bytes: float, assignment: MapAssignment
     ) -> None:
-        """A map task finished: account it, deposit shuffle data.
+        """A map attempt finished: account it, deposit its shuffle data.
 
-        ``assignment`` identifies the attempt for speculative-execution and
-        retry bookkeeping; without it (unit-test convenience) the completion
-        is taken at face value.
+        The first finisher of a task wins: its sibling attempts are killed,
+        and a sibling that still reports completion is ignored.
         """
-        if assignment is not None:
-            self._deregister(assignment)
-            self.consecutive_failures[assignment.slave_id] = 0
-            state = self._jobs_by_id.get(record.job_id)
-            if state is None:
-                return  # the job was abandoned while this attempt ran
-            key = _attempt_key(assignment)
-            completed = self._completed_maps[record.job_id]
-            if key in completed:
-                return  # a sibling attempt won the race first
-            completed.add(key)
-            self._kill_other_attempts(key, record.job_id)
-            self._map_durations[record.job_id].append(record.runtime)
-        else:
-            state = self.job_state(record.job_id)
+        state = self._attempt_finished(assignment)
+        if state is None:
+            return  # the job was abandoned while this attempt ran
+        key = _attempt_key(assignment)
+        completed = self._completed_maps[record.job_id]
+        if key in completed:
+            return  # a sibling attempt won the race first
+        completed.add(key)
+        self._kill_other_attempts(key, record.job_id)
+        self._map_durations[record.job_id].append(record.runtime)
         state.on_map_complete()
         self.metrics[record.job_id].tasks.append(record)
         shuffle = self.shuffles[record.job_id]
@@ -348,22 +337,23 @@ class JobTracker:
             if state.job_completed():
                 self._finish_job(state)
 
-    def on_reduce_complete(
-        self, record: TaskRecord, assignment: ReduceAssignment | None = None
-    ) -> None:
-        """A reduce task finished."""
-        if assignment is not None:
-            self._deregister(assignment)
-            self.consecutive_failures[assignment.slave_id] = 0
-            state = self._jobs_by_id.get(record.job_id)
-            if state is None:
-                return
-        else:
-            state = self.job_state(record.job_id)
+    def on_reduce_complete(self, record: TaskRecord, assignment: ReduceAssignment) -> None:
+        """A reduce attempt finished."""
+        state = self._attempt_finished(assignment)
+        if state is None:
+            return
         state.on_reduce_complete()
         self.metrics[record.job_id].tasks.append(record)
         if state.job_completed():
             self._finish_job(state)
+
+    def _attempt_finished(
+        self, assignment: MapAssignment | ReduceAssignment
+    ) -> JobTaskState | None:
+        """Retire a finished attempt; its job's state, or None once retired."""
+        self._deregister(assignment)
+        self.consecutive_failures[assignment.slave_id] = 0
+        return self._jobs_by_id.get(assignment.job_id)
 
     # -- mid-run failure ---------------------------------------------------------
 
@@ -373,10 +363,9 @@ class JobTracker:
         Pending tasks whose blocks lived on the node become degraded tasks;
         the EDF guard's live-node view shrinks.  Killing the node's *running*
         tasks is the slave runtime's job (it holds the processes) -- see
-        :meth:`on_map_task_killed` / :meth:`on_reduce_task_killed` for the
-        requeue half (or :meth:`declare_dead`, which requeues from the
-        master's own in-flight registry when the death was detected rather
-        than scripted).
+        :meth:`on_task_killed` for the requeue half (or :meth:`declare_dead`,
+        which requeues from the master's own in-flight registry when the
+        death was detected rather than scripted).
 
         Simplification (documented in DESIGN.md): intermediate map outputs
         already shuffled out of the node survive; Hadoop would re-execute
@@ -454,10 +443,7 @@ class JobTracker:
         requeued at that instant instead.
         """
         for attempt in list(self._attempts_by_node.get(node_id, [])):
-            if attempt.key[0] == "map":
-                self.on_map_task_killed(attempt.assignment)
-            else:
-                self.on_reduce_task_killed(attempt.assignment)
+            self.on_task_killed(attempt.assignment)
         self._attempts_by_node.pop(node_id, None)
 
     def recover_node(self, node_id: int) -> int:
@@ -560,13 +546,14 @@ class JobTracker:
             return  # already retired
         self._fail_job(state, reason, kind="data-unavailable")
 
-    def on_map_task_killed(self, assignment: MapAssignment) -> None:
-        """A running map attempt died with its node: account it, maybe requeue.
+    def on_task_killed(self, assignment: MapAssignment | ReduceAssignment) -> None:
+        """A running attempt died with its node: account it, maybe requeue.
 
-        Charges the attempt against the task's retry budget (failing the
-        job cleanly when exhausted) and only requeues when no sibling
-        attempt is still running -- a surviving speculative copy already
-        carries the task.
+        Charges the attempt against the task's retry budget, failing the
+        job cleanly when it is exhausted.  A map goes back to the pending
+        pool only when no sibling attempt is still running -- a surviving
+        speculative copy already carries the task.  A reduce always goes
+        back, and the shuffle data it had fetched is fetched again.
         """
         self._deregister(assignment)
         state = self._jobs_by_id.get(assignment.job_id)
@@ -580,53 +567,26 @@ class JobTracker:
         if self.bus is not None:
             self.bus.emit(
                 "task.requeue", self.sim.now,
-                job_id=assignment.job_id, task="map",
-                node=assignment.slave_id, block=str(assignment.block),
+                job_id=assignment.job_id, task=assignment.kind,
+                node=assignment.slave_id, **assignment.event_fields(),
                 failures=failures,
             )
         if failures >= self.max_attempts:
             self._fail_job(
                 state,
-                f"map task for block {assignment.block} failed {failures} "
-                f"time(s), exhausting max_attempts={self.max_attempts}",
+                f"{assignment.label} failed {failures} time(s), "
+                f"exhausting max_attempts={self.max_attempts}",
             )
-            return
-        if self._attempts_by_task.get(key):
-            return  # a sibling (speculative) attempt is still running
-        home = self.hdfs.node_of(assignment.block)
-        state.requeue_killed_map(
-            assignment.block,
-            was_degraded=assignment.category is MapTaskCategory.DEGRADED,
-            lost=home in self.failed_nodes,
-        )
-
-    def on_reduce_task_killed(self, assignment: ReduceAssignment) -> None:
-        """A running reduce attempt died with its node: requeue and reset it."""
-        self._deregister(assignment)
-        state = self._jobs_by_id.get(assignment.job_id)
-        if state is None:
-            return
-        self.killed_tasks += 1
-        self.metrics[assignment.job_id].killed_attempts += 1
-        key = _attempt_key(assignment)
-        failures = self._failure_counts.get(key, 0) + 1
-        self._failure_counts[key] = failures
-        if self.bus is not None:
-            self.bus.emit(
-                "task.requeue", self.sim.now,
-                job_id=assignment.job_id, task="reduce",
-                node=assignment.slave_id, reduce_index=assignment.reduce_index,
-                failures=failures,
+        elif assignment.kind == "reduce":
+            state.requeue_killed_reduce(assignment.reduce_index)
+            self.shuffles[assignment.job_id].reset_reducer(assignment.reduce_index)
+        elif not self._attempts_by_task.get(key):  # no sibling still runs it
+            home = self.hdfs.node_of(assignment.block)
+            state.requeue_killed_map(
+                assignment.block,
+                was_degraded=assignment.category is MapTaskCategory.DEGRADED,
+                lost=home in self.failed_nodes,
             )
-        if failures >= self.max_attempts:
-            self._fail_job(
-                state,
-                f"reduce task {assignment.reduce_index} failed {failures} "
-                f"time(s), exhausting max_attempts={self.max_attempts}",
-            )
-            return
-        state.requeue_killed_reduce(assignment.reduce_index)
-        self.shuffles[assignment.job_id].reset_reducer(assignment.reduce_index)
 
     # -- speculative execution ---------------------------------------------------
 

@@ -2,19 +2,24 @@
 
 Each live node runs a *slave process* that heartbeats the master every
 ``heartbeat_interval`` seconds (3 s by default, as in the paper) and spawns
-one *task runner* process per assignment.  Map runners perform the remote
-fetch or degraded read over the NodeTree before processing; reduce runners
-drain shuffle data as maps complete and process once the map phase ends.
+one :func:`task_process` per assignment, map or reduce.  A map attempt
+first performs the remote fetch or degraded read over the NodeTree; a
+reduce attempt drains shuffle data as maps complete.  Both then process,
+free their slot and report to the master.
 
-Fault semantics (see :mod:`repro.faults`): a *crash* kills the slave loop
-and its task processes silently -- the master only notices once heartbeats
-expire and requeues from its own in-flight registry.  The legacy
-:meth:`SlaveRuntime.fail_node` keeps the omniscient behaviour (master told
-instantly, killed tasks reported back) for the paper's original at-strike
-experiments.  Task processes distinguish interrupt causes: ``"crash"``
-(die silently), ``"speculative-kill"`` / ``"job-aborted"`` (die but release
-the slot -- the node is alive), and node-failure kills (hand the task back
-for re-execution).
+Fault semantics (see :mod:`repro.faults`): a node dies one way, in
+:meth:`SlaveRuntime._kill_node`, which stops its heartbeat loop and
+interrupts its task processes.  The two entry points differ only in whom
+they tell and in the interrupt cause.  A scripted *crash*
+(:meth:`SlaveRuntime.crash_node`) tells nobody: its tasks die with
+``"crash"`` and the master notices once heartbeats expire, requeueing from
+its own in-flight registry.  :meth:`SlaveRuntime.fail_node`, the paper's
+original at-strike semantics, tells the master first and kills with
+``"node-failure"``, so each task hands itself back for re-execution.  A
+task process treats every cause in one place: ``"crash"`` (die silently),
+``"speculative-kill"`` / ``"job-aborted"`` (die but release the slot -- the
+node is alive), and anything else (hand the task back through
+:meth:`JobTracker.on_task_killed`).
 """
 
 from __future__ import annotations
@@ -22,8 +27,9 @@ from __future__ import annotations
 from collections.abc import Generator
 
 from repro.cluster.nodetree import NodeTree
+from repro.core.tasks import JobTaskState
 from repro.faults.errors import DataUnavailableError
-from repro.mapreduce.config import SimulationConfig
+from repro.mapreduce.config import JobConfig, SimulationConfig
 from repro.mapreduce.job import MapAssignment, MapTaskCategory, ReduceAssignment, TaskKind
 from repro.mapreduce.master import JobTracker
 from repro.mapreduce.metrics import TaskRecord
@@ -90,7 +96,7 @@ class SlaveRuntime:
         self.repair_driver = None
         #: In-flight degraded reads by token, so a dying source node can
         #: break exactly the reads fetching from it (see
-        #: :meth:`_abort_transfers_from`).
+        #: :meth:`_abort_transfers_from` and :func:`_read_from`).
         self._degraded_reads: dict[int, dict] = {}
         self._next_read_token = 0
 
@@ -110,16 +116,7 @@ class SlaveRuntime:
         detect the death from heartbeat expiry.
         """
         self.tracker.fail_node(node_id)
-        self.crash_times.setdefault(node_id, self.sim.now)
-        self._slowdowns.pop(node_id, None)
-        slave = self._slave_procs.pop(node_id, None)
-        if slave is not None:
-            slave.interrupt("crash")
-        for process in list(self._running[node_id]):
-            process.interrupt("node-failure")
-        self._running[node_id].clear()
-        self._note_slots_lost(node_id)
-        self._abort_transfers_from(node_id)
+        self._kill_node(node_id, "node-failure")
 
     def crash_node(self, node_id: int) -> None:
         """Kill a node silently: heartbeats stop, its processes die.
@@ -130,13 +127,17 @@ class SlaveRuntime:
         """
         if node_id in self.crash_times or node_id in self.tracker.failed_nodes:
             return
-        self.crash_times[node_id] = self.sim.now
+        self._kill_node(node_id, "crash")
+
+    def _kill_node(self, node_id: int, cause: str) -> None:
+        """Stop a dead node's heartbeat loop; interrupt its tasks with ``cause``."""
+        self.crash_times.setdefault(node_id, self.sim.now)
         self._slowdowns.pop(node_id, None)
         slave = self._slave_procs.pop(node_id, None)
         if slave is not None:
             slave.interrupt("crash")
         for process in list(self._running[node_id]):
-            process.interrupt("crash")
+            process.interrupt(cause)
         self._running[node_id].clear()
         self._note_slots_lost(node_id)
         self._abort_transfers_from(node_id)
@@ -168,15 +169,6 @@ class SlaveRuntime:
                 entry["process"].interrupt(_REPLAN_CAUSE)
         if self.repair_driver is not None:
             self.repair_driver.abort_flows_from(node_id)
-
-    def _register_degraded_read(self, entry: dict) -> int:
-        token = self._next_read_token
-        self._next_read_token += 1
-        self._degraded_reads[token] = entry
-        return token
-
-    def _unregister_degraded_read(self, token: int) -> None:
-        self._degraded_reads.pop(token, None)
 
     # -- corruption faults ------------------------------------------------------
 
@@ -254,6 +246,12 @@ class SlaveRuntime:
     def _register(self, node_id: int, process: Process) -> None:
         self._running[node_id][process] = None
 
+    def slots(self, assignment: MapAssignment | ReduceAssignment) -> Semaphore:
+        """The slot semaphore an attempt occupies on its node."""
+        if assignment.kind == "map":
+            return self.map_slots[assignment.slave_id]
+        return self.reduce_slots[assignment.slave_id]
+
     def speed_of(self, node_id: int) -> float:
         """Effective speed factor of a node (including active slowdowns)."""
         base = self.tracker.topology.node(node_id).speed_factor
@@ -282,358 +280,138 @@ def slave_process(runtime: SlaveRuntime, node_id: int) -> Generator:
         free_reduce = runtime.reduce_slots[node_id].available
         maps, reduces = tracker.heartbeat(node_id, free_map, free_reduce)
         bus = tracker.bus
-        for assignment in maps:
-            if not runtime.map_slots[node_id].try_acquire():
+        for assignment in (*maps, *reduces):
+            if not runtime.slots(assignment).try_acquire():
                 raise RuntimeError(
-                    f"scheduler over-assigned map slots on node {node_id}"
+                    f"scheduler over-assigned {assignment.kind} slots on node {node_id}"
                 )
             process = sim.spawn(
-                map_task_process(runtime, assignment),
-                name=f"map:{assignment.job_id}:{assignment.block}",
+                task_process(runtime, assignment),
+                name=f"{assignment.kind}:{assignment.job_id}:{assignment.task}",
             )
             runtime._register(node_id, process)
             attempt = tracker.note_attempt_started(assignment, process)
             if bus is not None:
                 bus.emit(
                     "task.launch", sim.now,
-                    job_id=assignment.job_id, task="map", node=node_id,
-                    block=str(assignment.block),
-                    category=assignment.category.value,
+                    job_id=assignment.job_id, task=assignment.kind, node=node_id,
+                    **assignment.event_fields(category=True),
                     attempt=attempt.number, speculative=assignment.speculative,
-                )
-        for assignment in reduces:
-            if not runtime.reduce_slots[node_id].try_acquire():
-                raise RuntimeError(
-                    f"scheduler over-assigned reduce slots on node {node_id}"
-                )
-            process = sim.spawn(
-                reduce_task_process(runtime, assignment),
-                name=f"reduce:{assignment.job_id}:{assignment.reduce_index}",
-            )
-            runtime._register(node_id, process)
-            attempt = tracker.note_attempt_started(assignment, process)
-            if bus is not None:
-                bus.emit(
-                    "task.launch", sim.now,
-                    job_id=assignment.job_id, task="reduce", node=node_id,
-                    reduce_index=assignment.reduce_index,
-                    attempt=attempt.number, speculative=False,
                 )
         yield Timeout(interval)
 
 
-def map_task_process(runtime: SlaveRuntime, assignment: MapAssignment) -> Generator:
-    """Execute one map task: fetch (if needed), process, report.
+def task_process(
+    runtime: SlaveRuntime, assignment: MapAssignment | ReduceAssignment
+) -> Generator:
+    """Execute one task attempt of either kind: fetch, process, report.
+
+    A map fetches its block when it is not node-local: a remote read, or a
+    degraded read when the block is lost or its copy corrupt.  A reduce
+    drains its shuffle partition until the job's maps are done.  Both then
+    process for a drawn time, free the slot and report to the master.
 
     If the hosting node fails mid-task, the process receives an
     :class:`~repro.sim.engine.Interrupt`.  What happens next depends on the
     cause: an omniscient node failure hands the task straight back to the
     master; a silent crash does nothing (the master requeues once it
     detects the death); a speculative kill or job abort releases the slot
-    (the node is alive) and drops the work.
-    """
-    try:
-        yield from _map_task_body(runtime, assignment)
-    except Interrupt as interrupt:
-        bus = runtime.tracker.bus
-        if bus is not None:
-            bus.emit(
-                "task.kill", runtime.sim.now,
-                job_id=assignment.job_id, task="map", node=assignment.slave_id,
-                block=str(assignment.block), cause=interrupt.cause,
-            )
-        if interrupt.cause == "crash":
-            pass
-        elif interrupt.cause in _RELEASE_SLOT_CAUSES:
-            runtime.map_slots[assignment.slave_id].release()
-        else:
-            runtime.tracker.on_map_task_killed(assignment)
-
-
-def _map_task_body(runtime: SlaveRuntime, assignment: MapAssignment) -> Generator:
-    sim = runtime.sim
-    config = runtime.config
-    job = runtime.tracker.active_job(assignment.job_id)
-    if job is None:
-        # The job was aborted after this attempt was assigned but before
-        # its first step ran; the master's "job-aborted" interrupt lost
-        # that race.  Behave as the delivered interrupt would: free the
-        # slot and drop the work.
-        runtime.map_slots[assignment.slave_id].release()
-        return
-    record = TaskRecord(
-        job_id=assignment.job_id,
-        kind=TaskKind.MAP,
-        category=assignment.category,
-        slave_id=assignment.slave_id,
-        launch_time=sim.now,
-        attempt=runtime.tracker.attempt_of(assignment),
-        speculative=assignment.speculative,
-    )
-
-    corrupt = runtime.is_corrupt(assignment.block)
-    if assignment.category is MapTaskCategory.DEGRADED or corrupt:
-        if corrupt and assignment.category is not MapTaskCategory.DEGRADED:
-            # Checksum failure on a live replica: report it (which queues a
-            # repair) and reconstruct from the stripe's other blocks instead.
-            runtime.tracker.report_corruption(assignment.block, via="read")
-        fetched = yield from _degraded_fetch(runtime, assignment, record)
-        if not fetched:
-            return
-    elif assignment.category in (MapTaskCategory.RACK_LOCAL, MapTaskCategory.REMOTE):
-        home = runtime.tracker.hdfs.node_of(assignment.block)
-        yield runtime.nodetree.transfer(home, assignment.slave_id, config.block_size)
-        record.download_time = sim.now - record.launch_time
-
-    processing = runtime.rng.spawn("maptime").normal(
-        f"{assignment.job_id}:{assignment.block}",
-        job.config.map_time_mean,
-        job.config.map_time_std,
-    ) / runtime.speed_of(assignment.slave_id)
-    yield Timeout(processing)
-
-    record.finish_time = sim.now
-    shuffle_bytes = config.block_size * job.config.shuffle_ratio
-    runtime.map_slots[assignment.slave_id].release()
-    if runtime.tracker.bus is not None:
-        runtime.tracker.bus.emit(
-            "task.finish", sim.now,
-            job_id=assignment.job_id, task="map", node=assignment.slave_id,
-            block=str(assignment.block), category=assignment.category.value,
-            runtime=record.finish_time - record.launch_time,
-            download=record.download_time,
-        )
-    runtime.tracker.on_map_complete(record, shuffle_bytes, assignment)
-
-
-def _degraded_fetch(
-    runtime: SlaveRuntime, assignment: MapAssignment, record: TaskRecord
-) -> Generator:
-    """Reconstruct a lost/corrupt block, surviving source deaths mid-read.
-
-    Plans a degraded read against the current survivors and streams the
-    ``k`` fragments in.  If a source node dies while flows are in flight,
-    :meth:`SlaveRuntime.abort_degraded_reads_from` cancels the flows and
-    interrupts this process with :data:`_REPLAN_CAUSE`; the read then
-    re-plans (avoiding every source it has watched die) after a linear
-    backoff, up to ``config.degraded_read_retries`` times before the
-    attempt is handed back to the master.  If the stripe has dropped below
-    ``k`` readable blocks the task either parks on the tracker's
-    availability event (``config.wait_for_repair``) or fails the job with
-    a typed :class:`DataUnavailableError`.
-
-    Returns ``True`` when the data landed, ``False`` when the task is over
-    (job failed or attempt requeued); the caller must return immediately
-    on ``False`` -- the slot has already been dealt with.
+    (the node is alive) and drops the work.  A reduce handed back starts
+    from scratch: its fetched shuffle data died with the node.
     """
     sim = runtime.sim
-    config = runtime.config
     tracker = runtime.tracker
-    bus = tracker.bus
-    observed_dead: set[int] = set()
-    replans = 0
-    while True:
-        # The block may have come back since this attempt was classified
-        # degraded: its home node recovered, or a repair rebuilt it
-        # elsewhere.  Then a plain remote read replaces reconstruction.
-        home = tracker.hdfs.node_of(assignment.block)
-        if (
-            home not in tracker.failed_nodes
-            and home not in runtime.crash_times
-            and not runtime.is_corrupt(assignment.block)
-        ):
-            if home == assignment.slave_id:
-                return True
-            flow = runtime.nodetree.transfer(
-                home, assignment.slave_id, config.block_size
-            )
-            attempt = tracker.attempt_record(assignment)
-            token = runtime._register_degraded_read(
-                {
-                    "sources": {home},
-                    "flows": [flow],
-                    "process": attempt.process if attempt is not None else None,
-                    "reader": assignment.slave_id,
-                    "lost": set(),
-                }
-            )
-            try:
-                yield flow
-            except Interrupt as interrupt:
-                runtime._unregister_degraded_read(token)
-                if interrupt.cause != _REPLAN_CAUSE:
-                    raise
-                observed_dead.add(home)
-                replans += 1
-                if replans > config.degraded_read_retries:
-                    runtime.map_slots[assignment.slave_id].release()
-                    tracker.on_map_task_killed(assignment)
-                    return False
-                yield Timeout(config.degraded_read_backoff * replans)
-                continue
-            runtime._unregister_degraded_read(token)
-            record.download_time = sim.now - record.launch_time
-            return True
-        # Avoid only sources that are *still* down: a recovered node is a
-        # perfectly good source again.
-        avoid = frozenset(
-            node for node in observed_dead
-            if node in runtime.crash_times or node in tracker.failed_nodes
-        )
-        try:
-            plan = runtime.planner.plan(
-                assignment.block,
-                assignment.slave_id,
-                tracker.failed_nodes,
-                runtime.rng,
-                avoid=avoid,
-            )
-        except DataUnavailableError as error:
-            if config.wait_for_repair:
-                if bus is not None:
-                    bus.emit(
-                        "degraded.park", sim.now,
-                        job_id=assignment.job_id, block=str(assignment.block),
-                        node=assignment.slave_id, reason=str(error),
-                    )
-                tracker.parked_tasks += 1
-                try:
-                    yield tracker.availability_event()
-                finally:
-                    tracker.parked_tasks -= 1
-                if bus is not None:
-                    bus.emit(
-                        "degraded.unpark", sim.now,
-                        job_id=assignment.job_id, block=str(assignment.block),
-                        node=assignment.slave_id,
-                    )
-                continue
-            runtime.map_slots[assignment.slave_id].release()
-            tracker.fail_job_data_unavailable(assignment.job_id, str(error))
-            return False
-        # A source may have crashed between this attempt being scheduled and
-        # the plan being drawn (the tracker only learns of silent crashes at
-        # heartbeat expiry).  Reading from a dead node would hang forever.
-        stale = {source.node_id for source in plan.sources} & set(runtime.crash_times)
-        if stale:
-            observed_dead |= stale
-            replans += 1
-            if replans > config.degraded_read_retries:
-                runtime.map_slots[assignment.slave_id].release()
-                tracker.on_map_task_killed(assignment)
-                return False
-            if bus is not None:
-                bus.emit(
-                    "degraded.replan", sim.now,
-                    job_id=assignment.job_id, block=str(assignment.block),
-                    node=assignment.slave_id, replan=replans,
-                    lost_sources=sorted(stale),
-                )
-            yield Timeout(config.degraded_read_backoff * replans)
-            continue
-        per_rack: dict[int, float] = {}
-        for source in plan.sources:
-            if source.node_id == assignment.slave_id:
-                continue  # already on this node, no transfer
-            rack = runtime.tracker.topology.rack_of(source.node_id)
-            per_rack[rack] = per_rack.get(rack, 0.0) + config.block_size
-        if bus is not None:
-            bus.emit(
-                "degraded.start", sim.now,
-                job_id=assignment.job_id, block=str(assignment.block),
-                node=assignment.slave_id,
-                surviving_blocks=len(plan.sources),
-                racks={str(rack): size for rack, size in sorted(per_rack.items())},
-            )
-        flows = [
-            runtime.nodetree.transfer_from_rack(rack, assignment.slave_id, size)
-            for rack, size in sorted(per_rack.items())
-        ]
-        attempt = tracker.attempt_record(assignment)
-        entry = {
-            "sources": {source.node_id for source in plan.sources},
-            "flows": flows,
-            "process": attempt.process if attempt is not None else None,
-            "reader": assignment.slave_id,
-            "lost": set(),
-        }
-        token = runtime._register_degraded_read(entry)
-        try:
-            if flows:
-                yield sim.all_of(flows)
-        except Interrupt as interrupt:
-            runtime._unregister_degraded_read(token)
-            if interrupt.cause != _REPLAN_CAUSE:
-                raise
-            observed_dead |= entry["lost"]
-            replans += 1
-            if replans > config.degraded_read_retries:
-                runtime.map_slots[assignment.slave_id].release()
-                tracker.on_map_task_killed(assignment)
-                return False
-            if bus is not None:
-                bus.emit(
-                    "degraded.replan", sim.now,
-                    job_id=assignment.job_id, block=str(assignment.block),
-                    node=assignment.slave_id, replan=replans,
-                    lost_sources=sorted(entry["lost"]),
-                )
-            yield Timeout(config.degraded_read_backoff * replans)
-            continue
-        runtime._unregister_degraded_read(token)
-        record.download_time = sim.now - record.launch_time
-        if bus is not None:
-            bus.emit(
-                "degraded.end", sim.now,
-                job_id=assignment.job_id, block=str(assignment.block),
-                node=assignment.slave_id, duration=record.download_time,
-            )
-        return True
-
-
-def reduce_task_process(runtime: SlaveRuntime, assignment: ReduceAssignment) -> Generator:
-    """Execute one reduce task: drain shuffle until maps finish, then process.
-
-    Like maps, a reduce task killed by a node failure is requeued; its
-    already-fetched shuffle data died with the node, so the replacement
-    starts from scratch.
-    """
     try:
-        yield from _reduce_task_body(runtime, assignment)
+        job = tracker.active_job(assignment.job_id)
+        if job is None:
+            # The job was aborted after this attempt was assigned but before
+            # its first step ran; the master's "job-aborted" interrupt lost
+            # that race.  Behave as the delivered interrupt would: free the
+            # slot and drop the work.
+            runtime.slots(assignment).release()
+            return
+        record = TaskRecord(
+            job_id=assignment.job_id,
+            kind=TaskKind(assignment.kind),
+            category=assignment.category,
+            slave_id=assignment.slave_id,
+            launch_time=sim.now,
+            attempt=tracker.attempt_of(assignment),
+            speculative=assignment.speculative,
+        )
+        if assignment.kind == "reduce":
+            yield from _drain_shuffle(runtime, assignment, job, record)
+        elif assignment.category is MapTaskCategory.DEGRADED or runtime.is_corrupt(
+            assignment.block
+        ):
+            if not (yield from _degraded_fetch(runtime, assignment, record)):
+                return
+        elif assignment.category in (MapTaskCategory.RACK_LOCAL, MapTaskCategory.REMOTE):
+            home = tracker.hdfs.node_of(assignment.block)
+            yield runtime.nodetree.transfer(
+                home, assignment.slave_id, runtime.config.block_size
+            )
+            record.download_time = sim.now - record.launch_time
+
+        yield Timeout(_processing_time(runtime, assignment, job.config))
+
+        record.finish_time = sim.now
+        runtime.slots(assignment).release()
+        if tracker.bus is not None:
+            tracker.bus.emit(
+                "task.finish", sim.now,
+                job_id=assignment.job_id, task=assignment.kind, node=assignment.slave_id,
+                **assignment.event_fields(category=True),
+                runtime=record.finish_time - record.launch_time,
+                download=record.download_time,
+            )
+        if assignment.kind == "map":
+            shuffle_bytes = runtime.config.block_size * job.config.shuffle_ratio
+            tracker.on_map_complete(record, shuffle_bytes, assignment)
+        else:
+            tracker.on_reduce_complete(record, assignment)
     except Interrupt as interrupt:
-        bus = runtime.tracker.bus
-        if bus is not None:
-            bus.emit(
-                "task.kill", runtime.sim.now,
-                job_id=assignment.job_id, task="reduce",
-                node=assignment.slave_id,
-                reduce_index=assignment.reduce_index, cause=interrupt.cause,
+        if tracker.bus is not None:
+            tracker.bus.emit(
+                "task.kill", sim.now,
+                job_id=assignment.job_id, task=assignment.kind, node=assignment.slave_id,
+                **assignment.event_fields(), cause=interrupt.cause,
             )
         if interrupt.cause == "crash":
             pass
         elif interrupt.cause in _RELEASE_SLOT_CAUSES:
-            runtime.reduce_slots[assignment.slave_id].release()
+            runtime.slots(assignment).release()
         else:
-            runtime.tracker.on_reduce_task_killed(assignment)
+            tracker.on_task_killed(assignment)
 
 
-def _reduce_task_body(runtime: SlaveRuntime, assignment: ReduceAssignment) -> Generator:
-    sim = runtime.sim
-    job = runtime.tracker.active_job(assignment.job_id)
-    if job is None:
-        # Same race as in _map_task_body: the job died before this
-        # attempt's first step and the abort interrupt was dropped.
-        runtime.reduce_slots[assignment.slave_id].release()
-        return
-    shuffle = runtime.tracker.shuffles[assignment.job_id]
-    record = TaskRecord(
-        job_id=assignment.job_id,
-        kind=TaskKind.REDUCE,
-        category=None,
-        slave_id=assignment.slave_id,
-        launch_time=sim.now,
-        attempt=runtime.tracker.attempt_of(assignment),
+def _processing_time(
+    runtime: SlaveRuntime, assignment: MapAssignment | ReduceAssignment, config: JobConfig
+) -> float:
+    """Draw an attempt's processing time, slowed by its node's current speed.
+
+    Each kind draws from its own stream (``maptime`` / ``reducetime``),
+    named per task: ``"{job}:{block}"`` or ``"{job}:{reduce index}"``.
+    """
+    if assignment.kind == "map":
+        mean, std = config.map_time_mean, config.map_time_std
+    else:
+        mean, std = config.reduce_time_mean, config.reduce_time_std
+    seconds = runtime.rng.spawn(f"{assignment.kind}time").normal(
+        f"{assignment.job_id}:{assignment.task}", mean, std
     )
+    return seconds / runtime.speed_of(assignment.slave_id)
+
+
+def _drain_shuffle(
+    runtime: SlaveRuntime,
+    assignment: ReduceAssignment,
+    job: JobTaskState,
+    record: TaskRecord,
+) -> Generator:
+    """Fetch a reduce's partition as maps deposit it, until the maps are done."""
+    sim = runtime.sim
+    shuffle = runtime.tracker.shuffles[assignment.job_id]
     shuffling_time = 0.0
     while True:
         batch = shuffle.take(assignment.reduce_index)
@@ -653,21 +431,184 @@ def _reduce_task_body(runtime: SlaveRuntime, assignment: ReduceAssignment) -> Ge
         yield shuffle.wait(assignment.reduce_index)
     record.download_time = shuffling_time
 
-    processing = runtime.rng.spawn("reducetime").normal(
-        f"{assignment.job_id}:{assignment.reduce_index}",
-        job.config.reduce_time_mean,
-        job.config.reduce_time_std,
-    ) / runtime.speed_of(assignment.slave_id)
-    yield Timeout(processing)
 
-    record.finish_time = sim.now
-    runtime.reduce_slots[assignment.slave_id].release()
-    if runtime.tracker.bus is not None:
-        runtime.tracker.bus.emit(
-            "task.finish", sim.now,
-            job_id=assignment.job_id, task="reduce", node=assignment.slave_id,
-            reduce_index=assignment.reduce_index,
-            runtime=record.finish_time - record.launch_time,
-            download=record.download_time,
+def _degraded_fetch(
+    runtime: SlaveRuntime, assignment: MapAssignment, record: TaskRecord
+) -> Generator:
+    """Reconstruct a lost/corrupt block, surviving source deaths mid-read.
+
+    Plans a degraded read against the current survivors and streams the
+    ``k`` fragments in.  A read fails when a planned source is already
+    known to have crashed, or when a source dies while flows are in flight
+    (:meth:`SlaveRuntime._abort_transfers_from` cancels the flows and
+    :func:`_read_from` returns the sources lost).  Both take one replan
+    tail: count the replan, hand the attempt back to the master once
+    ``config.degraded_read_retries`` is exceeded, else emit
+    ``degraded.replan`` and re-plan after a linear backoff, avoiding every
+    source this read has watched die.  If the stripe has dropped below
+    ``k`` readable blocks the task either parks on the tracker's
+    availability event (``config.wait_for_repair``) or fails the job with
+    a typed :class:`DataUnavailableError`.
+
+    Returns ``True`` when the data landed, ``False`` when the task is over
+    (job failed or attempt requeued); the caller must return immediately
+    on ``False`` -- the slot has already been dealt with.
+    """
+    sim = runtime.sim
+    config = runtime.config
+    tracker = runtime.tracker
+    bus = tracker.bus
+    if assignment.category is not MapTaskCategory.DEGRADED:
+        # Checksum failure on a live replica: report it (which queues a
+        # repair) and reconstruct from the stripe's other blocks instead.
+        tracker.report_corruption(assignment.block, via="read")
+    observed_dead: set[int] = set()
+    replans = 0
+    while True:
+        # The block may have come back since this attempt was classified
+        # degraded: its home node recovered, or a repair rebuilt it
+        # elsewhere.  Then a plain remote read replaces reconstruction, and
+        # losing its one source re-plans without a ``degraded.replan``.
+        home = tracker.hdfs.node_of(assignment.block)
+        reconstructing = (
+            home in tracker.failed_nodes
+            or home in runtime.crash_times
+            or runtime.is_corrupt(assignment.block)
         )
-    runtime.tracker.on_reduce_complete(record, assignment)
+        if not reconstructing:
+            if home == assignment.slave_id:
+                return True
+            flow = runtime.nodetree.transfer(home, assignment.slave_id, config.block_size)
+            lost = yield from _read_from(runtime, assignment, {home}, [flow], flow)
+            if lost is None:
+                record.download_time = sim.now - record.launch_time
+                return True
+        else:
+            # Avoid only sources that are *still* down: a recovered node is
+            # a perfectly good source again.
+            avoid = frozenset(
+                node for node in observed_dead
+                if node in runtime.crash_times or node in tracker.failed_nodes
+            )
+            try:
+                plan = runtime.planner.plan(
+                    assignment.block,
+                    assignment.slave_id,
+                    tracker.failed_nodes,
+                    runtime.rng,
+                    avoid=avoid,
+                )
+            except DataUnavailableError as error:
+                if not config.wait_for_repair:
+                    runtime.slots(assignment).release()
+                    tracker.fail_job_data_unavailable(assignment.job_id, str(error))
+                    return False
+                if bus is not None:
+                    bus.emit(
+                        "degraded.park", sim.now,
+                        job_id=assignment.job_id, block=str(assignment.block),
+                        node=assignment.slave_id, reason=str(error),
+                    )
+                tracker.parked_tasks += 1
+                try:
+                    yield tracker.availability_event()
+                finally:
+                    tracker.parked_tasks -= 1
+                if bus is not None:
+                    bus.emit(
+                        "degraded.unpark", sim.now,
+                        job_id=assignment.job_id, block=str(assignment.block),
+                        node=assignment.slave_id,
+                    )
+                continue
+            sources = {source.node_id for source in plan.sources}
+            # A source may have crashed between this attempt being scheduled
+            # and the plan being drawn (the tracker only learns of silent
+            # crashes at heartbeat expiry).  Reading from a dead node would
+            # hang forever.
+            lost = sources & set(runtime.crash_times)
+            if not lost:
+                per_rack: dict[int, float] = {}
+                for source in plan.sources:
+                    if source.node_id == assignment.slave_id:
+                        continue  # already on this node, no transfer
+                    rack = tracker.topology.rack_of(source.node_id)
+                    per_rack[rack] = per_rack.get(rack, 0.0) + config.block_size
+                if bus is not None:
+                    bus.emit(
+                        "degraded.start", sim.now,
+                        job_id=assignment.job_id, block=str(assignment.block),
+                        node=assignment.slave_id,
+                        surviving_blocks=len(plan.sources),
+                        racks={str(rack): size for rack, size in sorted(per_rack.items())},
+                    )
+                flows = [
+                    runtime.nodetree.transfer_from_rack(rack, assignment.slave_id, size)
+                    for rack, size in sorted(per_rack.items())
+                ]
+                lost = yield from _read_from(
+                    runtime, assignment, sources, flows, sim.all_of(flows) if flows else None
+                )
+                if lost is None:
+                    record.download_time = sim.now - record.launch_time
+                    if bus is not None:
+                        bus.emit(
+                            "degraded.end", sim.now,
+                            job_id=assignment.job_id, block=str(assignment.block),
+                            node=assignment.slave_id, duration=record.download_time,
+                        )
+                    return True
+        observed_dead |= lost
+        replans += 1
+        if replans > config.degraded_read_retries:
+            runtime.slots(assignment).release()
+            tracker.on_task_killed(assignment)
+            return False
+        if bus is not None and reconstructing:
+            bus.emit(
+                "degraded.replan", sim.now,
+                job_id=assignment.job_id, block=str(assignment.block),
+                node=assignment.slave_id, replan=replans,
+                lost_sources=sorted(lost),
+            )
+        yield Timeout(config.degraded_read_backoff * replans)
+
+
+def _read_from(
+    runtime: SlaveRuntime,
+    assignment: MapAssignment,
+    sources: set[int],
+    flows: list,
+    waitable,
+) -> Generator:
+    """Wait for one read's ``flows``; return the sources lost mid-read.
+
+    The read is registered while it waits, so that a dying source's
+    :meth:`SlaveRuntime._abort_transfers_from` can cancel ``flows`` and
+    interrupt this reader with :data:`_REPLAN_CAUSE`; the set of dead
+    sources is then returned.  ``None`` means the data landed.
+    ``waitable`` is what the reader waits on: the one flow of a plain
+    read, the conjunction of a reconstruction's flows, or ``None`` when
+    every source is on the reader's own node.
+    """
+    attempt = runtime.tracker.attempt_record(assignment)
+    entry = {
+        "sources": sources,
+        "flows": flows,
+        "process": attempt.process if attempt is not None else None,
+        "reader": assignment.slave_id,
+        "lost": set(),
+    }
+    token = runtime._next_read_token
+    runtime._next_read_token += 1
+    runtime._degraded_reads[token] = entry
+    try:
+        if waitable is not None:
+            yield waitable
+    except Interrupt as interrupt:
+        if interrupt.cause != _REPLAN_CAUSE:
+            raise
+        return entry["lost"]
+    finally:
+        del runtime._degraded_reads[token]
+    return None

@@ -70,19 +70,26 @@ class TestJobLifecycle:
     def test_completion_flow(self, tracker):
         tracker.expect_jobs(1)
         state = tracker.submit_job(0, JobConfig(num_blocks=12, num_reduce_tasks=1))
-        for index in range(12):
+        blocks = tracker.hdfs.block_map.native_blocks()
+        assert len(blocks) == 12
+        for index, block in enumerate(blocks):
             record = TaskRecord(
                 job_id=0, kind=TaskKind.MAP, category=MapTaskCategory.NODE_LOCAL,
                 slave_id=1, launch_time=0.0, finish_time=10.0 + index,
             )
-            tracker.on_map_complete(record, shuffle_bytes=0.0)
+            assignment = MapAssignment(
+                job_id=0, block=block, category=MapTaskCategory.NODE_LOCAL, slave_id=1
+            )
+            tracker.on_map_complete(record, shuffle_bytes=0.0, assignment=assignment)
         assert state.maps_all_completed()
         assert not tracker.finished
         reduce_record = TaskRecord(
             job_id=0, kind=TaskKind.REDUCE, category=None,
             slave_id=1, launch_time=0.0, finish_time=50.0,
         )
-        tracker.on_reduce_complete(reduce_record)
+        tracker.on_reduce_complete(
+            reduce_record, ReduceAssignment(job_id=0, reduce_index=0, slave_id=1)
+        )
         assert tracker.finished
         assert tracker.all_done.fired
         assert tracker.metrics[0].finish_time == tracker.sim.now
@@ -124,7 +131,7 @@ class TestMidRunFailureBookkeeping:
         assignment = MapAssignment(
             job_id=0, block=block, category=MapTaskCategory.NODE_LOCAL, slave_id=1
         )
-        tracker.on_map_task_killed(assignment)
+        tracker.on_task_killed(assignment)
         assert state.m == launched - 1
         assert tracker.killed_tasks == 1
 
@@ -140,7 +147,7 @@ class TestMidRunFailureBookkeeping:
         assignment = MapAssignment(
             job_id=0, block=block, category=MapTaskCategory.NODE_LOCAL, slave_id=1
         )
-        tracker.on_map_task_killed(assignment)
+        tracker.on_task_killed(assignment)
         # The killed running task's block is now lost too: one more degraded.
         assert state.M_d == degraded_after_failure + 1
 
@@ -153,7 +160,7 @@ class TestMidRunFailureBookkeeping:
         shuffle.deposit(1, 100.0)
         shuffle.take(index)  # the reducer drained it, then dies
         assignment = ReduceAssignment(job_id=0, reduce_index=index, slave_id=3)
-        tracker.on_reduce_task_killed(assignment)
+        tracker.on_task_killed(assignment)
         assert state.pending_reduce_tasks[0] == index
         assert shuffle.take(index) != {}  # backlog restored
 

@@ -8,7 +8,7 @@ from repro.cluster.topology import ClusterTopology
 from repro.core.scheduler import SchedulerContext, make_scheduler
 from repro.ec.codec import CodeParams
 from repro.mapreduce.config import JobConfig
-from repro.mapreduce.job import MapAssignment, MapTaskCategory, TaskKind
+from repro.mapreduce.job import MapAssignment, MapTaskCategory, ReduceAssignment, TaskKind
 from repro.mapreduce.master import JobTracker
 from repro.mapreduce.metrics import TaskRecord
 from repro.sim.engine import Simulator
@@ -45,6 +45,19 @@ def start_one_map(tracker: JobTracker, slave_id: int = 1) -> MapAssignment:
     assignment = MapAssignment(
         job_id=0, block=block, category=category, slave_id=slave_id
     )
+    tracker.note_attempt_started(assignment)
+    return assignment
+
+
+def start_one(
+    tracker: JobTracker, kind: str, slave_id: int = 1
+) -> MapAssignment | ReduceAssignment:
+    """Register a running attempt of a ``kind`` task on ``slave_id``."""
+    if kind == "map":
+        return start_one_map(tracker, slave_id)
+    index = tracker.job_state(0).pop_reduce()
+    assert index is not None
+    assignment = ReduceAssignment(job_id=0, reduce_index=index, slave_id=slave_id)
     tracker.note_attempt_started(assignment)
     return assignment
 
@@ -97,30 +110,54 @@ class TestDeclareDead:
 
 
 class TestRetryBudget:
-    def test_exhaustion_fails_the_job(self):
+    @pytest.mark.parametrize("kind", ["map", "reduce"])
+    def test_exhaustion_fails_the_job(self, kind):
         tracker = make_tracker(max_attempts=1)
         tracker.expect_jobs(1)
-        tracker.submit_job(0, JobConfig(num_blocks=12, num_reduce_tasks=0))
-        assignment = start_one_map(tracker)
-        tracker.on_map_task_killed(assignment)
+        tracker.submit_job(0, JobConfig(num_blocks=12, num_reduce_tasks=2))
+        assignment = start_one(tracker, kind)
+        tracker.on_task_killed(assignment)
         metrics = tracker.metrics[0]
         assert metrics.failed
-        assert "max_attempts" in metrics.failure_reason
+        if kind == "map":
+            named = f"map task for block {assignment.block}"
+        else:
+            named = f"reduce task {assignment.reduce_index}"
+        assert metrics.failure_reason == (
+            f"{named} failed 1 time(s), exhausting max_attempts=1"
+        )
         assert tracker.finished  # the job is retired, not wedged
         with pytest.raises(KeyError):
             tracker.job_state(0)
 
-    def test_below_budget_requeues(self, tracker):
-        state = tracker.job_state(0)
-        assignment = start_one_map(tracker)
-        tracker.on_map_task_killed(assignment)
+    @pytest.mark.parametrize("kind", ["map", "reduce"])
+    def test_below_budget_requeues(self, kind):
+        tracker = make_tracker()
+        tracker.expect_jobs(1)
+        state = tracker.submit_job(0, JobConfig(num_blocks=12, num_reduce_tasks=2))
+        assignment = start_one(tracker, kind)
+        shuffle = tracker.shuffles[0]
+        shuffle.deposit(1, 100.0)
+        drained = shuffle.take(0)  # reducer 0 fetched its share
+        assert drained
+        tracker.on_task_killed(assignment)
         assert not tracker.metrics[0].failed
-        assert state.has_unassigned_maps()
+        assert tracker.metrics[0].killed_attempts == 1
+        if kind == "map":
+            assert state.has_unassigned_maps()
+            assert shuffle.take(0) == {}  # no reducer restarts
+        else:
+            assert assignment.reduce_index == 0
+            assert state.pending_reduce_tasks[0] == 0
+            assert state.launched_reduce_tasks == 0
+            # The killed reducer's fetched data died with it: the backlog
+            # comes back whole (JobShuffle.reset_reducer).
+            assert shuffle.take(0) == drained
 
     def test_attempt_numbers_increment(self, tracker):
         assignment = start_one_map(tracker)
         assert tracker.attempt_of(assignment) == 1
-        tracker.on_map_task_killed(assignment)
+        tracker.on_task_killed(assignment)
         tracker.note_attempt_started(assignment)
         assert tracker.attempt_of(assignment) == 2
 
