@@ -131,13 +131,3 @@ class AnalyticalModel:
         """Fractional runtime saved by DF relative to LF."""
         lf = self.locality_first_runtime()
         return (lf - self.degraded_first_runtime()) / lf
-
-    def is_network_bound(self) -> bool:
-        """Whether DF's runtime is dominated by degraded-read downloads."""
-        p = self.params
-        compute_bound = (
-            p.num_blocks * p.map_time / ((p.num_nodes - 1) * p.map_slots) + p.map_time
-        )
-        return self.degraded_first_runtime() > compute_bound or (
-            self.total_degraded_read_time_per_rack() + p.map_time >= compute_bound
-        )

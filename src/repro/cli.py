@@ -865,9 +865,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             from repro.mapreduce.config import JobConfig, SimulationConfig
 
             schedulers = tuple(
-                name.strip().upper()
-                for name in args.schedulers.split(",")
-                if name.strip()
+                name.strip() for name in args.schedulers.split(",") if name.strip()
             )
             spec = SweepSpec(
                 base=SimulationConfig(

@@ -64,42 +64,3 @@ class FailureInjector:
             rack_id = rng.choice("failures", rack_ids)
             return frozenset(topology.nodes_in_rack(rack_id))
         raise AssertionError(f"unhandled pattern {self.pattern}")
-
-    def to_schedule(
-        self,
-        topology: ClusterTopology,
-        rng: RngStreams,
-        eligible: list[int] | None = None,
-        at: float = 0.0,
-    ):
-        """Express this injector's choice as a :class:`FailureSchedule`.
-
-        The paper's at-start patterns become the degenerate ``at=0`` case of
-        the scripted-schedule machinery (:mod:`repro.faults.schedule`); pass
-        ``at > 0`` to turn the same choice into a mid-run crash that the
-        master must detect from heartbeat expiry.  Draws from the same
-        ``"failures"`` stream as :meth:`choose_failed_nodes`, so both paths
-        pick identical victims for a given seed.
-        """
-        from repro.faults.schedule import FailEvent, FailureSchedule
-
-        victims = self.choose_failed_nodes(topology, rng, eligible)
-        return FailureSchedule(
-            tuple(FailEvent(at=at, node=victim) for victim in sorted(victims))
-        )
-
-    def max_lost_per_stripe(self, topology: ClusterTopology) -> int:
-        """Upper bound on blocks a stripe can lose under this pattern.
-
-        Used to sanity-check that the code's fault tolerance (``n - k``) and
-        the placement policy can survive the injected failure.
-        """
-        if self.pattern is FailurePattern.NONE:
-            return 0
-        if self.pattern is FailurePattern.SINGLE_NODE:
-            return 1
-        if self.pattern is FailurePattern.DOUBLE_NODE:
-            return 2
-        if self.pattern is FailurePattern.RACK:
-            return max(len(rack) for rack in topology.racks)
-        raise AssertionError(f"unhandled pattern {self.pattern}")

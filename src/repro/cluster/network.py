@@ -60,12 +60,3 @@ class NetworkSpec:
             object.__setattr__(self, "rack_upload_bw", self.rack_download_bw)
         if self.node_bandwidth is None:
             object.__setattr__(self, "node_bandwidth", self.rack_download_bw)
-
-    def uncontended_cross_rack_time(self, size: float) -> float:
-        """Seconds to move ``size`` bytes between racks with no competition."""
-        bottleneck = min(self.rack_download_bw, self.rack_upload_bw, self.node_bandwidth)
-        return size / bottleneck
-
-    def uncontended_intra_rack_time(self, size: float) -> float:
-        """Seconds to move ``size`` bytes within a rack with no competition."""
-        return size / self.node_bandwidth

@@ -176,10 +176,6 @@ class NodeTree:
         """
         return self._links.transfer(self.rack_path(src_rack, dst_node), size)
 
-    def downlink_load(self, rack_id: int) -> int:
-        """Active flows on (or holding) a rack's downlink — a congestion probe."""
-        return self._links.active_flow_count(self._downlink(rack_id))
-
     def is_cross_rack(self, src_node: int, dst_node: int) -> bool:
         """Whether a transfer between the nodes crosses the core switch."""
         return self.topology.rack_of(src_node) != self.topology.rack_of(dst_node)

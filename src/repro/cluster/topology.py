@@ -194,15 +194,6 @@ class ClusterTopology:
         """Node ids in a rack."""
         return self.rack(rack_id).node_ids
 
-    def same_rack(self, a: int, b: int) -> bool:
-        """Whether two nodes share a rack."""
-        return self.rack_of(a) == self.rack_of(b)
-
     def node_ids(self) -> Iterable[int]:
         """All node ids in ascending order."""
         return sorted(self._node_by_id)
-
-    def total_map_slots(self, excluding: Iterable[int] = ()) -> int:
-        """Total map slots, optionally excluding failed nodes."""
-        excluded = set(excluding)
-        return sum(node.map_slots for node in self.nodes if node.node_id not in excluded)

@@ -18,12 +18,6 @@ from repro.core.scheduler import Scheduler
 from repro.core.tasks import JobTaskState
 from repro.mapreduce.job import MapAssignment
 
-#: Test-only mutation switch: when True the scheduler launches degraded
-#: tasks even when pacing forbids it.  Exists solely so the sanitizer's
-#: mutation smoke test can prove the ``bdf-pacing`` invariant is not
-#: vacuous (tests monkeypatch it; production code never sets it).
-_FORCE_PACING_BREAK = False
-
 
 def pacing_allows_degraded(job: JobTaskState) -> bool:
     """The paper's launch condition ``m/M >= m_d/M_d``.
@@ -59,7 +53,7 @@ class BasicDegradedFirstScheduler(Scheduler):
             ):
                 # Pacing state is captured before any pop mutates m/m_d.
                 pacing = self.pacing_fields(job) if tracing else None
-                if not (pacing_allows_degraded(job) or _FORCE_PACING_BREAK):
+                if not pacing_allows_degraded(job):
                     if tracing:
                         self.trace_decision(
                             now, slave_id, job_id=job.job_id,

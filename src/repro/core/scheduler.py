@@ -51,15 +51,10 @@ class SchedulerContext:
     reduce_slowstart:
         Fraction of maps that must complete before reducers launch.
 
-    Beyond the raw fields, the context offers the *cluster view* helpers a
-    policy needs to make global decisions: per-node backlog estimates
-    (:meth:`node_backlog`, :meth:`node_backlog_time`), rack occupancy
-    (:meth:`rack_occupancy`), a degraded-task census
-    (:meth:`degraded_census`), and node-capability lookups
+    Beyond the raw fields, the context offers node-capability lookups
     (:meth:`speed_factor`, :meth:`map_slots_of`, :meth:`mean_speed_factor`).
-    All of them are pure queries over ``topology`` and the jobs passed in --
-    they never mutate scheduling state, so calling them cannot perturb a
-    trial.
+    They are pure queries over ``topology`` and ``live_nodes`` -- they never
+    mutate scheduling state, so calling them cannot perturb a trial.
     """
 
     topology: ClusterTopology
@@ -68,7 +63,7 @@ class SchedulerContext:
     map_time_mean: float
     reduce_slowstart: float
 
-    # -- cluster-view helpers ---------------------------------------------------
+    # -- node-capability lookups ------------------------------------------------
 
     def speed_factor(self, node_id: int) -> float:
         """Relative processing speed of ``node_id`` (1.0 = baseline)."""
@@ -84,35 +79,6 @@ class SchedulerContext:
         if not live:
             return 1.0
         return sum(self.speed_factor(node_id) for node_id in live) / len(live)
-
-    def node_backlog(self, jobs: list[JobTaskState], node_id: int) -> int:
-        """Pending node-local map tasks stored on ``node_id``, over all jobs."""
-        return sum(job.pending_node_local_count(node_id) for job in jobs)
-
-    def node_backlog_time(self, jobs: list[JobTaskState], node_id: int) -> float:
-        """Estimated seconds for ``node_id`` to drain its local backlog.
-
-        ``backlog * T / (slots * speed)`` -- the same estimate EDF's
-        locality-preservation guard uses, summed across jobs.
-        """
-        backlog = self.node_backlog(jobs, node_id)
-        node = self.topology.node(node_id)
-        slots = max(node.map_slots, 1)
-        return backlog * self.map_time_mean / (slots * node.speed_factor)
-
-    def rack_occupancy(self, jobs: list[JobTaskState]) -> dict[int, int]:
-        """Pending normal (non-degraded) map tasks per rack, over all jobs."""
-        occupancy: dict[int, int] = {
-            rack.rack_id: 0 for rack in self.topology.racks
-        }
-        for job in jobs:
-            for rack_id in occupancy:
-                occupancy[rack_id] += job.pending_rack_count(rack_id)
-        return occupancy
-
-    def degraded_census(self, jobs: list[JobTaskState]) -> dict[int, int]:
-        """Pending (unassigned) degraded map tasks per job id."""
-        return {job.job_id: job.pending_degraded_count() for job in jobs}
 
 
 class Scheduler(ABC):

@@ -132,10 +132,6 @@ class JobTaskState:
         queue = self._pending_by_node.get(node_id)
         return len(queue) if queue else 0
 
-    def pending_rack_count(self, rack_id: int) -> int:
-        """Unassigned normal map tasks whose block lives in ``rack_id``."""
-        return self._pending_per_rack.get(rack_id, 0)
-
     def pending_degraded_count(self) -> int:
         """Unassigned degraded map tasks awaiting launch."""
         return len(self._pending_degraded)

@@ -11,8 +11,6 @@ the column-reduction step.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
-
 import numpy as np
 
 from repro.ec import matrix as gfm
@@ -42,15 +40,3 @@ class CauchyReedSolomon(ReedSolomon):
 
     def _build_generator(self) -> np.ndarray:
         return cauchy_generator_matrix(self.n, self.k)
-
-
-def crs_encode(
-    n: int, k: int, native_blocks: Sequence[bytes | np.ndarray]
-) -> list[bytes]:
-    """One-shot Cauchy-RS encode convenience wrapper."""
-    return CauchyReedSolomon(n, k).encode(native_blocks)
-
-
-def crs_decode(n: int, k: int, available: Mapping[int, bytes | np.ndarray]) -> list[bytes]:
-    """One-shot Cauchy-RS decode convenience wrapper."""
-    return CauchyReedSolomon(n, k).decode(available)

@@ -2,8 +2,8 @@
 
 :class:`CodeParams` is the ``(n, k)`` pair that appears everywhere in the
 paper; :class:`ErasureCodec` bundles those parameters with a concrete
-Reed-Solomon coder and the stripe layout, and exposes whole-file encode /
-degraded-read operations.
+Reed-Solomon coder and the stripe layout, and exposes batched stripe
+encode / degraded-read operations.
 """
 
 from __future__ import annotations
@@ -42,11 +42,6 @@ class CodeParams:
     def parity(self) -> int:
         """Parity blocks per stripe."""
         return self.n - self.k
-
-    @property
-    def storage_overhead(self) -> float:
-        """Redundancy overhead as a fraction, e.g. 1/3 for (4, 3)."""
-        return self.parity / self.k
 
     def __str__(self) -> str:
         return f"({self.n},{self.k})"
@@ -88,28 +83,19 @@ class ErasureCodec:
         """The underlying coder (shared decode-plan caches live here)."""
         return self._coder
 
-    def encode_stripe(self, native_blocks: Sequence[bytes]) -> list[bytes]:
-        """Encode one stripe: returns the full ``n``-block stripe.
-
-        Blocks may have unequal lengths (line-aligned splitting produces
-        them); they are zero-padded to the longest block *transiently* for
-        parity computation, and a short final stripe is padded to ``k``
-        blocks with empty ones, as HDFS-RAID pads trailing groups.  The
-        returned native blocks keep their exact original content; parity
-        blocks carry the padded length.
-        """
-        return self.encode_stripes([native_blocks])[0]
-
     def encode_stripes(
         self, stripe_natives: Sequence[Sequence[bytes]]
     ) -> list[list[bytes]]:
         """Encode many stripes in one batched kernel pass.
 
-        Semantically identical to calling :meth:`encode_stripe` per stripe
-        (the coder-level batching zero-pads short stripes and the zero
-        parity tail truncates away), but all parity for a whole file is
-        produced by a single matvec over stacked blocks, which is what
-        makes the fig9 testbed's ``write_file`` cheap.
+        Blocks may have unequal lengths (line-aligned splitting produces
+        them); they are zero-padded to the longest block of their stripe
+        *transiently* for parity computation, and a short final stripe is
+        padded to ``k`` blocks with empty ones, as HDFS-RAID pads trailing
+        groups.  The returned native blocks keep their exact original
+        content; parity blocks carry the padded length.  All parity for a
+        whole file is produced by a single matvec over stacked blocks,
+        which is what makes the fig9 testbed's ``write_file`` cheap.
         """
         padded_stripes: list[list[bytes]] = []
         for native_blocks in stripe_natives:
@@ -129,23 +115,6 @@ class ErasureCodec:
             placeholders = [b""] * (self.params.k - len(native_blocks))
             stripes.append(list(native_blocks) + placeholders + parity)
         return stripes
-
-    def encode_file(self, data: bytes, block_size: int) -> list[list[bytes]]:
-        """Split ``data`` into blocks and encode all stripes in one batch.
-
-        Returns one full stripe (``n`` blocks) per group of ``k`` natives.
-        """
-        if block_size <= 0:
-            raise ValueError(f"block size must be positive, got {block_size}")
-        blocks = [data[offset : offset + block_size] for offset in range(0, len(data), block_size)]
-        if not blocks:
-            blocks = [b""]
-        return self.encode_stripes(
-            [
-                blocks[start : start + self.params.k]
-                for start in range(0, len(blocks), self.params.k)
-            ]
-        )
 
     def degraded_read(
         self,
@@ -170,14 +139,6 @@ class ErasureCodec:
                 )
             rebuilt = rebuilt[:lost_length]
         return rebuilt
-
-    def decode_natives(self, available: Mapping[int, bytes]) -> list[bytes]:
-        """Recover all ``k`` native blocks of a stripe from any ``k`` blocks.
-
-        Natives are returned at the coding length (zero-padded); callers
-        tracking true block lengths should truncate.
-        """
-        return self._coder.decode(self._pad_to_coding_length(available))
 
     @staticmethod
     def _pad_to_coding_length(available: Mapping[int, bytes]) -> dict[int, bytes]:

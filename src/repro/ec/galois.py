@@ -5,10 +5,9 @@ polynomial ``x^8 + x^4 + x^3 + x^2 + 1`` (0x11D), the same polynomial used by
 most storage erasure-code implementations (e.g. Jerasure, ISA-L).  Field
 elements are the integers ``0..255``.
 
-Multiplication and division go through precomputed log/antilog tables, which
-makes single-element operations O(1) and lets the vectorised helpers
-(:func:`mul_bytes`, :func:`addmul_bytes`) run over numpy arrays for
-block-sized payloads.
+Multiplication and inversion go through precomputed log/antilog tables,
+which makes single-element operations O(1) and lets the vectorised helper
+:func:`addmul_bytes` run over numpy arrays for block-sized payloads.
 """
 
 from __future__ import annotations
@@ -57,33 +56,11 @@ _INV_TABLE = np.zeros(FIELD_SIZE, dtype=np.uint8)
 _INV_TABLE[1:] = _EXP[FIELD_ORDER - _LOG[1:]]
 
 
-def gf_add(a: int, b: int) -> int:
-    """Return ``a + b`` in GF(2^8); addition is XOR."""
-    return a ^ b
-
-
-def gf_sub(a: int, b: int) -> int:
-    """Return ``a - b`` in GF(2^8); identical to addition."""
-    return a ^ b
-
-
 def gf_mul(a: int, b: int) -> int:
     """Return the product of two field elements."""
     if a == 0 or b == 0:
         return 0
     return int(_EXP[_LOG[a] + _LOG[b]])
-
-
-def gf_div(a: int, b: int) -> int:
-    """Return ``a / b`` in GF(2^8).
-
-    Raises :class:`ZeroDivisionError` when ``b`` is zero.
-    """
-    if b == 0:
-        raise ZeroDivisionError("division by zero in GF(2^8)")
-    if a == 0:
-        return 0
-    return int(_EXP[(_LOG[a] - _LOG[b]) % FIELD_ORDER])
 
 
 def gf_inv(a: int) -> int:
@@ -106,15 +83,6 @@ def gf_pow(a: int, exponent: int) -> int:
         return 0
     reduced = (_LOG[a] * exponent) % FIELD_ORDER
     return int(_EXP[reduced])
-
-
-def mul_bytes(coefficient: int, data: np.ndarray) -> np.ndarray:
-    """Multiply every byte of ``data`` by ``coefficient``; returns a new array."""
-    if coefficient == 0:
-        return np.zeros_like(data)
-    if coefficient == 1:
-        return data.copy()
-    return _MUL_TABLE[coefficient][data]
 
 
 #: Rows a packed pair-table can carry: four ``uint16`` product lanes fit in

@@ -5,11 +5,10 @@ that Reed-Solomon coding needs are provided: multiplication, identity,
 Gauss-Jordan inversion, sub-matrix selection, and the Vandermonde / Cauchy
 generator constructions.
 
-The block-application primitive (:func:`matvec_blocks` /
-:class:`BatchedMatvec`) is the erasure-coding hot path: every encode,
-decode and degraded-read reduces to it.  It is implemented as a packed
-pair-indexed table kernel (see :func:`repro.ec.galois.packed_pair_table`):
-the block is viewed as ``uint16`` pairs and one 65536-entry gather yields
+The block-application primitive (:class:`BatchedMatvec`) is the
+erasure-coding hot path: every encode, decode and degraded-read reduces
+to it.  It is implemented as a packed pair-indexed table kernel (see
+:func:`repro.ec.galois.packed_pair_table`): the block is viewed as ``uint16`` pairs and one 65536-entry gather yields
 the products of both bytes by up to four matrix rows at once, so gather
 work per output row drops by ~8x compared with one 256-entry gather per
 ``(row, column)`` coefficient.  The pre-kernel implementations are retained
@@ -190,23 +189,6 @@ class BatchedMatvec:
         for j in range(self.matrix.shape[1]):
             out ^= _MUL_TABLE[self._dense_rows[:, j][:, None], blocks[j][None, :]]
         return list(out)
-
-
-def matvec_blocks(matrix: np.ndarray, blocks: list[np.ndarray]) -> list[np.ndarray]:
-    """Apply ``matrix`` to a column vector of byte blocks.
-
-    ``blocks`` holds one byte array per matrix column; the result holds one
-    byte array per matrix row.  This is the generic encode/decode primitive:
-    each output block is a GF-linear combination of the input blocks.
-    """
-    rows, cols = matrix.shape
-    if cols != len(blocks):
-        raise ValueError(f"matrix has {cols} columns but got {len(blocks)} blocks")
-    if not blocks:
-        return []
-    return BatchedMatvec(matrix).apply(
-        [np.ascontiguousarray(block, dtype=np.uint8) for block in blocks]
-    )
 
 
 def matvec_blocks_reference(

@@ -86,11 +86,6 @@ class ReedSolomon:
         return gfm.systematic_encoding_matrix(self.n, self.k)
 
     @property
-    def parity_count(self) -> int:
-        """Number of parity blocks per stripe (``n - k``)."""
-        return self.n - self.k
-
-    @property
     def generator_matrix(self) -> np.ndarray:
         """A copy of the ``n x k`` systematic generator matrix."""
         return self._generator.copy()

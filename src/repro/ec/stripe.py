@@ -70,14 +70,8 @@ class StripeLayout:
         """Total stored blocks (native + parity) for ``native_blocks`` natives."""
         return native_blocks + self.stripe_count(native_blocks) * self.parity_per_stripe
 
-    def locate_native(self, native_index: int) -> tuple[int, int]:
-        """Return ``(stripe_id, position)`` for the ``native_index``-th native block."""
-        if native_index < 0:
-            raise ValueError(f"negative native index {native_index}")
-        return divmod(native_index, self.k)
-
     def native_index(self, stripe_id: int, position: int) -> int:
-        """Inverse of :meth:`locate_native`; ``position`` must be native."""
+        """Index of the native block at ``(stripe_id, position)``."""
         if not 0 <= position < self.k:
             raise ValueError(f"position {position} is not a native position (k={self.k})")
         return stripe_id * self.k + position
@@ -89,10 +83,6 @@ class StripeLayout:
         if position < self.k:
             return BlockKind.NATIVE
         return BlockKind.PARITY
-
-    def positions(self) -> range:
-        """All stripe positions ``0 .. n-1``."""
-        return range(self.n)
 
     def name(self, stripe_id: int, position: int) -> str:
         """The paper's name for the block at ``(stripe_id, position)``."""

@@ -29,7 +29,6 @@ from repro.experiments.common import (
     ExperimentTable,
     NormalizationError,
     normalized_runtimes,
-    run_failure_and_normal,
     run_many,
 )
 from repro.experiments.registry import get_experiment, list_experiments
@@ -55,7 +54,6 @@ __all__ = [
     "render_report",
     "report_to_json",
     "run_campaign",
-    "run_failure_and_normal",
     "run_many",
     "run_sweep",
 ]

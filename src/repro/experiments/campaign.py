@@ -63,6 +63,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from repro.core.scheduler import POLICIES
 from repro.experiments.cache import (
     ResultCache,
     canonical_json,
@@ -72,7 +73,7 @@ from repro.experiments.cache import (
 from repro.faults.errors import JobFailedError
 from repro.mapreduce.config import SimulationConfig
 from repro.mapreduce.serialization import config_from_dict, config_to_dict
-from repro.mapreduce.simulation import run_simulation
+from repro.mapreduce.simulation import check_requested, run_simulation
 from repro.obs.digest import LatencyDigest
 
 #: Schema tags for the journal lines, the sweep spec, and the sweep report.
@@ -267,8 +268,16 @@ def _qualname(obj) -> str:
 
 
 def trial_spec_hash(config: SimulationConfig, runner) -> str:
-    """The canonical content hash of one (config, runner) trial."""
+    """The canonical content hash of one (config, runner) trial.
+
+    Check mode (:func:`~repro.mapreduce.simulation.check_requested`) is
+    part of the spec when on, so a journal row or cache entry computed
+    unchecked never stands in for a sanitized trial; unchecked trials hash
+    as if the field did not exist.
+    """
     spec = {"config": config_to_dict(config), "runner": runner_spec(runner)}
+    if check_requested():
+        spec["check"] = True
     return hashlib.sha256(canonical_json(spec).encode()).hexdigest()
 
 
@@ -285,6 +294,10 @@ class JournalState:
     corrupt_lines: int = 0
     #: Whether a valid header for the current code version was seen.
     valid: bool = False
+    #: Code version named by a header from another version, if any.
+    written_by: str | None = None
+    #: Rows journaled by that other version: ignored, but not corrupt.
+    stale_lines: int = 0
 
 
 class Journal:
@@ -389,13 +402,18 @@ class Journal:
                 state.corrupt_lines += 1
                 continue
             if record.get("kind") == "header":
+                written_by = record.get("code_version")
                 state.valid = (
                     record.get("schema") == JOURNAL_SCHEMA
-                    and record.get("code_version") == code_version()
+                    and written_by == code_version()
                 )
+                state.written_by = None if written_by == code_version() else written_by
                 continue
             if not state.valid or record.get("kind") != "trial":
-                state.corrupt_lines += 1
+                if state.written_by is not None:
+                    state.stale_lines += 1
+                else:
+                    state.corrupt_lines += 1
                 continue
             spec = record.get("spec")
             status = record.get("status")
@@ -420,17 +438,27 @@ class Journal:
 
 
 def journal_status(path: str) -> dict:
-    """Summarise a journal for ``repro campaign status``."""
+    """Summarise a journal for ``repro campaign status``.
+
+    A journal written by another code version is reported ``stale``, naming
+    that version (``written_by``) and counting its rows as ``stale_lines``:
+    they are intact, just not replayable by this code.
+    """
     state = Journal.load(path)
     by_status: dict[str, int] = {"done": 0, "failed": 0, "quarantined": 0}
     for record in state.records.values():
         by_status[record["status"]] += 1
-    return {
+    status = {
         "path": path,
         "trials": len(state.records),
         "corrupt_lines": state.corrupt_lines,
+        "stale": state.written_by is not None,
         **by_status,
     }
+    if state.written_by is not None:
+        status["written_by"] = state.written_by
+        status["stale_lines"] = state.stale_lines
+    return status
 
 
 # -- worker pool plumbing -----------------------------------------------------
@@ -717,7 +745,7 @@ class CampaignEngine:
         if self._stop_requested:
             # A second signal means "now": abort without draining.
             raise KeyboardInterrupt
-        self._stop_requested = True
+        self.request_stop()
 
     # -- serial execution ----------------------------------------------------
 
@@ -1089,6 +1117,11 @@ class SweepSpec:
             raise ValueError("campaign needs at least one scheduler")
         if not self.seeds:
             raise ValueError("campaign needs at least one seed")
+        # Canonical registered names, matched case-insensitively; an unknown
+        # name is refused here rather than when the grid is built.
+        object.__setattr__(
+            self, "schedulers", tuple(POLICIES.resolve(name) for name in self.schedulers)
+        )
 
     def grid(self) -> tuple[list[SimulationConfig], list[tuple[str, int]]]:
         """The trial grid plus its (scheduler, seed) keys, in canonical

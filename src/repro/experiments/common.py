@@ -142,20 +142,6 @@ def failure_and_normal_pairs(
         yield "normal", normal.with_seed(seed)
 
 
-def run_failure_and_normal(
-    base: SimulationConfig,
-    schedulers: tuple[str, ...],
-    seeds: list[int] | None = None,
-) -> dict[str, list[SimulationResult]]:
-    """Run every scheduler in failure mode plus a normal-mode reference.
-
-    Returns results keyed by scheduler name, with the extra key
-    ``"normal"`` holding the no-failure reference runs (one per seed).
-    """
-    seeds = default_seeds() if seeds is None else seeds
-    return run_grouped(failure_and_normal_pairs(base, schedulers, seeds))
-
-
 class NormalizationError(ValueError):
     """A normal-mode reference runtime is unusable as a denominator.
 

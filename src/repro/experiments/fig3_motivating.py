@@ -53,11 +53,6 @@ class ExampleTask:
     name: str
     download_from: int | None = None
 
-    @property
-    def is_degraded(self) -> bool:
-        """Whether the task performs a degraded read."""
-        return self.download_from is not None
-
 
 def example_topology() -> ClusterTopology:
     """Figure 2's cluster: nodes 1-3 in rack 0, nodes 4-5 in rack 1.

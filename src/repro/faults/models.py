@@ -26,8 +26,8 @@ The family:
 * :class:`LatentSectorErrors` -- silent per-block corruption surfacing as
   :class:`~repro.faults.schedule.CorruptEvent`; discovered lazily by
   readers or proactively by the scrubber.
-* :class:`TraceReplay` -- replays an external failure log (optionally
-  time-scaled), so real-cluster traces can drive the simulator.
+* :class:`TraceReplay` -- replays a recorded :class:`FailureSchedule`
+  (optionally time-scaled), so real-cluster traces can drive the simulator.
 * :class:`CompositeModel` -- overlays models over *disjoint* concerns
   (e.g. lifetimes + sector errors); the merged stream is checked for
   per-node fail/recover alternation so conflicting overlays fail loudly.
@@ -336,19 +336,6 @@ class TraceReplay(FailureModel):
     def __post_init__(self) -> None:
         if self.time_scale <= 0:
             raise ValueError(f"time_scale must be positive, got {self.time_scale}")
-
-    @classmethod
-    def from_log(cls, records: list[dict], time_scale: float = 1.0) -> "TraceReplay":
-        """Build from ``{"node", "failed_at", "recovered_at"?}`` log records."""
-        events: list[FaultEvent] = []
-        for record in records:
-            node = record["node"]
-            failed_at = float(record["failed_at"])
-            events.append(FailEvent(at=failed_at, node=node))
-            recovered_at = record.get("recovered_at")
-            if recovered_at is not None:
-                events.append(RecoverEvent(at=float(recovered_at), node=node))
-        return cls(schedule=FailureSchedule(tuple(events)), time_scale=time_scale)
 
     def generate(
         self, topology: ClusterTopology, rng: RngStreams, horizon: float

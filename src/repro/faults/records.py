@@ -112,8 +112,3 @@ class FaultTimeline:
     def detection_latencies(self) -> list[float]:
         """Detection latency of every declared failure, in declare order."""
         return [record.latency for record in self.detections]
-
-    @property
-    def blacklisted_nodes(self) -> frozenset[int]:
-        """Nodes that were blacklisted at any point during the trial."""
-        return frozenset(record.node for record in self.blacklistings)

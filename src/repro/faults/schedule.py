@@ -6,7 +6,7 @@ driver process replays against the running simulation.  Because the schedule
 is plain data and the simulator is deterministic, trials with mid-run churn
 are exactly reproducible from a seed.
 
-Schedules are built three ways:
+Schedules are built two ways:
 
 * programmatically::
 
@@ -20,9 +20,6 @@ Schedules are built three ways:
                    "factor": 4.0, "duration": 50.0},
                   {"kind": "corrupt", "at": 15.0, "stripe": 2, "position": 0}]}
 
-* from the paper's at-start patterns via
-  :meth:`repro.cluster.failures.FailureInjector.to_schedule`, which makes
-  the existing experiments the degenerate ``at=0`` case.
 
 Events at ``at == 0`` model nodes that are *down before the trial starts*
 (the paper's setting): the master knows about them from the outset, exactly

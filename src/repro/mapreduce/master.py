@@ -252,15 +252,8 @@ class JobTracker:
             )
         return maps, reduces
 
-    def job_state(self, job_id: int) -> JobTaskState:
-        """Look up an active job's scheduling state (O(1))."""
-        try:
-            return self._jobs_by_id[job_id]
-        except KeyError:
-            raise KeyError(f"job {job_id} is not active") from None
-
     def active_job(self, job_id: int) -> JobTaskState | None:
-        """Like :meth:`job_state`, but ``None`` once the job has retired.
+        """An active job's scheduling state (O(1)); ``None`` once it retired.
 
         Task processes use this to notice that their job was aborted
         between assignment and their first step: :meth:`_fail_job`'s

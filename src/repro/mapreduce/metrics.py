@@ -121,10 +121,6 @@ class JobMetrics:
         """Number of degraded map tasks."""
         return len(self.tasks_of(MapTaskCategory.DEGRADED))
 
-    def mean_runtime(self, kind: TaskKind, *categories: MapTaskCategory) -> float:
-        """Average task runtime for a kind (and optional map categories)."""
-        return mean_task_runtime(self.tasks, kind, *categories)
-
     def mean_degraded_read_time(self) -> float:
         """Average degraded-read (download) time over degraded tasks."""
         degraded = self.tasks_of(MapTaskCategory.DEGRADED)

@@ -92,11 +92,6 @@ def config_from_dict(payload: dict[str, Any]) -> SimulationConfig:
     return SimulationConfig(**kwargs)
 
 
-def config_to_json(config: SimulationConfig, indent: int | None = 2) -> str:
-    """Serialise a configuration to a JSON string."""
-    return json.dumps(config_to_dict(config), indent=indent)
-
-
 def config_from_json(text: str) -> SimulationConfig:
     """Parse a configuration from a JSON string."""
     return config_from_dict(json.loads(text))

@@ -68,7 +68,7 @@ def check_env(enabled: bool):
     """Set ``REPRO_CHECK=1`` for the block when ``enabled``, then restore it.
 
     The environment is how check mode reaches process-pool workers;
-    :func:`run_simulation` is its only reader.
+    :func:`check_requested` is its only reader.
     """
     previous = os.environ.get("REPRO_CHECK")
     if enabled:
@@ -80,6 +80,11 @@ def check_env(enabled: bool):
             os.environ.pop("REPRO_CHECK", None)
         elif enabled:
             os.environ["REPRO_CHECK"] = previous
+
+
+def check_requested() -> bool:
+    """Whether ``REPRO_CHECK`` asks for sanitized trials (non-empty, not ``0``)."""
+    return os.environ.get("REPRO_CHECK", "") not in ("", "0")
 
 
 def run_simulation(
@@ -104,7 +109,7 @@ def run_simulation(
     from repro.check.invariants import InvariantMonitor
 
     if check is None:
-        check = os.environ.get("REPRO_CHECK", "") not in ("", "0")
+        check = check_requested()
     if isinstance(observer, InvariantMonitor):
         monitor = observer
     elif check:

@@ -4,16 +4,14 @@ The paper communicates its scheduling ideas through map-slot activity
 charts (Figures 3 and 4).  This module turns a
 :class:`~repro.mapreduce.metrics.SimulationResult` into the same artifact:
 
-* :func:`to_records` / :func:`to_json` / :func:`write_csv` -- flat task
-  records for external tooling;
+* :func:`to_records` / :func:`to_json` -- flat task records for external
+  tooling;
 * :func:`render_timeline` -- an ASCII map-slot activity chart, one row per
   node, download phases drawn differently from processing.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 
@@ -135,24 +133,6 @@ def to_json(result: SimulationResult, indent: int | None = None) -> str:
     return json.dumps(sanitize(payload), indent=indent, allow_nan=False)
 
 
-def write_csv(result: SimulationResult, stream: io.TextIOBase | None = None) -> str:
-    """Write the task records as CSV; returns the text."""
-    records = to_records(result)
-    buffer = io.StringIO()
-    fields = [
-        "job_id", "kind", "category", "slave_id",
-        "launch_time", "download_time", "finish_time", "runtime",
-        "attempt", "speculative",
-    ]
-    writer = csv.DictWriter(buffer, fieldnames=fields)
-    writer.writeheader()
-    writer.writerows(records)
-    text = buffer.getvalue()
-    if stream is not None:
-        stream.write(text)
-    return text
-
-
 def render_timeline(
     result: SimulationResult,
     width: int = 72,
@@ -207,23 +187,4 @@ def render_timeline(
     for (node, lane_index) in sorted(lanes):
         label = f"node {node}.{lane_index}"
         lines.append(f"{label:>10} |{''.join(lanes[(node, lane_index)])}|")
-    return "\n".join(lines)
-
-
-def summarize(result: SimulationResult) -> str:
-    """A one-paragraph textual digest of a trial."""
-    lines = [
-        f"scheduler={result.scheduler} seed={result.seed} "
-        f"failed={sorted(result.failed_nodes)}"
-    ]
-    for job_id, job in sorted(result.jobs.items()):
-        degraded_read = job.mean_degraded_read_time()
-        degraded_text = "n/a" if math.isnan(degraded_read) else f"{degraded_read:.1f}s"
-        lines.append(
-            f"  job {job_id}: runtime={job.runtime:.1f}s "
-            f"maps={sum(1 for t in job.tasks if t.kind is TaskKind.MAP)} "
-            f"degraded={job.degraded_task_count} "
-            f"mean-degraded-read={degraded_text} "
-            f"stolen={job.stolen_task_count}"
-        )
     return "\n".join(lines)

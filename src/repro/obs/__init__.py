@@ -46,7 +46,7 @@ from repro.obs.export import (
     sanitize,
     write_text,
 )
-from repro.obs.metrics import Counter, Gauge, MetricsRegistry, TimeWeightedSeries
+from repro.obs.metrics import MetricsRegistry, TimeWeightedSeries
 from repro.obs.profile import Profiler
 from repro.obs.report import (
     CAMPAIGN_SCHEMA,
@@ -62,9 +62,7 @@ from repro.obs.report import (
 
 __all__ = [
     "CAMPAIGN_SCHEMA",
-    "Counter",
     "EventBus",
-    "Gauge",
     "LatencyDigest",
     "MetricsRegistry",
     "ObsEvent",

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.mapreduce.job import MapTaskCategory, TaskKind
+from repro.mapreduce.job import TaskKind
 from repro.mapreduce.metrics import SimulationResult
 from repro.obs.digest import LatencyDigest
 from repro.obs.events import ObsEvent
@@ -585,20 +585,3 @@ def analyze_run(source) -> RunAnalysis:
     else:
         timeline = Timeline.from_events(list(source))
     return analyze_timeline(timeline)
-
-
-# -- process-pool helpers ------------------------------------------------------
-
-
-def traced_decisions(config) -> list[dict]:
-    """Run one trial and return its decision trace as plain dicts.
-
-    Module-level so :func:`repro.experiments.common.run_many` can pickle
-    it; the golden serial-vs-parallel decision-trace test is built on it.
-    """
-    from repro.mapreduce.simulation import run_simulation
-    from repro.obs.collector import ObservabilityCollector
-
-    collector = ObservabilityCollector(keep_events=False)
-    run_simulation(config, observer=collector)
-    return [decision.to_dict() for decision in collector.decisions]

@@ -85,11 +85,6 @@ class LatencyDigest:
         index = _bin_of(value)
         self.counts[index] = self.counts.get(index, 0) + 1
 
-    def extend(self, values) -> None:
-        """Fold an iterable of samples in, in iteration order."""
-        for value in values:
-            self.add(value)
-
     def merge(self, other: "LatencyDigest") -> None:
         """Fold ``other`` into this digest (exact on counts).
 
@@ -105,14 +100,6 @@ class LatencyDigest:
             self.minimum = other.minimum
         if other.maximum > self.maximum:
             self.maximum = other.maximum
-
-    @classmethod
-    def merged(cls, digests) -> "LatencyDigest":
-        """A fresh digest folding ``digests`` together in iteration order."""
-        out = cls()
-        for digest in digests:
-            out.merge(digest)
-        return out
 
     @property
     def mean(self) -> float | None:

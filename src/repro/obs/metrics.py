@@ -1,4 +1,4 @@
-"""Counters, gauges, and time-weighted series for simulation metrics.
+"""Time-weighted series for simulation metrics.
 
 The paper's evaluation lives on occupancy/utilization curves: map-slot
 timelines (Figures 3-4), rack downlink contention, runtime breakdowns
@@ -11,32 +11,6 @@ link utilization need.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-
-@dataclass
-class Counter:
-    """A monotonically increasing count."""
-
-    name: str = ""
-    value: float = 0
-
-    def inc(self, amount: float = 1) -> None:
-        """Add ``amount`` (must be non-negative) to the count."""
-        if amount < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease by {amount}")
-        self.value += amount
-
-
-@dataclass
-class Gauge:
-    """A last-write-wins scalar."""
-
-    name: str = ""
-    value: float = 0.0
-
-    def set(self, value: float) -> None:
-        """Overwrite the gauge."""
-        self.value = value
 
 
 class TimeWeightedSeries:
@@ -86,18 +60,6 @@ class TimeWeightedSeries:
         """The breakpoints as ``(time, value)`` pairs."""
         return list(zip(self._times, self._values))
 
-    def value_at(self, time: float) -> float:
-        """The signal's value at an instant (initial value before start)."""
-        if time < self._times[0]:
-            return self._values[0]
-        # Linear scan is fine: series are read once, at report time.
-        result = self._values[0]
-        for t, v in zip(self._times, self._values):
-            if t > time:
-                break
-            result = v
-        return result
-
     def integral(self, start: float, end: float) -> float:
         """Exact integral of the signal over ``[start, end]``."""
         if end < start:
@@ -133,23 +95,7 @@ class TimeWeightedSeries:
 class MetricsRegistry:
     """Named metric instruments, created on first use."""
 
-    counters: dict[str, Counter] = field(default_factory=dict)
-    gauges: dict[str, Gauge] = field(default_factory=dict)
     series: dict[str, TimeWeightedSeries] = field(default_factory=dict)
-
-    def counter(self, name: str) -> Counter:
-        """Get or create the counter ``name``."""
-        instrument = self.counters.get(name)
-        if instrument is None:
-            instrument = self.counters[name] = Counter(name=name)
-        return instrument
-
-    def gauge(self, name: str) -> Gauge:
-        """Get or create the gauge ``name``."""
-        instrument = self.gauges.get(name)
-        if instrument is None:
-            instrument = self.gauges[name] = Gauge(name=name)
-        return instrument
 
     def time_series(
         self, name: str, initial: float = 0.0, start: float = 0.0

@@ -43,15 +43,6 @@ class Profiler:
             return 0.0
         return self.events_dispatched / run_seconds
 
-    def report(self) -> dict:
-        """JSON-friendly summary of everything measured."""
-        return {
-            "events_dispatched": self.events_dispatched,
-            "events_emitted": self.events_emitted,
-            "events_per_second": self.events_per_second,
-            "spans_seconds": dict(sorted(self.spans.items())),
-        }
-
     def render(self) -> str:
         """Plain-text summary, one line per figure."""
         lines = ["profile:"]

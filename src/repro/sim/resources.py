@@ -100,11 +100,6 @@ class Semaphore:
             return True
         return False
 
-    @property
-    def queue_length(self) -> int:
-        """Number of blocked acquirers."""
-        return len(self._queue)
-
 
 @dataclass(eq=False, slots=True)
 class _Flow:

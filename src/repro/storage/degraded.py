@@ -30,31 +30,12 @@ class SourceSelection(enum.Enum):
 class DegradedReadPlan:
     """The concrete download set for one degraded read.
 
-    ``sources`` lists the ``k`` surviving blocks to fetch; helpers classify
-    them relative to the reading node for traffic accounting.
+    ``sources`` lists the ``k`` surviving blocks to fetch.
     """
 
     lost_block: BlockId
     reader_node: int
     sources: tuple[StoredBlock, ...]
-
-    def cross_rack_sources(self, topology: ClusterTopology) -> list[StoredBlock]:
-        """Sources whose download crosses the core switch."""
-        reader_rack = topology.rack_of(self.reader_node)
-        return [
-            source
-            for source in self.sources
-            if topology.rack_of(source.node_id) != reader_rack
-        ]
-
-    def same_rack_sources(self, topology: ClusterTopology) -> list[StoredBlock]:
-        """Sources served from within the reader's rack (including same node)."""
-        reader_rack = topology.rack_of(self.reader_node)
-        return [
-            source
-            for source in self.sources
-            if topology.rack_of(source.node_id) == reader_rack
-        ]
 
 
 class DegradedReadPlanner:

@@ -104,7 +104,3 @@ class HdfsRaidCluster:
     def node_of(self, block: BlockId) -> int:
         """Node holding ``block``."""
         return self.block_map.node_of(block)
-
-    def local_native_blocks(self, node_id: int) -> list[BlockId]:
-        """Native blocks stored on ``node_id``."""
-        return self.block_map.native_blocks_on_node(node_id)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
-from repro.cluster.topology import ClusterTopology
 from repro.ec.codec import CodeParams
 from repro.faults.errors import DataUnavailableError
 from repro.storage.block import BlockId, StoredBlock
@@ -155,25 +154,3 @@ class BlockMap:
                     f"{sorted(set(failed_nodes))}",
                     stripe_id=stripe_id,
                 )
-
-    def unavailable_stripes(self, failed_nodes: Iterable[int]) -> list[int]:
-        """Stripes that currently cannot be decoded (``< k`` readable blocks)."""
-        failed = set(failed_nodes)
-        return [
-            stripe_id
-            for stripe_id in range(self.num_stripes)
-            if not self.is_decodable(stripe_id, failed)
-        ]
-
-    def blocks_per_node(self) -> dict[int, int]:
-        """Histogram of stored blocks per node (for load-balance assertions)."""
-        histogram: dict[int, int] = {}
-        for node in self._assignment.values():
-            histogram[node] = histogram.get(node, 0) + 1
-        return histogram
-
-    def native_blocks_on_node(self, node_id: int, topology: ClusterTopology | None = None) -> list[BlockId]:
-        """Real native blocks on one node (the node's local map-task inputs)."""
-        del topology  # reserved for future rack-scoped queries
-        natives = set(self.native_blocks())
-        return [block for block in self.blocks_on_node(node_id) if block in natives]

@@ -51,11 +51,6 @@ class DataNodeStore:
                     f"node {self.node_id} does not hold {block}"
                 ) from None
 
-    def block_count(self) -> int:
-        """Number of blocks stored."""
-        with self._lock:
-            return len(self._blocks)
-
 
 class HdfsRaidFilesystem:
     """An erasure-coded file over in-memory datanodes.
@@ -242,7 +237,3 @@ class HdfsRaidFilesystem:
             self.stores[repair.destination].put(repair.block, payload)
             self.block_map.reassign(repair.block, repair.destination)
         return plan
-
-    def stored_blocks_per_node(self) -> dict[int, int]:
-        """Blocks held by each node (for load-balance assertions)."""
-        return {node_id: store.block_count() for node_id, store in self.stores.items()}

@@ -45,8 +45,6 @@ class EmulatedNetwork:
         self.network = network
         self.time_scale = time_scale
         self._locks: dict[str, threading.Lock] = {}
-        self._transferred_bytes = 0.0
-        self._stats_lock = threading.Lock()
         for rack in topology.racks:
             self._locks[f"rack{rack.rack_id}:down"] = threading.Lock()
             self._locks[f"rack{rack.rack_id}:up"] = threading.Lock()
@@ -95,12 +93,4 @@ class EmulatedNetwork:
             finally:
                 for lock in reversed(acquired):
                     lock.release()
-            with self._stats_lock:
-                self._transferred_bytes += size
         return (time.monotonic() - started) / self.time_scale
-
-    @property
-    def transferred_bytes(self) -> float:
-        """Total bytes moved so far (for traffic accounting in tests)."""
-        with self._stats_lock:
-            return self._transferred_bytes

@@ -153,7 +153,7 @@ class TestBlacklisting:
                 blacklist_threshold=3,
             )
         )
-        assert result.faults.blacklisted_nodes == {1}
+        assert {record.node for record in result.faults.blacklistings} == {1}
         assert len(result.faults.detections) == 3
         # The job still completes: the blacklisted node's work moved elsewhere.
         job = result.job(0)

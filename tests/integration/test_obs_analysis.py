@@ -48,7 +48,7 @@ from repro.obs import (
     read_events_jsonl,
     sanitize,
 )
-from repro.obs.analyze import traced_decisions
+from tests.helpers import traced_decisions
 from repro.storage.repair_driver import RepairConfig
 
 

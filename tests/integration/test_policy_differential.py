@@ -34,7 +34,7 @@ from repro.mapreduce.config import JobConfig, SimulationConfig
 from repro.mapreduce.job import MapTaskCategory
 from repro.mapreduce.metrics import TaskKind
 from repro.mapreduce.simulation import run_simulation
-from repro.obs.analyze import traced_decisions
+from tests.helpers import traced_decisions
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "golden")
 

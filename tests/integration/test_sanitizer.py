@@ -6,9 +6,9 @@ Three contracts:
    :class:`InvariantMonitor` records no violations AND reproduces the
    committed golden bit for bit -- the byte-pinned ``result`` and the
    ``dispatched`` pin alike (the monitor is a pure observer).
-2. **Detection power** -- a deliberately broken BDF pacing gate (the
-   test-only ``_FORCE_PACING_BREAK`` switch) is caught and named by the
-   sanitizer (mutation smoke test).
+2. **Detection power** -- a deliberately broken BDF pacing gate
+   (``degraded_first.pacing_allows_degraded`` monkeypatched to always allow)
+   is caught and named by the sanitizer (mutation smoke test).
 3. **Regression corpus** -- every shrunk repro under ``tests/corpus/``,
    each the fingerprint of a once-real bug, now replays clean.
 """
@@ -87,7 +87,7 @@ class TestMutationSmoke:
     def test_broken_pacing_is_caught(self, monkeypatch):
         from repro.core import degraded_first
 
-        monkeypatch.setattr(degraded_first, "_FORCE_PACING_BREAK", True)
+        monkeypatch.setattr(degraded_first, "pacing_allows_degraded", lambda job: True)
         with pytest.raises(InvariantViolationError) as excinfo:
             run_simulation(self.CONFIG, check=True)
         assert any(

@@ -53,7 +53,7 @@ class TestMatvecEquivalence:
     @given(gf_matrix(), block_lengths, st.integers(min_value=0, max_value=2**31))
     def test_matches_reference(self, matrix, length, seed):
         blocks = random_blocks(matrix.shape[1], length, seed)
-        fast = gfm.matvec_blocks(matrix, blocks)
+        fast = gfm.BatchedMatvec(matrix).apply(blocks)
         slow = gfm.matvec_blocks_reference(matrix, blocks)
         assert len(fast) == len(slow)
         for fast_row, slow_row in zip(fast, slow):
@@ -78,7 +78,7 @@ class TestMatvecEquivalence:
         """Unit rows return copies, never views of the caller's blocks."""
         matrix = np.array([[1, 0], [0, 1], [2, 3]], dtype=np.uint8)
         blocks = random_blocks(2, 32, seed=7)
-        out = gfm.matvec_blocks(matrix, blocks)
+        out = gfm.BatchedMatvec(matrix).apply(blocks)
         out[0][:] = 0
         assert not np.array_equal(out[0], blocks[0])
 

@@ -16,14 +16,21 @@ def code_params(draw):
     return CodeParams(k + parity, k)
 
 
+def encode_file(codec: ErasureCodec, data: bytes, block_size: int) -> list[list[bytes]]:
+    """Split ``data`` into blocks and encode every stripe in one batch."""
+    blocks = [data[offset : offset + block_size] for offset in range(0, len(data), block_size)]
+    k = codec.params.k
+    return codec.encode_stripes([blocks[start : start + k] for start in range(0, len(blocks), k)])
+
+
 @settings(max_examples=30, deadline=None)
 @given(code_params(), st.binary(min_size=1, max_size=512), st.integers(min_value=1, max_value=64))
 def test_encode_file_roundtrips_original_bytes(params, data, block_size):
     """Concatenating the native blocks of every stripe returns the file."""
     codec = ErasureCodec(params)
-    stripes = codec.encode_file(data, block_size)
+    stripes = encode_file(codec, data, block_size)
     natives = []
-    remaining = -(-len(data) // block_size) if data else 1
+    remaining = -(-len(data) // block_size)
     for stripe in stripes:
         take = min(params.k, remaining)
         natives.extend(stripe[:take])
@@ -41,7 +48,7 @@ def test_encode_file_roundtrips_original_bytes(params, data, block_size):
 def test_degraded_read_survives_max_erasures(params, data, block_size, pyrandom):
     """Erase n-k random blocks of a stripe; every lost block reconstructs."""
     codec = ErasureCodec(params)
-    stripes = codec.encode_file(data, block_size)
+    stripes = encode_file(codec, data, block_size)
     stripe = stripes[0]
     erased = pyrandom.sample(range(params.n), params.parity)
     available = {
@@ -56,7 +63,7 @@ def test_degraded_read_survives_max_erasures(params, data, block_size, pyrandom)
 @given(code_params(), st.binary(min_size=0, max_size=128))
 def test_parity_blocks_all_same_length(params, data):
     codec = ErasureCodec(params)
-    stripe = codec.encode_stripe([data.ljust(1, b"\0")])
+    stripe = codec.encode_stripes([[data.ljust(1, b"\0")]])[0]
     parities = stripe[params.k:]
     assert len({len(parity) for parity in parities}) == 1
 

@@ -154,7 +154,7 @@ def test_no_degraded_starvation(name, seed):
 @pytest.mark.parametrize("name", ALL_POLICIES)
 def test_decision_trace_is_deterministic(name):
     """Same scenario + seed => bit-identical ``sched.decision`` trace."""
-    from repro.obs.analyze import traced_decisions
+    from tests.helpers import traced_decisions
 
     config = SimulationConfig(
         scheduler=name, seed=3, num_nodes=6, num_racks=2,

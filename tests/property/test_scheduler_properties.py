@@ -94,7 +94,7 @@ def test_categories_are_consistent_with_storage(name, seed):
             assert assignment.category is MapTaskCategory.DEGRADED
         elif home == assignment.slave_id:
             assert assignment.category is MapTaskCategory.NODE_LOCAL
-        elif topology.same_rack(home, assignment.slave_id):
+        elif topology.rack_of(home) == topology.rack_of(assignment.slave_id):
             assert assignment.category is MapTaskCategory.RACK_LOCAL
         else:
             assert assignment.category is MapTaskCategory.REMOTE

@@ -27,20 +27,24 @@ class TestCustomBases:
         assert [point.label for point in points] == ["100Mbps", "200Mbps"]
 
 
+def compute_bound_runtime(params: AnalysisParams) -> float:
+    """DF's runtime when degraded reads never delay the map phase."""
+    return (
+        params.num_blocks * params.map_time / ((params.num_nodes - 1) * params.map_slots)
+        + params.map_time
+    )
+
+
 class TestRegimeBoundary:
     def test_network_bound_at_low_bandwidth(self):
         model = AnalyticalModel(AnalysisParams(rack_bandwidth=mbps(50)))
-        assert model.is_network_bound()
+        # Degraded-read downloads, not compute, then set DF's runtime.
+        assert model.degraded_first_runtime() > compute_bound_runtime(model.params)
 
     def test_compute_bound_at_high_bandwidth(self):
         model = AnalyticalModel(AnalysisParams(rack_bandwidth=mbps(10_000)))
         # DF's runtime is then its compute-bound case.
-        expected = (
-            model.params.num_blocks
-            * model.params.map_time
-            / ((model.params.num_nodes - 1) * model.params.map_slots)
-            + model.params.map_time
-        )
+        expected = compute_bound_runtime(model.params)
         assert model.degraded_first_runtime() == pytest.approx(expected)
 
     def test_df_runtime_monotone_in_bandwidth(self):

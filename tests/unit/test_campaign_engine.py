@@ -25,8 +25,11 @@ from repro.experiments.campaign import (
     journal_status,
     trial_spec_hash,
 )
+from repro.cluster.network import MB
+from repro.ec.codec import CodeParams
 from repro.experiments.cache import ResultCache
-from repro.mapreduce.config import SimulationConfig
+from repro.mapreduce.config import JobConfig, SimulationConfig
+from repro.mapreduce.simulation import check_env, run_simulation
 
 
 def configs_for(count: int) -> list[SimulationConfig]:
@@ -61,6 +64,22 @@ def sleep_runner(config: SimulationConfig) -> dict:
     if config.seed == 1 and _in_worker():
         time.sleep(30.0)
     return toy_runner(config)
+
+
+def simulated_runner(config: SimulationConfig) -> dict:
+    """A real trial; checked whenever ``REPRO_CHECK`` asks for it."""
+    return {"seed": config.seed, "makespan": run_simulation(config).job(0).runtime}
+
+
+def tiny_configs(count: int) -> list[SimulationConfig]:
+    base = SimulationConfig(
+        num_nodes=6,
+        num_racks=2,
+        code=CodeParams(4, 2),
+        block_size=16 * MB,
+        jobs=(JobConfig(num_blocks=12, num_reduce_tasks=1),),
+    )
+    return [base.with_seed(seed) for seed in range(count)]
 
 
 def fast_policy(**overrides) -> CampaignPolicy:
@@ -108,6 +127,78 @@ class TestSpecHash:
         assert trial_spec_hash(config, toy_runner) == trial_spec_hash(
             config, toy_runner
         )
+
+
+class TestCheckModeBinding:
+    """A sanitized campaign never replays payloads computed unchecked."""
+
+    @pytest.fixture
+    def monitors(self, monkeypatch):
+        """Count the invariant monitors ``run_simulation`` builds."""
+        from repro.check import invariants
+
+        built = []
+
+        class CountingMonitor(invariants.InvariantMonitor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.delenv("REPRO_CHECK", raising=False)
+        monkeypatch.setattr(invariants, "InvariantMonitor", CountingMonitor)
+        return built
+
+    def test_unchecked_hash_is_pinned(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CHECK", raising=False)
+        assert trial_spec_hash(SimulationConfig(seed=0), toy_runner) == (
+            "3b8faae41c24d5013d62480e50371e3538134c7f7b1909bd2f20939e66961d7a"
+        )
+        monkeypatch.setenv("REPRO_CHECK", "0")  # "0" means unchecked
+        assert trial_spec_hash(SimulationConfig(seed=0), toy_runner) == (
+            "3b8faae41c24d5013d62480e50371e3538134c7f7b1909bd2f20939e66961d7a"
+        )
+
+    def test_check_mode_changes_the_hash(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CHECK", raising=False)
+        unchecked = trial_spec_hash(SimulationConfig(seed=0), toy_runner)
+        with check_env(True):
+            assert trial_spec_hash(SimulationConfig(seed=0), toy_runner) != unchecked
+
+    def test_checked_run_recomputes_an_unchecked_cache(self, tmp_path, monitors):
+        cache = ResultCache(directory=str(tmp_path / "cache"), code_version="test")
+        configs = tiny_configs(2)
+
+        def run():
+            return CampaignEngine(
+                runner=simulated_runner, policy=fast_policy(workers=1), cache=cache
+            ).run(configs)
+
+        unchecked = run()
+        assert (unchecked.counters.cached, len(monitors)) == (0, 0)
+        with check_env(True):
+            checked = run()
+            assert (checked.counters.cached, len(monitors)) == (0, 2)
+            again = run()
+        assert (again.counters.cached, len(monitors)) == (2, 2)
+        assert checked.results == unchecked.results == again.results
+
+    def test_checked_resume_recomputes_an_unchecked_journal(self, tmp_path, monitors):
+        journal = str(tmp_path / "journal.jsonl")
+        configs = tiny_configs(2)
+
+        def run():
+            return CampaignEngine(
+                runner=simulated_runner, policy=fast_policy(workers=1), journal_path=journal
+            ).run(configs)
+
+        unchecked = run()
+        assert (unchecked.counters.replayed, len(monitors)) == (0, 0)
+        with check_env(True):
+            checked = run()
+            assert (checked.counters.replayed, len(monitors)) == (0, 2)
+            again = run()
+        assert (again.counters.replayed, len(monitors)) == (2, 2)
+        assert checked.results == unchecked.results == again.results
 
 
 class TestExecution:
@@ -281,6 +372,24 @@ class TestJournal:
         with open(journal, "w") as handle:
             handle.write("\n".join(lines) + "\n")
         assert Journal.load(journal).records == {}
+
+    def test_status_reports_another_versions_journal_as_stale(self, tmp_path):
+        journal = str(tmp_path / "journal.jsonl")
+        CampaignEngine(
+            runner=toy_runner, policy=fast_policy(), journal_path=journal
+        ).run(configs_for(2))
+        assert journal_status(journal)["stale"] is False
+        lines = open(journal).read().splitlines()
+        header = json.loads(lines[0])
+        header["code_version"] = "0.0.1"
+        lines[0] = json.dumps(header)
+        with open(journal, "w") as handle:
+            handle.write("\n".join(lines) + "\n")
+        status = journal_status(journal)
+        assert status["stale"] is True
+        assert status["written_by"] == "0.0.1"
+        assert status["stale_lines"] == 2
+        assert (status["trials"], status["corrupt_lines"]) == (0, 0)
 
     def test_failures_are_journaled(self, tmp_path):
         journal = str(tmp_path / "journal.jsonl")

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ec import matrix as gfm
-from repro.ec.cauchy import CauchyReedSolomon, cauchy_generator_matrix, crs_decode, crs_encode
+from repro.ec.cauchy import CauchyReedSolomon, cauchy_generator_matrix
 from repro.ec.codec import CodeParams, ErasureCodec
 from repro.ec.reed_solomon import ReedSolomon
 
@@ -57,18 +57,12 @@ class TestCoding:
         assert cauchy.decode({2: parity_c[0], 3: parity_c[1]}) == natives
         assert vandermonde.decode({2: parity_v[0], 3: parity_v[1]}) == natives
 
-    def test_convenience_wrappers(self):
-        natives = [b"aaaa", b"bbbb"]
-        parity = crs_encode(4, 2, natives)
-        recovered = crs_decode(4, 2, {1: natives[1], 2: parity[0]})
-        assert recovered == natives
-
 
 class TestCodecIntegration:
     def test_codec_algorithm_selection(self):
         codec = ErasureCodec(CodeParams(4, 2), algorithm="cauchy")
         assert codec.algorithm == "cauchy"
-        stripe = codec.encode_stripe([b"dataA", b"dataB"])
+        stripe = codec.encode_stripes([[b"dataA", b"dataB"]])[0]
         rebuilt = codec.degraded_read(0, {1: stripe[1], 3: stripe[3]}, lost_length=5)
         assert rebuilt == b"dataA"
 

@@ -261,7 +261,7 @@ class TestCheckMode:
     def test_simulate_check_violation_exits_3(self, capsys, monkeypatch):
         from repro.core import degraded_first
 
-        monkeypatch.setattr(degraded_first, "_FORCE_PACING_BREAK", True)
+        monkeypatch.setattr(degraded_first, "pacing_allows_degraded", lambda job: True)
         code = main(self._BDF_BROKEN + ["--check"])
         assert code == 3
         err = capsys.readouterr().err
@@ -272,7 +272,7 @@ class TestCheckMode:
         # The mutation only trips the sanitizer; an unchecked run completes.
         from repro.core import degraded_first
 
-        monkeypatch.setattr(degraded_first, "_FORCE_PACING_BREAK", True)
+        monkeypatch.setattr(degraded_first, "pacing_allows_degraded", lambda job: True)
         assert main(self._BDF_BROKEN) == 0
 
 
@@ -300,7 +300,7 @@ class TestFuzz:
     def test_fuzz_finding_exits_3_and_saves_repro(self, capsys, tmp_path, monkeypatch):
         from repro.core import degraded_first
 
-        monkeypatch.setattr(degraded_first, "_FORCE_PACING_BREAK", True)
+        monkeypatch.setattr(degraded_first, "pacing_allows_degraded", lambda job: True)
         corpus = tmp_path / "corpus"
         # Pin the policy axis to BDF: the forced pacing break lives in the
         # BDF assign path, and the default per-scenario draw from the full

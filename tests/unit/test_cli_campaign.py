@@ -51,6 +51,17 @@ class TestCampaignRun:
         assert main(["campaign", "run", "--schedulers", ",", "--seeds", "1"]) == 2
         assert "bad campaign options" in capsys.readouterr().err
 
+    def test_unknown_scheduler_exit_two(self, capsys):
+        assert main(["campaign", "run", "--schedulers", "LF,foo", "--seeds", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "bad campaign options: unknown scheduler 'foo'" in err
+        assert "Traceback" not in err
+
+    def test_scheduler_names_resolve_case_insensitively(self):
+        from repro.experiments.campaign import SweepSpec
+
+        assert SweepSpec(schedulers=("lf", "Edf")).schedulers == ("LF", "EDF")
+
 
 class TestCampaignResume:
     def test_resume_without_journal_exit_two(self, capsys):

@@ -67,6 +67,12 @@ def _bad_spec(tmp_path) -> str:
     return str(spec)
 
 
+def _unknown_scheduler_spec(tmp_path) -> str:
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"schema": "repro.campaign/v1", "schedulers": ["LF", "foo"]}')
+    return str(spec)
+
+
 def _finished_journal(tmp_path) -> str:
     journal = str(tmp_path / "finished.jsonl")
     assert main(["campaign", "run", *_SWEEP, "--journal", journal]) == 0
@@ -113,7 +119,7 @@ def _stop_as_the_engine_starts(monkeypatch) -> None:
 def _break_bdf_pacing(monkeypatch) -> None:
     from repro.core import degraded_first
 
-    monkeypatch.setattr(degraded_first, "_FORCE_PACING_BREAK", True)
+    monkeypatch.setattr(degraded_first, "pacing_allows_degraded", lambda job: True)
 
 
 # -- the exit-code table ---------------------------------------------------------
@@ -124,6 +130,10 @@ _EXIT_CODES = [
     ("simulate-clean", 0, lambda t: [*_SIM], None),
     ("simulate-check-clean", 0, lambda t: [*_SIM, "--check"], None),
     ("campaign-run-clean", 0, lambda t: ["campaign", "run", *_SWEEP], None),
+    (
+        "campaign-run-lowercase-scheduler", 0,
+        lambda t: ["campaign", "run", *_SWEEP[2:], "--schedulers", "lf"], None,
+    ),
     (
         "campaign-resume-finished-journal", 0,
         lambda t: ["campaign", "resume", *_SWEEP, "--journal", _finished_journal(t)],
@@ -195,6 +205,22 @@ _EXIT_CODES = [
     (
         "campaign-run-empty-schedulers", 2,
         lambda t: ["campaign", "run", "--schedulers", ",", "--seeds", "1"], None,
+    ),
+    (
+        "campaign-run-unknown-scheduler", 2,
+        lambda t: ["campaign", "run", "--schedulers", "LF,foo", "--seeds", "1"], None,
+    ),
+    (
+        "campaign-run-spec-unknown-scheduler", 2,
+        lambda t: ["campaign", "run", "--spec", _unknown_scheduler_spec(t)], None,
+    ),
+    (
+        "campaign-resume-unknown-scheduler", 2,
+        lambda t: [
+            "campaign", "resume", "--schedulers", "foo", "--seeds", "1",
+            "--journal", str(t / "nope.jsonl"),
+        ],
+        None,
     ),
     (
         "campaign-resume-without-journal", 2,

@@ -145,46 +145,19 @@ class TestContextHelpers:
         )
         assert empty.mean_speed_factor() == 1.0
 
-    def test_node_backlog_counts_and_time(self):
-        context, state, _ = build_context(map_slots=2)
-        jobs = [state]
-        for node_id in context.topology.node_ids():
-            backlog = context.node_backlog(jobs, node_id)
-            assert backlog == state.pending_node_local_count(node_id)
-            expected_time = backlog * context.map_time_mean / (
-                context.map_slots_of(node_id) * context.speed_factor(node_id)
-            )
-            assert context.node_backlog_time(jobs, node_id) == pytest.approx(
-                expected_time
-            )
-
-    def test_rack_occupancy_partitions_pending_normals(self):
-        context, state, _ = build_context()
-        occupancy = context.rack_occupancy([state])
-        assert set(occupancy) == {
-            rack.rack_id for rack in context.topology.racks
-        }
-        assert all(count >= 0 for count in occupancy.values())
-        assert sum(occupancy.values()) == sum(
-            state.pending_rack_count(rack.rack_id)
-            for rack in context.topology.racks
-        )
-
     def test_degraded_census_matches_job_state(self):
-        context, state, cluster = build_context()
-        census = context.degraded_census([state])
+        _, state, cluster = build_context()
         lost = set(cluster.block_map.lost_native_blocks({0}))
-        assert census == {0: len(lost)}
+        assert state.pending_degraded_count() == len(lost)
         state.pop_degraded()
-        assert context.degraded_census([state]) == {0: len(lost) - 1}
+        assert state.pending_degraded_count() == len(lost) - 1
 
     def test_helpers_do_not_mutate_job_state(self):
         context, state, _ = build_context()
         before = (state.m, state.M, state.m_d, state.M_d)
-        context.node_backlog([state], 1)
-        context.node_backlog_time([state], 1)
-        context.rack_occupancy([state])
-        context.degraded_census([state])
+        for node_id in context.topology.node_ids():
+            state.pending_node_local_count(node_id)
+        state.pending_degraded_count()
         context.mean_speed_factor()
         assert (state.m, state.M, state.m_d, state.M_d) == before
 

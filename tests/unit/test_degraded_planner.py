@@ -132,7 +132,9 @@ class TestSelectionPolicies:
         local_available = sum(
             1 for s in survivors if topology.rack_of(s.node_id) == topology.rack_of(reader)
         )
-        chosen_local = len(plan.same_rack_sources(topology))
+        chosen_local = sum(
+            1 for s in plan.sources if topology.rack_of(s.node_id) == topology.rack_of(reader)
+        )
         assert chosen_local == min(local_available, 4)
 
     def test_random_selection_deterministic_per_stream(self, cluster):
@@ -143,16 +145,3 @@ class TestSelectionPolicies:
         first = cluster.planner.plan(lost[0], 1, failed, RngStreams(3))
         second = cluster.planner.plan(lost[0], 1, failed, RngStreams(3))
         assert first == second
-
-
-class TestPlanQueries:
-    def test_cross_and_same_rack_partition(self, cluster, rng):
-        topology = cluster.topology
-        failed = frozenset({0})
-        lost = cluster.block_map.lost_native_blocks(failed)
-        if not lost:
-            pytest.skip("seeded placement put no natives on node 0")
-        plan = cluster.planner.plan(lost[0], 1, failed, rng)
-        cross = plan.cross_rack_sources(topology)
-        same = plan.same_rack_sources(topology)
-        assert len(cross) + len(same) == len(plan.sources)

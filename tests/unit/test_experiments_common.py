@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-
 import pytest
 
 from repro.cluster.network import MB
@@ -11,9 +10,10 @@ from repro.experiments.common import (
     ExperimentTable,
     NormalizationError,
     default_seeds,
+    failure_and_normal_pairs,
     max_workers,
     normalized_runtimes,
-    run_failure_and_normal,
+    run_grouped,
 )
 from repro.mapreduce.config import JobConfig, SimulationConfig
 from repro.mapreduce.metrics import JobMetrics
@@ -73,19 +73,25 @@ class TestEnvKnobs:
 
 
 class TestRunFailureAndNormal:
+    """The figure sweeps' grouping: every scheduler failed, plus one normal LF."""
+
+    @staticmethod
+    def run(schedulers, seeds):
+        return run_grouped(failure_and_normal_pairs(tiny_config(), schedulers, seeds))
+
     def test_grouping(self):
-        grouped = run_failure_and_normal(tiny_config(), ("LF", "EDF"), seeds=[0, 1])
+        grouped = self.run(("LF", "EDF"), [0, 1])
         assert set(grouped) == {"LF", "EDF", "normal"}
         for results in grouped.values():
             assert len(results) == 2
 
     def test_normal_runs_have_no_failures(self):
-        grouped = run_failure_and_normal(tiny_config(), ("LF",), seeds=[0])
+        grouped = self.run(("LF",), [0])
         assert grouped["normal"][0].failed_nodes == frozenset()
         assert grouped["LF"][0].failed_nodes != frozenset()
 
     def test_normalized_runtimes_above_one(self):
-        grouped = run_failure_and_normal(tiny_config(), ("LF",), seeds=[0, 1])
+        grouped = self.run(("LF",), [0, 1])
         normalized = normalized_runtimes(grouped)
         assert set(normalized) == {"LF"}
         for value in normalized["LF"]:

@@ -163,11 +163,14 @@ class TestModelBehaviour:
         check_alternation(schedule, topology)
 
     def test_trace_replay_scales_and_truncates(self, topology):
-        trace = TraceReplay.from_log(
-            [
-                {"node": 1, "failed_at": 10.0, "recovered_at": 50.0},
-                {"node": 2, "failed_at": 200.0},
-            ],
+        trace = TraceReplay(
+            schedule=FailureSchedule(
+                (
+                    FailEvent(at=10.0, node=1),
+                    RecoverEvent(at=50.0, node=1),
+                    FailEvent(at=200.0, node=2),
+                )
+            ),
             time_scale=2.0,
         )
         schedule = trace.generate(topology, RngStreams(0), 100.0)
@@ -207,8 +210,11 @@ class TestRoundTrips:
         assert model_from_dict(model.to_dict()) == model
 
     def test_trace_round_trip(self):
-        trace = TraceReplay.from_log(
-            [{"node": 1, "failed_at": 10.0, "recovered_at": 50.0}], time_scale=3.0
+        trace = TraceReplay(
+            schedule=FailureSchedule(
+                (FailEvent(at=10.0, node=1), RecoverEvent(at=50.0, node=1))
+            ),
+            time_scale=3.0,
         )
         assert model_from_dict(trace.to_dict()) == trace
 

@@ -51,15 +51,3 @@ class TestChooseFailedNodes:
         first = injector.choose_failed_nodes(small_topology, RngStreams(9))
         second = injector.choose_failed_nodes(small_topology, RngStreams(9))
         assert first == second
-
-
-class TestMaxLost:
-    def test_values(self, small_topology):
-        assert FailureInjector(FailurePattern.NONE).max_lost_per_stripe(small_topology) == 0
-        assert (
-            FailureInjector(FailurePattern.SINGLE_NODE).max_lost_per_stripe(small_topology) == 1
-        )
-        assert (
-            FailureInjector(FailurePattern.DOUBLE_NODE).max_lost_per_stripe(small_topology) == 2
-        )
-        assert FailureInjector(FailurePattern.RACK).max_lost_per_stripe(small_topology) == 3

@@ -6,7 +6,6 @@ import json
 
 import pytest
 
-from repro.cluster.failures import FailureInjector, FailurePattern
 from repro.faults.records import DetectionRecord, FaultTimeline
 from repro.faults.schedule import (
     FailEvent,
@@ -14,7 +13,6 @@ from repro.faults.schedule import (
     RecoverEvent,
     SlowdownEvent,
 )
-from repro.sim.rng import RngStreams
 
 
 class TestEventValidation:
@@ -160,26 +158,6 @@ class TestRoundTrip:
         assert FailureSchedule.from_json(json.dumps({})) == FailureSchedule()
 
 
-class TestInjectorBridge:
-    def test_to_schedule_matches_choose_failed_nodes(self, small_topology):
-        injector = FailureInjector(FailurePattern.SINGLE_NODE)
-        chosen = injector.choose_failed_nodes(small_topology, RngStreams(9))
-        schedule = injector.to_schedule(small_topology, RngStreams(9))
-        assert schedule.initial_failures(small_topology) == chosen
-        assert schedule.deferred_events() == []
-
-    def test_to_schedule_deferred_strike(self, small_topology):
-        injector = FailureInjector(FailurePattern.SINGLE_NODE)
-        schedule = injector.to_schedule(small_topology, RngStreams(9), at=40.0)
-        assert schedule.initial_failures(small_topology) == frozenset()
-        assert len(schedule.deferred_events()) == 1
-
-    def test_none_pattern_yields_empty_schedule(self, small_topology):
-        injector = FailureInjector(FailurePattern.NONE)
-        schedule = injector.to_schedule(small_topology, RngStreams(9))
-        assert len(schedule) == 0
-
-
 class TestRecords:
     def test_detection_latency(self):
         record = DetectionRecord(node=3, failed_at=30.0, detected_at=45.0)
@@ -189,4 +167,4 @@ class TestRecords:
         timeline = FaultTimeline()
         timeline.detections.append(DetectionRecord(node=3, failed_at=30.0, detected_at=45.0))
         assert timeline.detection_latencies == [pytest.approx(15.0)]
-        assert timeline.blacklisted_nodes == set()
+        assert timeline.blacklistings == []

@@ -9,7 +9,6 @@ from repro.experiments.fig3_motivating import (
     BLOCK_SIZE,
     PROCESS_TIME,
     TRANSFER_TIME,
-    ExampleTask,
     degraded_first_schedule,
     example_topology,
     locality_first_schedule,
@@ -47,7 +46,7 @@ class TestSchedules:
                 task
                 for tasks in schedule.values()
                 for task in tasks
-                if task.is_degraded
+                if task.download_from is not None
             ]
             assert len(degraded) == 4
 
@@ -62,12 +61,8 @@ class TestSchedules:
 
     def test_lf_degraded_last_per_node(self):
         for tasks in locality_first_schedule().values():
-            degraded_positions = [i for i, t in enumerate(tasks) if t.is_degraded]
+            degraded_positions = [i for i, t in enumerate(tasks) if t.download_from is not None]
             assert all(pos == len(tasks) - 1 for pos in degraded_positions)
-
-    def test_example_task_flags(self):
-        assert not ExampleTask("x").is_degraded
-        assert ExampleTask("x", download_from=2).is_degraded
 
 
 class TestReport:

@@ -47,9 +47,3 @@ class TestFailureView:
         stripe_nodes = [s.node_id for s in cluster.block_map.stripe_blocks(0)]
         with pytest.raises(RuntimeError):
             cluster.failure_view(frozenset(stripe_nodes[:3]))
-
-    def test_local_native_blocks(self, cluster):
-        for node_id in cluster.topology.node_ids():
-            for block in cluster.local_native_blocks(node_id):
-                assert cluster.node_of(block) == node_id
-                assert block.is_native

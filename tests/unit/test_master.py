@@ -56,11 +56,10 @@ class TestJobLifecycle:
         state = tracker.submit_job(0, JobConfig(num_blocks=12, num_reduce_tasks=1))
         assert state.M == 12
         assert tracker.metrics[0].submit_time == 0.0
-        assert tracker.job_state(0) is state
+        assert tracker.active_job(0) is state
 
     def test_job_state_unknown(self, tracker):
-        with pytest.raises(KeyError):
-            tracker.job_state(7)
+        assert tracker.active_job(7) is None
 
     def test_truncated_view_for_small_job(self, tracker):
         tracker.expect_jobs(1)
@@ -176,4 +175,3 @@ class TestMidRunFailureBookkeeping:
         for node in stripe_nodes:
             tracker.fail_node(node)
         assert not tracker.hdfs.block_map.is_decodable(0, tracker.failed_nodes)
-        assert 0 in tracker.hdfs.block_map.unavailable_stripes(tracker.failed_nodes)

@@ -38,7 +38,7 @@ def make_tracker(**tracker_kwargs) -> JobTracker:
 
 def start_one_map(tracker: JobTracker, slave_id: int = 1) -> MapAssignment:
     """Pop a local block for ``slave_id`` and register its attempt."""
-    state = tracker.job_state(0)
+    state = tracker.active_job(0)
     picked = state.pop_local(slave_id)
     assert picked is not None
     block, category = picked
@@ -55,7 +55,7 @@ def start_one(
     """Register a running attempt of a ``kind`` task on ``slave_id``."""
     if kind == "map":
         return start_one_map(tracker, slave_id)
-    index = tracker.job_state(0).pop_reduce()
+    index = tracker.active_job(0).pop_reduce()
     assert index is not None
     assignment = ReduceAssignment(job_id=0, reduce_index=index, slave_id=slave_id)
     tracker.note_attempt_started(assignment)
@@ -96,7 +96,7 @@ class TestDeclareDead:
         assert 1 in tracker.failed_nodes
 
     def test_requeues_registered_attempts(self, tracker):
-        state = tracker.job_state(0)
+        state = tracker.active_job(0)
         assignment = start_one_map(tracker, slave_id=1)
         launched = state.m
         tracker.declare_dead(1)
@@ -127,8 +127,7 @@ class TestRetryBudget:
             f"{named} failed 1 time(s), exhausting max_attempts=1"
         )
         assert tracker.finished  # the job is retired, not wedged
-        with pytest.raises(KeyError):
-            tracker.job_state(0)
+        assert tracker.active_job(0) is None
 
     @pytest.mark.parametrize("kind", ["map", "reduce"])
     def test_below_budget_requeues(self, kind):
@@ -213,7 +212,7 @@ class TestRecovery:
         (record,) = tracker.faults.recoveries
 
     def test_recover_reclaims_degraded_tasks(self, tracker):
-        state = tracker.job_state(0)
+        state = tracker.active_job(0)
         degraded_before = state.M_d
         tracker.fail_node(1)
         converted = state.M_d - degraded_before

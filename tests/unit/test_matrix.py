@@ -120,17 +120,17 @@ class TestConstructions:
 class TestMatvecBlocks:
     def test_matvec_identity_passthrough(self):
         blocks = [np.array([1, 2], dtype=np.uint8), np.array([3, 4], dtype=np.uint8)]
-        out = gfm.matvec_blocks(gfm.identity(2), blocks)
+        out = gfm.BatchedMatvec(gfm.identity(2)).apply(blocks)
         assert [o.tolist() for o in out] == [[1, 2], [3, 4]]
 
     def test_matvec_rejects_unequal_lengths(self):
         blocks = [np.array([1], dtype=np.uint8), np.array([2, 3], dtype=np.uint8)]
         with pytest.raises(ValueError):
-            gfm.matvec_blocks(gfm.identity(2), blocks)
+            gfm.BatchedMatvec(gfm.identity(2)).apply(blocks)
 
     def test_matvec_rejects_wrong_count(self):
         with pytest.raises(ValueError):
-            gfm.matvec_blocks(gfm.identity(2), [np.array([1], dtype=np.uint8)])
+            gfm.BatchedMatvec(gfm.identity(2)).apply([np.array([1], dtype=np.uint8)])
 
     def test_matvec_empty(self):
-        assert gfm.matvec_blocks(np.zeros((0, 0), dtype=np.uint8), []) == []
+        assert gfm.BatchedMatvec(np.zeros((0, 0), dtype=np.uint8)).apply([]) == []

@@ -12,6 +12,7 @@ from repro.mapreduce.metrics import (
     JobMetrics,
     SimulationResult,
     TaskRecord,
+    mean_task_runtime,
 )
 
 
@@ -54,9 +55,11 @@ class TestJobMetrics:
 
     def test_mean_runtime_by_category(self):
         job = self.make_job()
-        assert job.mean_runtime(TaskKind.MAP, MapTaskCategory.DEGRADED) == pytest.approx(35.0)
-        assert job.mean_runtime(TaskKind.REDUCE) == pytest.approx(90.0)
-        normal = job.mean_runtime(
+        degraded = mean_task_runtime(job.tasks, TaskKind.MAP, MapTaskCategory.DEGRADED)
+        assert degraded == pytest.approx(35.0)
+        assert mean_task_runtime(job.tasks, TaskKind.REDUCE) == pytest.approx(90.0)
+        normal = mean_task_runtime(
+            job.tasks,
             TaskKind.MAP,
             MapTaskCategory.NODE_LOCAL, MapTaskCategory.RACK_LOCAL, MapTaskCategory.REMOTE,
         )
@@ -64,7 +67,7 @@ class TestJobMetrics:
 
     def test_mean_runtime_empty_is_nan(self):
         job = JobMetrics(job_id=0, submit_time=0.0)
-        assert math.isnan(job.mean_runtime(TaskKind.REDUCE))
+        assert math.isnan(mean_task_runtime(job.tasks, TaskKind.REDUCE))
         assert math.isnan(job.mean_degraded_read_time())
 
     def test_mean_degraded_read_time(self):

@@ -70,11 +70,6 @@ class TestBasics:
         block_map, _ = build_map()
         assert len(block_map.all_blocks()) == 8
 
-    def test_blocks_per_node(self):
-        block_map, _ = build_map()
-        assert block_map.blocks_per_node()[0] == 2
-        assert block_map.blocks_per_node()[4] == 2
-
 
 class TestFailureViews:
     def test_lost_native_blocks(self):
@@ -98,8 +93,3 @@ class TestFailureViews:
         block_map.check_recoverable({0})
         with pytest.raises(RuntimeError):
             block_map.check_recoverable({0, 1, 3})
-
-    def test_native_blocks_on_node(self):
-        block_map, _ = build_map()
-        assert [str(b) for b in block_map.native_blocks_on_node(0)] == ["B_{0,0}"]
-        assert block_map.native_blocks_on_node(5) == []

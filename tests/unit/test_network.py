@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.network import GB, MB, NetworkSpec, gbps, mbps
+from repro.cluster.nodetree import NodeTree
 
 
 class TestUnits:
@@ -34,11 +35,15 @@ class TestNetworkSpec:
         with pytest.raises(ValueError):
             NetworkSpec(rack_download_bw=0)
 
-    def test_uncontended_times(self):
-        spec = NetworkSpec(rack_download_bw=10.0)
-        assert spec.uncontended_cross_rack_time(100.0) == pytest.approx(10.0)
-        assert spec.uncontended_intra_rack_time(50.0) == pytest.approx(5.0)
-
-    def test_cross_rack_bottleneck_is_min(self):
+    def test_cross_rack_bottleneck_is_min(self, sim, small_topology):
         spec = NetworkSpec(rack_download_bw=10.0, rack_upload_bw=5.0)
-        assert spec.uncontended_cross_rack_time(100.0) == pytest.approx(20.0)
+        tree = NodeTree(sim, small_topology, spec)
+        finished = []
+
+        def transfer():
+            yield tree.transfer(0, 4, 100.0)  # rack 0 -> rack 1
+            finished.append(sim.now)
+
+        sim.spawn(transfer())
+        sim.run()
+        assert finished == [pytest.approx(20.0)]

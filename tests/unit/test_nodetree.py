@@ -84,13 +84,6 @@ class TestTransferTiming:
         sim.run()
         assert dict(log) == {1: 20.0, 2: 20.0}
 
-    def test_downlink_load_probe(self, sim, tree):
-        tree.transfer(0, 4, 100.0)
-        assert tree.downlink_load(1) == 1
-        assert tree.downlink_load(0) == 0
-        sim.run()
-        assert tree.downlink_load(1) == 0
-
 
 class TestModels:
     def test_exclusive_model_serialises(self, sim, small_topology):

@@ -17,7 +17,7 @@ def exact_nearest_rank(samples, q):
 class TestAdd:
     def test_counts_and_exact_moments(self):
         digest = LatencyDigest()
-        digest.extend([1.0, 2.0, 3.0, 4.0])
+        _fold(digest, [1.0, 2.0, 3.0, 4.0])
         assert digest.count == 4
         assert digest.total == pytest.approx(10.0)
         assert digest.mean == pytest.approx(2.5)
@@ -26,7 +26,7 @@ class TestAdd:
 
     def test_zero_and_negative_samples_land_in_the_zero_bucket(self):
         digest = LatencyDigest()
-        digest.extend([0.0, -0.5, 2.0])
+        _fold(digest, [0.0, -0.5, 2.0])
         assert digest.zeros == 2
         assert digest.count == 3
         # The zero bucket dominates p50; the estimate clamps at zero.
@@ -69,7 +69,7 @@ class TestQuantiles:
     def test_quantile_error_is_bounded_by_the_bin_width(self):
         samples = [0.01 * i for i in range(1, 1001)]
         digest = LatencyDigest()
-        digest.extend(samples)
+        _fold(digest, samples)
         # Geometric bins of width GROWTH bound the relative error by
         # sqrt(GROWTH) - 1 (~2.2%); allow the full bin width for slack.
         tolerance = GROWTH - 1.0
@@ -80,14 +80,14 @@ class TestQuantiles:
 
     def test_quantiles_are_monotone_in_q(self):
         digest = LatencyDigest()
-        digest.extend([0.5 * i for i in range(1, 200)])
+        _fold(digest, [0.5 * i for i in range(1, 200)])
         grid = [i / 20 for i in range(21)]
         estimates = [digest.quantile(q) for q in grid]
         assert estimates == sorted(estimates)
 
     def test_percentiles_key_set_matches_campaign_contract(self):
         digest = LatencyDigest()
-        digest.extend([1.0, 2.0, 3.0])
+        _fold(digest, [1.0, 2.0, 3.0])
         block = digest.percentiles()
         assert set(block) == {"count", "p50", "p95", "p99"}
         assert block["count"] == 3
@@ -98,9 +98,9 @@ class TestMerge:
     def test_merge_is_exact_on_counts(self):
         samples = [0.1 * i for i in range(1, 301)]
         whole = LatencyDigest()
-        whole.extend(samples)
+        _fold(whole, samples)
         chunks = [samples[0:100], samples[100:200], samples[200:300]]
-        merged = LatencyDigest.merged(_digests(chunks))
+        merged = _merged(_digests(chunks))
         assert merged.counts == whole.counts
         assert merged.count == whole.count
         assert merged.zeros == whole.zeros
@@ -112,23 +112,23 @@ class TestMerge:
 
     def test_merging_in_canonical_order_is_bit_identical(self):
         chunks = [[0.3 * i + j for i in range(1, 50)] for j in range(4)]
-        one = LatencyDigest.merged(_digests(chunks))
-        two = LatencyDigest.merged(_digests(chunks))
+        one = _merged(_digests(chunks))
+        two = _merged(_digests(chunks))
         assert one.to_dict() == two.to_dict()
         assert one.total == two.total  # exact float equality, not approx
 
     def test_merge_handles_empty_sides(self):
         digest = LatencyDigest()
-        digest.extend([1.0, 2.0])
+        _fold(digest, [1.0, 2.0])
         empty = LatencyDigest()
-        merged = LatencyDigest.merged([empty, digest, empty])
+        merged = _merged([empty, digest, empty])
         assert merged.to_dict() == digest.to_dict()
 
 
 class TestSerialization:
     def test_round_trip_preserves_everything(self):
         digest = LatencyDigest()
-        digest.extend([0.0, 0.004, 1.5, 1.5, 88.0])
+        _fold(digest, [0.0, 0.004, 1.5, 1.5, 88.0])
         clone = LatencyDigest.from_dict(digest.to_dict())
         assert clone == digest
         assert clone.to_dict() == digest.to_dict()
@@ -144,7 +144,7 @@ class TestSerialization:
 
     def test_to_dict_bin_keys_are_sorted_strings(self):
         digest = LatencyDigest()
-        digest.extend([100.0, 0.001, 7.0])
+        _fold(digest, [100.0, 0.001, 7.0])
         keys = list(digest.to_dict()["bins"])
         assert keys == sorted(keys, key=int)
         assert all(isinstance(key, str) for key in keys)
@@ -154,6 +154,18 @@ def _digests(chunks):
     out = []
     for chunk in chunks:
         digest = LatencyDigest()
-        digest.extend(chunk)
+        _fold(digest, chunk)
         out.append(digest)
+    return out
+
+
+def _fold(digest, samples):
+    for value in samples:
+        digest.add(value)
+
+
+def _merged(digests):
+    out = LatencyDigest()
+    for digest in digests:
+        out.merge(digest)
     return out

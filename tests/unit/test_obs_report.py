@@ -17,7 +17,8 @@ from repro.obs.report import (
 
 def _digest_payload(samples):
     digest = LatencyDigest()
-    digest.extend(samples)
+    for sample in samples:
+        digest.add(sample)
     return digest.to_dict()
 
 

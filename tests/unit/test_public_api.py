@@ -112,7 +112,7 @@ class TestEcSurface:
         assert isinstance(codec.coder, ReedSolomon)
         assert (codec.coder.n, codec.coder.k) == (6, 4)
         natives = [bytes([value]) * 8 for value in range(4)]
-        stripe = codec.encode_stripe(natives)
+        stripe = codec.encode_stripes([natives])[0]
         survivors = {position: stripe[position] for position in (1, 2, 4, 5)}
         assert codec.degraded_read(0, survivors) == natives[0]
 

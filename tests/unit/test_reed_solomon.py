@@ -14,10 +14,6 @@ def make_stripe(coder: ReedSolomon, payloads: list[bytes]) -> list[bytes]:
 
 
 class TestEncode:
-    def test_parity_count(self):
-        coder = ReedSolomon(6, 4)
-        assert coder.parity_count == 2
-
     def test_encode_wrong_count(self):
         coder = ReedSolomon(4, 2)
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cluster.failures import FailurePattern
@@ -10,7 +12,7 @@ from repro.mapreduce.config import JobConfig, SimulationConfig
 from repro.mapreduce.serialization import (
     config_from_dict,
     config_from_json,
-    config_to_json,
+    config_to_dict,
     load_config,
 )
 from repro.storage.degraded import SourceSelection
@@ -19,7 +21,7 @@ from repro.storage.degraded import SourceSelection
 class TestRoundTrip:
     def test_default_config(self):
         original = SimulationConfig()
-        rebuilt = config_from_json(config_to_json(original))
+        rebuilt = config_from_json(json.dumps(config_to_dict(original)))
         assert rebuilt == original
 
     def test_custom_config(self):
@@ -40,7 +42,7 @@ class TestRoundTrip:
             scheduler="BDF",
             seed=9,
         )
-        rebuilt = config_from_json(config_to_json(original))
+        rebuilt = config_from_json(json.dumps(config_to_dict(original)))
         assert rebuilt == original
 
     def test_sparse_dict_uses_defaults(self):
@@ -68,7 +70,7 @@ class TestRoundTrip:
 class TestFileLoading:
     def test_load_config(self, tmp_path):
         path = tmp_path / "experiment.json"
-        path.write_text(config_to_json(SimulationConfig(seed=77)))
+        path.write_text(json.dumps(config_to_dict(SimulationConfig(seed=77))))
         assert load_config(str(path)).seed == 77
 
 
@@ -87,7 +89,7 @@ class TestCliIntegration:
             seed=4,
         )
         path = tmp_path / "experiment.json"
-        path.write_text(config_to_json(config))
+        path.write_text(json.dumps(config_to_dict(config)))
         assert main(["simulate", "--config", str(path)]) == 0
         out = capsys.readouterr().out
         assert "scheduler: LF" in out

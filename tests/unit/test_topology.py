@@ -88,13 +88,5 @@ class TestQueries:
         with pytest.raises(KeyError):
             small_topology.rack(9)
 
-    def test_same_rack(self, small_topology):
-        assert small_topology.same_rack(0, 2)
-        assert not small_topology.same_rack(0, 3)
-
     def test_node_ids_sorted(self, small_topology):
         assert list(small_topology.node_ids()) == list(range(6))
-
-    def test_total_map_slots(self, small_topology):
-        assert small_topology.total_map_slots() == 12
-        assert small_topology.total_map_slots(excluding=[0]) == 10

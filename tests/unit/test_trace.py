@@ -12,10 +12,8 @@ from repro.mapreduce.config import JobConfig, SimulationConfig
 from repro.mapreduce.simulation import run_simulation
 from repro.mapreduce.trace import (
     render_timeline,
-    summarize,
     to_json,
     to_records,
-    write_csv,
 )
 
 
@@ -64,21 +62,6 @@ class TestJson:
         assert payload["failed_nodes"] == sorted(result.failed_nodes)
 
 
-class TestCsv:
-    def test_header_and_rows(self, result):
-        text = write_csv(result)
-        lines = text.strip().splitlines()
-        assert lines[0].startswith("job_id,kind,category")
-        assert len(lines) == 27  # header + 26 tasks
-
-    def test_stream_write(self, result):
-        import io
-
-        stream = io.StringIO()
-        write_csv(result, stream)
-        assert stream.getvalue().startswith("job_id")
-
-
 class TestTimeline:
     def test_renders_rows_per_live_node(self, result):
         chart = render_timeline(result)
@@ -99,11 +82,3 @@ class TestTimeline:
         chart = render_timeline(result, width=40)
         for line in chart.splitlines()[1:]:
             assert len(line) <= 40 + 14  # label + bars
-
-
-class TestSummary:
-    def test_summarize_mentions_key_stats(self, result):
-        digest = summarize(result)
-        assert "scheduler=EDF" in digest
-        assert "job 0" in digest
-        assert "degraded=" in digest
