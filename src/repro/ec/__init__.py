@@ -11,7 +11,7 @@ This package implements, from scratch, everything the paper's storage layer
 * :mod:`repro.ec.codec` -- the :class:`~repro.ec.codec.ErasureCodec` facade
   used by the storage layer, parameterised by
   :class:`~repro.ec.codec.CodeParams`.
-* :mod:`repro.ec.stripe` -- stripe layout helpers and the ``B_{i,j}`` /
+* :mod:`repro.ec.stripe` -- native/parity positions and the ``B_{i,j}`` /
   ``P_{i,j}`` block-naming scheme used throughout the paper's examples.
 
 Importing the package loads only ``codec`` and ``stripe`` (pure Python; the
@@ -21,14 +21,13 @@ simulator and the CLI need just ``CodeParams``).  ``galois``, ``matrix`` and
 """
 
 from repro.ec.codec import CodeParams, ErasureCodec
-from repro.ec.stripe import BlockKind, StripeLayout, block_name
+from repro.ec.stripe import BlockKind, block_name
 
 __all__ = [
     "BlockKind",
     "CodeParams",
     "ErasureCodec",
     "ReedSolomon",
-    "StripeLayout",
     "block_name",
 ]
 

@@ -2,8 +2,8 @@
 
 :class:`CodeParams` is the ``(n, k)`` pair that appears everywhere in the
 paper; :class:`ErasureCodec` bundles those parameters with a concrete
-Reed-Solomon coder and the stripe layout, and exposes batched stripe
-encode / degraded-read operations.
+Reed-Solomon coder, and exposes batched stripe encode / degraded-read
+operations.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
-
-from repro.ec.stripe import StripeLayout
 
 if TYPE_CHECKING:
     from repro.ec.reed_solomon import ReedSolomon
@@ -69,7 +67,6 @@ class ErasureCodec:
             raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
         self.params = params
         self.algorithm = algorithm
-        self.layout = StripeLayout(n=params.n, k=params.k)
         # Imported here, not at module level: the simulator and the CLI need
         # only CodeParams; the coders pull in numpy and the GF(2^8) tables.
         if algorithm == "cauchy":
@@ -89,27 +86,24 @@ class ErasureCodec:
         """Encode many stripes in one batched kernel pass.
 
         Blocks may have unequal lengths (line-aligned splitting produces
-        them); they are zero-padded to the longest block of their stripe
-        *transiently* for parity computation, and a short final stripe is
-        padded to ``k`` blocks with empty ones, as HDFS-RAID pads trailing
-        groups.  The returned native blocks keep their exact original
-        content; parity blocks carry the padded length.  All parity for a
-        whole file is produced by a single matvec over stacked blocks,
-        which is what makes the fig9 testbed's ``write_file`` cheap.
+        them) and the final stripe may hold fewer than ``k``.  Nothing is
+        padded here: the blocks go to the coder as they are, and
+        :meth:`~repro.ec.reed_solomon.ReedSolomon.encode_ragged` zero-fills
+        its stack, which stands in for padding every block to its stripe's
+        longest and a short stripe to ``k`` blocks with empty ones, as
+        HDFS-RAID pads trailing groups.  The returned native blocks are the
+        input objects; a short stripe's missing natives are empty
+        placeholders, and parity blocks carry the stripe's coding length.
+        All parity for a whole file is produced by a single matvec over
+        the stack, which is what makes the testbed's ``write_file`` cheap.
         """
-        padded_stripes: list[list[bytes]] = []
         for native_blocks in stripe_natives:
             if not 0 < len(native_blocks) <= self.params.k:
                 raise ValueError(
                     f"stripe needs 1..{self.params.k} native blocks,"
                     f" got {len(native_blocks)}"
                 )
-            length = max(len(block) for block in native_blocks)
-            padded = [block.ljust(length, b"\0") for block in native_blocks]
-            while len(padded) < self.params.k:
-                padded.append(b"\0" * length)
-            padded_stripes.append(padded)
-        parity_per_stripe = self._coder.encode_stripes(padded_stripes)
+        parity_per_stripe = self._coder.encode_ragged(stripe_natives)
         stripes: list[list[bytes]] = []
         for native_blocks, parity in zip(stripe_natives, parity_per_stripe):
             placeholders = [b""] * (self.params.k - len(native_blocks))

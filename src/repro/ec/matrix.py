@@ -152,22 +152,40 @@ class BatchedMatvec:
         return out
 
     def _apply_packed(self, blocks: Sequence[np.ndarray], length: int) -> list[np.ndarray]:
-        """Packed pair-gather path: one table gather per (band, column)."""
+        """Packed pair-gather path: one table gather per (band, column).
+
+        Blocks are gathered in place through their ``uint16`` view.  An odd
+        length's last byte is the pair ``(byte, 0)``, so it costs one table
+        entry per column; no block is copied to even out its length.
+        """
         tables = self._tables or self._build_tables()
+        half, odd = divmod(length, 2)
         pairs = []
+        tails = []
         for block in blocks:
-            if length % 2 or not block.flags.c_contiguous:
-                padded = np.zeros(length + length % 2, dtype=np.uint8)
-                padded[:length] = block
-                block = padded
-            pairs.append(block.view(np.uint16))
+            block = np.ascontiguousarray(block)
+            pairs.append(block[: 2 * half].view(np.uint16))
+            tails.append(int(block[-1]) if odd else 0)
         cols = self.matrix.shape[1]
         take = np.take
         dense: list[np.ndarray] = []
         for band, band_tables in zip(self._bands, tables):
-            accumulator = take(band_tables[0], pairs[0])
+            dtype = band_tables[0].dtype
+            accumulator = np.empty(half + odd, dtype=dtype)
+            body = accumulator[:half]
+            # Pair indices never leave the 65536-entry table, so "wrap" is
+            # exact; it spares numpy the buffered bounds check of an ``out``
+            # gather, and one scratch row serves every column.
+            take(band_tables[0], pairs[0], out=body, mode="wrap")
+            scratch = np.empty(half, dtype=dtype) if cols > 1 else None
             for j in range(1, cols):
-                accumulator ^= take(band_tables[j], pairs[j])
+                take(band_tables[j], pairs[j], out=scratch, mode="wrap")
+                body ^= scratch
+            if odd:
+                tail = band_tables[0][tails[0]]
+                for j in range(1, cols):
+                    tail ^= band_tables[j][tails[j]]
+                accumulator[half] = tail
             span = band.stop - band.start
             # uint16 lane r of the accumulator is row r's output byte pair,
             # so de-interleaving is one uint16 transpose per band (and a

@@ -176,47 +176,62 @@ class ReedSolomon:
         """Encode many stripes through one batched kernel pass.
 
         Each stripe holds ``k`` equal-length native blocks; lengths may vary
-        *across* stripes.  Blocks are stacked column-wise into one long
-        array per generator column (short stripes zero-padded to the longest
-        stripe), a single parity matvec runs over the stack, and each
-        stripe's parity is sliced back out.  Zero-padding natives yields a
-        zero parity tail (the code is GF-linear), so the truncated slices
-        are byte-identical to encoding each stripe on its own — property
-        tests in ``tests/property/test_ec_kernel_equivalence.py`` hold this.
+        *across* stripes.  The stripes are validated and handed to
+        :meth:`encode_ragged`, which does the padding: short stripes are
+        zero-filled inside its stack, never copied on their own.
 
         Returns one ``n - k``-entry parity list per input stripe.
         """
-        if not stripes:
-            return []
-        stripe_arrays: list[list[np.ndarray]] = []
-        lengths: list[int] = []
         for stripe in stripes:
             if len(stripe) != self.k:
                 raise ValueError(
                     f"expected {self.k} native blocks per stripe, got {len(stripe)}"
                 )
-            arrays = [_as_byte_array(block) for block in stripe]
-            stripe_lengths = {len(array) for array in arrays}
-            if len(stripe_lengths) > 1:
-                raise ValueError(
-                    f"native blocks have unequal lengths: {sorted(stripe_lengths)}"
-                )
-            stripe_arrays.append(arrays)
-            lengths.append(len(arrays[0]))
-        coding_length = max(lengths)
-        stacked = np.zeros((self.k, len(stripes) * coding_length), dtype=np.uint8)
-        for position, arrays in enumerate(stripe_arrays):
-            base = position * coding_length
-            for column, array in enumerate(arrays):
-                stacked[column, base : base + lengths[position]] = array
+            lengths = {len(block) for block in stripe}
+            if len(lengths) > 1:
+                raise ValueError(f"native blocks have unequal lengths: {sorted(lengths)}")
+        return self.encode_ragged(stripes)
+
+    def encode_ragged(
+        self, stripes: Sequence[Sequence[bytes | np.ndarray]]
+    ) -> list[list[bytes]]:
+        """Parity of stripes of at most ``k`` natives of unequal lengths.
+
+        A stripe's coding length is its longest native; a shorter native
+        reads as if zero-padded to it and a missing one (a short final
+        stripe) as all zeros.  That padding is never materialised: the
+        blocks are copied once, column-wise, into a zero-filled stack of
+        one row per generator column and one coding-length slot per stripe
+        (each slot as wide as the longest stripe), a single parity matvec
+        runs over the stack, and each stripe's parity is sliced back out.
+        Zero-padding yields a zero parity tail (the code is GF-linear), so
+        the slices are byte-identical to encoding each padded stripe on its
+        own -- ``tests/property/test_ec_kernel_equivalence.py`` holds this.
+
+        Returns one ``n - k``-entry parity list per input stripe, each block
+        as long as its stripe's coding length.
+        """
+        if not stripes:
+            return []
+        lengths = [
+            max((len(block) for block in stripe), default=0) for stripe in stripes
+        ]
+        width = max(lengths)
+        stacked = np.zeros((self.k, len(stripes) * width), dtype=np.uint8)
+        for slot, stripe in enumerate(stripes):
+            base = slot * width
+            for column, block in enumerate(stripe):
+                array = _as_byte_array(block)
+                stacked[column, base : base + len(array)] = array
         parity_stack = self._encoder_plan().apply(list(stacked))
-        result: list[list[bytes]] = []
-        for position, length in enumerate(lengths):
-            base = position * coding_length
-            result.append(
-                [parity[base : base + length].tobytes() for parity in parity_stack]
-            )
-        return result
+        del stacked
+        return [
+            [
+                parity[slot * width : slot * width + length].tobytes()
+                for parity in parity_stack
+            ]
+            for slot, length in enumerate(lengths)
+        ]
 
     def _decode_inputs(
         self, available: Mapping[int, bytes | np.ndarray]

@@ -2,7 +2,10 @@
 
 Real bytes, real coding: ``write_file`` splits a byte string into blocks,
 encodes each group of ``k`` into parity with the Reed-Solomon coder, and
-scatters the stripe over per-node stores via a placement policy.  Reads in
+scatters the stripe over per-node stores via a placement policy.  The
+filesystem holds one file: ``write_file`` replaces the file held before,
+dropping its blocks (repaired copies included) before the new one is split,
+so a rewrite never keeps two files' bytes alive.  Reads in
 failure mode perform genuine degraded reads -- fetch ``k`` surviving blocks
 and decode.  With an :class:`EmulatedNetwork` attached, every fetch also
 crosses it and reads report its transfer time; without one (the testbed's
@@ -10,8 +13,6 @@ MapReduce runtime, whose clock is the simulator's) they report zero.
 """
 
 from __future__ import annotations
-
-import threading
 
 from repro.cluster.topology import ClusterTopology
 from repro.ec.codec import CodeParams, ErasureCodec
@@ -29,27 +30,24 @@ class BlockNotFoundError(KeyError):
 
 
 class DataNodeStore:
-    """Thread-safe block payload store of one node."""
+    """Block payload store of one node."""
 
     def __init__(self, node_id: int) -> None:
         self.node_id = node_id
         self._blocks: dict[BlockId, bytes] = {}
-        self._lock = threading.Lock()
 
     def put(self, block: BlockId, payload: bytes) -> None:
         """Store a block payload."""
-        with self._lock:
-            self._blocks[block] = payload
+        self._blocks[block] = payload
 
     def get(self, block: BlockId) -> bytes:
         """Fetch a block payload."""
-        with self._lock:
-            try:
-                return self._blocks[block]
-            except KeyError:
-                raise BlockNotFoundError(
-                    f"node {self.node_id} does not hold {block}"
-                ) from None
+        try:
+            return self._blocks[block]
+        except KeyError:
+            raise BlockNotFoundError(
+                f"node {self.node_id} does not hold {block}"
+            ) from None
 
 
 class HdfsRaidFilesystem:
@@ -92,7 +90,8 @@ class HdfsRaidFilesystem:
         self.codec = ErasureCodec(params)
         self._placement_name = placement
         self._source_selection = source_selection
-        self.stores = {node.node_id: DataNodeStore(node.node_id) for node in topology.nodes}
+        # Filled by write_file, which builds every node's store afresh.
+        self.stores: dict[int, DataNodeStore] = {}
         self.block_map: BlockMap | None = None
         self.planner: DegradedReadPlanner | None = None
         self._block_lengths: dict[BlockId, int] = {}
@@ -124,9 +123,17 @@ class HdfsRaidFilesystem:
     def write_file(self, data: bytes) -> BlockMap:
         """Encode ``data`` into erasure-coded stripes and place them.
 
-        Returns the resulting block map; also retained as
-        ``self.block_map``.
+        Replaces the file held before: every store is emptied (repaired
+        copies included) and the block map, planner and block lengths are
+        reset before ``data`` is split, so the old file's bytes are free
+        while the new one is encoded.  Returns the resulting block map;
+        also retained as ``self.block_map``.
         """
+        self.stores = {
+            node.node_id: DataNodeStore(node.node_id) for node in self.topology.nodes
+        }
+        self._block_lengths = {}
+        self.block_map = self.planner = None
         blocks = self.split_blocks(data)
         num_native = len(blocks)
         # One batched kernel pass produces every stripe's parity at once.
@@ -142,7 +149,6 @@ class HdfsRaidFilesystem:
             self.topology, self.params, num_native, self._placement_name, self.rng,
             self._source_selection,
         )
-        self._block_lengths: dict[BlockId, int] = {}
         for stripe_id, stripe in enumerate(stripes):
             for position, payload in enumerate(stripe):
                 block = BlockId(stripe_id=stripe_id, position=position, k=self.params.k)

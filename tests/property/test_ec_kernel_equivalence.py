@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ec import matrix as gfm
+from repro.ec.codec import ALGORITHMS, CodeParams, ErasureCodec
 from repro.ec.matrix import PACKED_MIN_BLOCK, SingularMatrixError
 from repro.ec.reed_solomon import ReedSolomon
 
@@ -179,3 +180,58 @@ class TestDecodePlanCache:
         ]
         batched = coder.encode_stripes(stripes)
         assert batched == [coder.encode(stripe) for stripe in stripes]
+
+
+def padded_encode_reference(
+    codec: ErasureCodec, stripes: list[list[bytes]]
+) -> list[list[bytes]]:
+    """The pre-stack codec path: pad every stripe, then encode it alone.
+
+    Each native is ``ljust``-padded to its stripe's longest and a short
+    stripe gets all-zero blocks up to ``k``; the stored stripe keeps the
+    unpadded natives and empty placeholders beside the parity.
+    """
+    k = codec.params.k
+    out = []
+    for natives in stripes:
+        length = max(len(block) for block in natives)
+        padded = [block.ljust(length, b"\0") for block in natives]
+        padded += [b"\0" * length] * (k - len(natives))
+        out.append(list(natives) + [b""] * (k - len(natives)) + codec.coder.encode(padded))
+    return out
+
+
+#: Native lengths for ragged stripes: empty blocks, small odd/even lengths
+#: and the packed-kernel threshold.
+ragged_lengths = st.sampled_from(
+    [0, 0, 1, 2, 5, 17, 40, PACKED_MIN_BLOCK, PACKED_MIN_BLOCK + 1]
+)
+
+
+@st.composite
+def ragged_stripes(draw):
+    """A code, an algorithm and stripes of unequal natives, the last short."""
+    k = draw(st.integers(min_value=1, max_value=5))
+    parity = draw(st.integers(min_value=1, max_value=3))
+    algorithm = draw(st.sampled_from(ALGORITHMS))
+    full = draw(st.integers(min_value=0, max_value=3))
+    counts = [k] * full + [draw(st.integers(min_value=1, max_value=k))]
+    seed = draw(st.integers(min_value=0, max_value=2**31))
+    rng = np.random.default_rng(seed)
+    stripes = [
+        [
+            rng.integers(0, 256, size=draw(ragged_lengths), dtype=np.uint8).tobytes()
+            for _ in range(count)
+        ]
+        for count in counts
+    ]
+    return ErasureCodec(CodeParams(k + parity, k), algorithm), stripes
+
+
+class TestRaggedEncode:
+    @settings(max_examples=60, deadline=None)
+    @given(ragged_stripes())
+    def test_codec_matches_padded_per_stripe_encode(self, codec_stripes):
+        """Zero-filling inside the stack == padding each stripe, then encoding it."""
+        codec, stripes = codec_stripes
+        assert codec.encode_stripes(stripes) == padded_encode_reference(codec, stripes)

@@ -36,7 +36,7 @@ class TestSubpackageSurfaces:
     @pytest.mark.parametrize(
         "module,names",
         [
-            ("repro.ec", ["CodeParams", "ErasureCodec", "ReedSolomon", "StripeLayout"]),
+            ("repro.ec", ["CodeParams", "ErasureCodec", "ReedSolomon"]),
             ("repro.cluster", ["ClusterTopology", "NodeTree", "NetworkSpec", "FailureInjector"]),
             (
                 "repro.storage",
