@@ -3,7 +3,8 @@
 :class:`CodeParams` is the ``(n, k)`` pair that appears everywhere in the
 paper; :class:`ErasureCodec` bundles those parameters with a concrete
 Reed-Solomon coder, and exposes batched stripe encode / degraded-read
-operations.
+operations.  Blocks pass through unpadded: the GF kernel zero-extends short
+ones (see :mod:`repro.ec.reed_solomon`).
 """
 
 from __future__ import annotations
@@ -83,19 +84,17 @@ class ErasureCodec:
     def encode_stripes(
         self, stripe_natives: Sequence[Sequence[bytes]]
     ) -> list[list[bytes]]:
-        """Encode many stripes in one batched kernel pass.
+        """Encode many stripes of possibly ragged natives.
 
         Blocks may have unequal lengths (line-aligned splitting produces
         them) and the final stripe may hold fewer than ``k``.  Nothing is
-        padded here: the blocks go to the coder as they are, and
-        :meth:`~repro.ec.reed_solomon.ReedSolomon.encode_ragged` zero-fills
-        its stack, which stands in for padding every block to its stripe's
-        longest and a short stripe to ``k`` blocks with empty ones, as
-        HDFS-RAID pads trailing groups.  The returned native blocks are the
-        input objects; a short stripe's missing natives are empty
-        placeholders, and parity blocks carry the stripe's coding length.
-        All parity for a whole file is produced by a single matvec over
-        the stack, which is what makes the testbed's ``write_file`` cheap.
+        padded here or in the coder: the GF kernel
+        (:meth:`~repro.ec.matrix.BatchedMatvec.apply`) reads a short block
+        as zero-extended to its stripe's longest and a missing one as all
+        zeros, as HDFS-RAID pads trailing groups.  The returned native
+        blocks are the input objects; a short stripe's missing natives are
+        empty placeholders, and parity blocks carry the stripe's coding
+        length.
         """
         for native_blocks in stripe_natives:
             if not 0 < len(native_blocks) <= self.params.k:
@@ -119,28 +118,17 @@ class ErasureCodec:
         """Reconstruct the block at ``lost_position`` from ``k`` survivors.
 
         This is the operation a *degraded task* performs after downloading
-        ``k`` surviving blocks of the stripe.  Survivors of unequal length
-        (unpadded natives) are re-padded to the coding length first;
-        ``lost_length`` truncates the reconstruction back to the lost
-        block's true size.
+        ``k`` surviving blocks of the stripe.  Survivors may be shorter than
+        the coding length (unpadded natives); the kernel reads them as
+        zero-extended.  ``lost_length`` is the lost block's true size, at
+        most the coding length (the longest survivor); without it the
+        reconstruction is coding-length long.
         """
-        padded = self._pad_to_coding_length(available)
-        rebuilt = self._coder.reconstruct_block(lost_position, padded)
-        if lost_length is not None:
-            if lost_length > len(rebuilt):
-                raise ValueError(
-                    f"lost block length {lost_length} exceeds coding length {len(rebuilt)}"
-                )
-            rebuilt = rebuilt[:lost_length]
-        return rebuilt
-
-    @staticmethod
-    def _pad_to_coding_length(available: Mapping[int, bytes]) -> dict[int, bytes]:
-        """Zero-pad survivors to their common (parity) length."""
-        if not available:
-            return {}
-        length = max(len(block) for block in available.values())
-        return {
-            position: block.ljust(length, b"\0")
-            for position, block in available.items()
-        }
+        coding_length = max((len(block) for block in available.values()), default=0)
+        if lost_length is None:
+            lost_length = coding_length
+        elif lost_length > coding_length:
+            raise ValueError(
+                f"lost block length {lost_length} exceeds coding length {coding_length}"
+            )
+        return self._coder.reconstruct_block(lost_position, available, lost_length)

@@ -119,18 +119,22 @@ class BatchedMatvec:
         self._tables = tables
         return tables
 
-    def apply(self, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Apply the matrix to equal-length 1-D uint8 blocks, one per column.
+    def apply(
+        self, blocks: Sequence[np.ndarray], length: int | None = None
+    ) -> list[np.ndarray]:
+        """Apply the matrix to 1-D uint8 blocks, one per column.
 
-        Returns one fresh array per matrix row (safe to mutate).
+        Blocks may differ in length.  Each reads as if zero-extended, or
+        cut, to ``length`` (default: the longest block), which is every
+        output row's length.  This is the one place the code knows that
+        rule; no padded copy of a block is ever made.  Returns one fresh
+        array per matrix row (safe to mutate).
         """
         rows, cols = self.matrix.shape
         if len(blocks) != cols:
             raise ValueError(f"matrix has {cols} columns but got {len(blocks)} blocks")
-        length = len(blocks[0]) if cols else 0
-        for block in blocks:
-            if len(block) != length:
-                raise ValueError("all blocks must have equal length")
+        if length is None:
+            length = max((len(block) for block in blocks), default=0)
         if rows == 0:
             return []
         if cols == 0 or length == 0:
@@ -144,7 +148,10 @@ class BatchedMatvec:
         out: list[np.ndarray] = []
         for kind, slot in self._row_kinds:
             if kind == "unit":
-                out.append(np.array(blocks[slot], dtype=np.uint8))
+                source = blocks[slot][:length]
+                row = np.zeros(length, dtype=np.uint8)
+                row[: len(source)] = source
+                out.append(row)
             elif kind == "zero":
                 out.append(np.zeros(length, dtype=np.uint8))
             else:
@@ -154,38 +161,51 @@ class BatchedMatvec:
     def _apply_packed(self, blocks: Sequence[np.ndarray], length: int) -> list[np.ndarray]:
         """Packed pair-gather path: one table gather per (band, column).
 
-        Blocks are gathered in place through their ``uint16`` view.  An odd
-        length's last byte is the pair ``(byte, 0)``, so it costs one table
-        entry per column; no block is copied to even out its length.
+        Each block is gathered in place through the ``uint16`` view of its
+        own whole pairs, cut to ``length``.  An odd-length block's last byte
+        is the pair ``(byte, 0)``, so it costs one table entry; the output
+        past a block's end takes nothing from that column, which is what
+        zero-extension contributes (a zero byte's products are zero).
         """
         tables = self._tables or self._build_tables()
         half, odd = divmod(length, 2)
         pairs = []
         tails = []
         for block in blocks:
-            block = np.ascontiguousarray(block)
-            pairs.append(block[: 2 * half].view(np.uint16))
-            tails.append(int(block[-1]) if odd else 0)
-        cols = self.matrix.shape[1]
+            block = np.ascontiguousarray(block[:length])
+            whole = len(block) // 2
+            pairs.append(block[: 2 * whole].view(np.uint16))
+            tails.append((whole, int(block[-1])) if len(block) % 2 else None)
         take = np.take
         dense: list[np.ndarray] = []
         for band, band_tables in zip(self._bands, tables):
             dtype = band_tables[0].dtype
             accumulator = np.empty(half + odd, dtype=dtype)
-            body = accumulator[:half]
+            # accumulator[:filled] holds the sum so far; the rest is unset.
+            filled = 0
+            scratch = None
             # Pair indices never leave the 65536-entry table, so "wrap" is
             # exact; it spares numpy the buffered bounds check of an ``out``
             # gather, and one scratch row serves every column.
-            take(band_tables[0], pairs[0], out=body, mode="wrap")
-            scratch = np.empty(half, dtype=dtype) if cols > 1 else None
-            for j in range(1, cols):
-                take(band_tables[j], pairs[j], out=scratch, mode="wrap")
-                body ^= scratch
-            if odd:
-                tail = band_tables[0][tails[0]]
-                for j in range(1, cols):
-                    tail ^= band_tables[j][tails[j]]
-                accumulator[half] = tail
+            for table, column in zip(band_tables, pairs):
+                span = len(column)
+                if not filled:
+                    take(table, column, out=accumulator[:span], mode="wrap")
+                    filled = span
+                    continue
+                if scratch is None:
+                    scratch = np.empty(half, dtype=dtype)
+                gathered = scratch[:span]
+                take(table, column, out=gathered, mode="wrap")
+                overlap = min(span, filled)
+                accumulator[:overlap] ^= gathered[:overlap]
+                if span > filled:
+                    accumulator[filled:span] = gathered[filled:]
+                    filled = span
+            accumulator[filled:] = 0
+            for table, tail in zip(band_tables, tails):
+                if tail is not None:
+                    accumulator[tail[0]] ^= table[tail[1]]
             span = band.stop - band.start
             # uint16 lane r of the accumulator is row r's output byte pair,
             # so de-interleaving is one uint16 transpose per band (and a
@@ -202,10 +222,15 @@ class BatchedMatvec:
         return dense
 
     def _apply_small(self, blocks: Sequence[np.ndarray], length: int) -> list[np.ndarray]:
-        """Per-column gather path for payloads too small to amortise tables."""
+        """Per-column gather path for payloads too small to amortise tables.
+
+        Column ``j`` XORs into the first ``len(block)`` bytes only, so a
+        short block reads as zero-extended.
+        """
         out = np.zeros((self._dense_rows.shape[0], length), dtype=np.uint8)
         for j in range(self.matrix.shape[1]):
-            out ^= _MUL_TABLE[self._dense_rows[:, j][:, None], blocks[j][None, :]]
+            block = blocks[j][:length]
+            out[:, : len(block)] ^= _MUL_TABLE[self._dense_rows[:, j][:, None], block[None, :]]
         return list(out)
 
 

@@ -18,6 +18,12 @@ paid once per pattern, not once per stripe.  Single-block reconstruction
 ``k``-term matvec — instead of a full decode followed by a re-encode.  The
 caches never need invalidation because the generator matrix is immutable
 after construction (:attr:`ReedSolomon.generator_matrix` returns a copy).
+
+HDFS-RAID stripes are ragged: line-aligned natives differ in length and a
+file's last stripe may hold fewer than ``k``.  Such blocks read as
+zero-padded to the stripe's coding length, and that padding happens only
+inside the kernel (:meth:`~repro.ec.matrix.BatchedMatvec.apply`), which
+zero-extends short blocks; this module never pads or slices a block.
 """
 
 from __future__ import annotations
@@ -34,6 +40,9 @@ from repro.ec import matrix as gfm
 #: A node failure exercises at most ``n`` distinct surviving patterns per
 #: lost position, so 128 covers realistic repair sweeps with room to spare.
 PLAN_CACHE_SIZE = 128
+
+#: The one-row identity: serves a "reconstruction" of a block that survived.
+_PASSTHROUGH = gfm.BatchedMatvec(gfm.identity(1))
 
 
 def _as_byte_array(block: bytes | bytearray | np.ndarray) -> np.ndarray:
@@ -173,14 +182,11 @@ class ReedSolomon:
     def encode_stripes(
         self, stripes: Sequence[Sequence[bytes | np.ndarray]]
     ) -> list[list[bytes]]:
-        """Encode many stripes through one batched kernel pass.
+        """Encode many stripes, each of ``k`` equal-length native blocks.
 
-        Each stripe holds ``k`` equal-length native blocks; lengths may vary
-        *across* stripes.  The stripes are validated and handed to
-        :meth:`encode_ragged`, which does the padding: short stripes are
-        zero-filled inside its stack, never copied on their own.
-
-        Returns one ``n - k``-entry parity list per input stripe.
+        Lengths may vary *across* stripes.  The stripes are validated and
+        handed to :meth:`encode_ragged`.  Returns one ``n - k``-entry parity
+        list per input stripe.
         """
         for stripe in stripes:
             if len(stripe) != self.k:
@@ -198,39 +204,25 @@ class ReedSolomon:
         """Parity of stripes of at most ``k`` natives of unequal lengths.
 
         A stripe's coding length is its longest native; a shorter native
-        reads as if zero-padded to it and a missing one (a short final
-        stripe) as all zeros.  That padding is never materialised: the
-        blocks are copied once, column-wise, into a zero-filled stack of
-        one row per generator column and one coding-length slot per stripe
-        (each slot as wide as the longest stripe), a single parity matvec
-        runs over the stack, and each stripe's parity is sliced back out.
-        Zero-padding yields a zero parity tail (the code is GF-linear), so
-        the slices are byte-identical to encoding each padded stripe on its
-        own -- ``tests/property/test_ec_kernel_equivalence.py`` holds this.
+        reads as zero-extended to it and a missing one (a short final
+        stripe) as all zeros.  Each stripe is one parity matvec over its
+        natives as they are, missing ones passed as empty arrays: the
+        kernel does the zero-extension, so nothing is padded or stacked.
 
         Returns one ``n - k``-entry parity list per input stripe, each block
         as long as its stripe's coding length.
         """
-        if not stripes:
-            return []
-        lengths = [
-            max((len(block) for block in stripe), default=0) for stripe in stripes
-        ]
-        width = max(lengths)
-        stacked = np.zeros((self.k, len(stripes) * width), dtype=np.uint8)
-        for slot, stripe in enumerate(stripes):
-            base = slot * width
-            for column, block in enumerate(stripe):
-                array = _as_byte_array(block)
-                stacked[column, base : base + len(array)] = array
-        parity_stack = self._encoder_plan().apply(list(stacked))
-        del stacked
+        encoder = self._encoder_plan()
+        missing = np.zeros(0, dtype=np.uint8)
         return [
             [
-                parity[slot * width : slot * width + length].tobytes()
-                for parity in parity_stack
+                parity.tobytes()
+                for parity in encoder.apply(
+                    [_as_byte_array(block) for block in stripe]
+                    + [missing] * (self.k - len(stripe))
+                )
             ]
-            for slot, length in enumerate(lengths)
+            for stripe in stripes
         ]
 
     def _decode_inputs(
@@ -245,23 +237,7 @@ class ReedSolomon:
         for index in indices:
             if not 0 <= index < self.n:
                 raise ValueError(f"stripe index {index} out of range [0, {self.n})")
-        arrays = [_as_byte_array(available[index]) for index in indices]
-        lengths = {len(array) for array in arrays}
-        if len(lengths) > 1:
-            raise ValueError(f"blocks have unequal lengths: {sorted(lengths)}")
-        return indices, arrays
-
-    def decode_arrays(
-        self, available: Mapping[int, bytes | np.ndarray]
-    ) -> list[np.ndarray]:
-        """:meth:`decode` without the final ``tobytes`` copies.
-
-        Returns the ``k`` native blocks as fresh uint8 arrays; internal
-        callers that keep working in numpy (the batched codec paths) use
-        this to skip the per-block bytes round-trip.
-        """
-        indices, arrays = self._decode_inputs(available)
-        return self._decode_plan(indices).matvec.apply(arrays)
+        return indices, [_as_byte_array(available[index]) for index in indices]
 
     def decode(self, available: Mapping[int, bytes | np.ndarray]) -> list[bytes]:
         """Reconstruct all ``k`` native blocks from any ``k`` stripe blocks.
@@ -273,22 +249,36 @@ class ReedSolomon:
             the rest parity) to the surviving block payload.  At least ``k``
             entries are required; exactly the first ``k`` sorted by index are
             used, matching the paper's "read from any k surviving nodes".
+            The chosen blocks must have equal lengths.
         """
-        return [array.tobytes() for array in self.decode_arrays(available)]
+        indices, arrays = self._decode_inputs(available)
+        lengths = {len(array) for array in arrays}
+        if len(lengths) > 1:
+            raise ValueError(f"blocks have unequal lengths: {sorted(lengths)}")
+        return [
+            array.tobytes() for array in self._decode_plan(indices).matvec.apply(arrays)
+        ]
 
     def reconstruct_block(
-        self, stripe_index: int, available: Mapping[int, bytes | np.ndarray]
+        self,
+        stripe_index: int,
+        available: Mapping[int, bytes | np.ndarray],
+        length: int | None = None,
     ) -> bytes:
         """Rebuild one block (native or parity) of the stripe.
 
         This is the degraded-read primitive: a degraded task downloads ``k``
         surviving blocks and reconstructs exactly the lost one — a single
-        cached k-term matvec, not a full decode plus re-encode.
+        cached k-term matvec, not a full decode plus re-encode.  Survivors
+        may differ in length; each reads as zero-extended, and the result
+        is ``length`` bytes long (default: the longest chosen survivor).
         """
         if not 0 <= stripe_index < self.n:
             raise ValueError(f"stripe index {stripe_index} out of range [0, {self.n})")
         if stripe_index in available:
-            return _as_byte_array(available[stripe_index]).tobytes()
-        indices, arrays = self._decode_inputs(available)
-        plan = self._row_plan(stripe_index, indices)
-        return plan.apply(arrays)[0].tobytes()
+            plan = _PASSTHROUGH
+            arrays = [_as_byte_array(available[stripe_index])]
+        else:
+            indices, arrays = self._decode_inputs(available)
+            plan = self._row_plan(stripe_index, indices)
+        return plan.apply(arrays, length)[0].tobytes()

@@ -70,7 +70,6 @@ def max_workers() -> int:
 def run_many(
     configs: list[SimulationConfig],
     runner=run_simulation,
-    policy=None,
     journal_path: str | None = None,
     cache_dir: str | None = None,
 ) -> list[SimulationResult]:
@@ -83,19 +82,16 @@ def run_many(
 
     Execution goes through the crash-safe
     :class:`~repro.experiments.campaign.CampaignEngine`: a worker killed
-    by the OS costs a retry, never the batch.  By default trial exceptions
-    propagate exactly as they always have; pass a
-    :class:`~repro.experiments.campaign.CampaignPolicy` to change retry/
-    timeout/failure-collection behaviour, ``journal_path`` to make the run
-    resumable, and ``cache_dir`` to reuse verified results across runs
-    (both require a JSON-payload runner such as
+    by the OS costs a retry, never the batch, and trial exceptions
+    propagate.  Pass ``journal_path`` to make the run resumable and
+    ``cache_dir`` to reuse verified results across runs (both require a
+    JSON-payload runner such as
     :func:`~repro.experiments.campaign.sweep_trial`).
     """
     from repro.experiments.campaign import CampaignEngine
 
     engine = CampaignEngine(
         runner=runner,
-        policy=policy,
         journal_path=journal_path,
         cache=open_cache(cache_dir),
     )

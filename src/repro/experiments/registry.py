@@ -1,64 +1,24 @@
 """Name -> experiment runner registry used by the CLI.
 
-Each runner is a zero-argument callable returning a printable report
-string.  Experiment names follow the paper's figure/table numbering.
+Each runner is a module's zero-argument ``main`` returning a printable
+report string.  Experiment names follow the paper's figure/table numbering.
 """
 
 from __future__ import annotations
 
+import importlib
 from collections.abc import Callable
 
-
-def _fig3() -> str:
-    from repro.experiments.fig3_motivating import main
-
-    return main()
-
-
-def _fig5() -> str:
-    from repro.experiments.fig5_analysis import main
-
-    return main()
-
-
-def _fig7() -> str:
-    from repro.experiments.fig7_simulation import main
-
-    return main()
-
-
-def _fig8() -> str:
-    from repro.experiments.fig8_bdf_edf import main
-
-    return main()
-
-
-def _fig9() -> str:
-    from repro.experiments.fig9_testbed import main
-
-    return main()
-
-
-def _table1() -> str:
-    from repro.experiments.table1_breakdown import main
-
-    return main()
-
-
-def _reliability() -> str:
-    from repro.experiments.reliability import main
-
-    return main()
-
-
-_EXPERIMENTS: dict[str, Callable[[], str]] = {
-    "fig3": _fig3,
-    "fig5": _fig5,
-    "fig7": _fig7,
-    "fig8": _fig8,
-    "fig9": _fig9,
-    "table1": _table1,
-    "reliability": _reliability,
+#: Experiment name -> module under :mod:`repro.experiments` whose ``main``
+#: runs it.  Modules are imported on lookup, so listing stays cheap.
+_EXPERIMENTS: dict[str, str] = {
+    "fig3": "fig3_motivating",
+    "fig5": "fig5_analysis",
+    "fig7": "fig7_simulation",
+    "fig8": "fig8_bdf_edf",
+    "fig9": "fig9_testbed",
+    "table1": "table1_breakdown",
+    "reliability": "reliability",
 }
 
 
@@ -70,8 +30,9 @@ def list_experiments() -> list[str]:
 def get_experiment(name: str) -> Callable[[], str]:
     """Look up an experiment runner by name."""
     try:
-        return _EXPERIMENTS[name]
+        module = _EXPERIMENTS[name]
     except KeyError:
         raise ValueError(
             f"unknown experiment {name!r}; choose from {list_experiments()}"
         ) from None
+    return importlib.import_module(f"repro.experiments.{module}").main

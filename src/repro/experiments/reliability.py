@@ -68,7 +68,6 @@ from repro.faults.models import (
     YEAR,
     ExponentialLifetimes,
     FailureModel,
-    model_from_dict,
     slice_window,
 )
 from repro.faults.schedule import (
@@ -79,7 +78,7 @@ from repro.faults.schedule import (
 )
 from repro.mapreduce.config import JobConfig, SimulationConfig
 from repro.mapreduce.simulation import build_topology, check_env
-from repro.mapreduce.workload import ArrivalProcess, PoissonArrivals, arrivals_from_dict
+from repro.mapreduce.workload import ArrivalProcess, PoissonArrivals
 from repro.sim.rng import RngStreams
 from repro.storage.block import BlockId
 from repro.storage.placement import RackConstrainedRandomPlacement
@@ -175,27 +174,6 @@ class CampaignConfig:
                 "concurrent_repairs": self.repair.concurrent_repairs,
             },
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict, base: SimulationConfig | None = None) -> "CampaignConfig":
-        """Rebuild campaign knobs from a :meth:`to_dict` payload."""
-        cluster = payload.get("cluster", {})
-        repair = payload.get("repair", {})
-        return cls(
-            model=model_from_dict(payload["model"]),
-            arrivals=arrivals_from_dict(payload["arrivals"]),
-            horizon=payload.get("horizon", 1.0 * YEAR),
-            iterations=payload.get("iterations", 3),
-            num_windows=payload.get("num_windows", 3),
-            window_duration=payload.get("window_duration", 1800.0),
-            policies=tuple(payload.get("policies", _POLICIES)),
-            base=base if base is not None else SimulationConfig(),
-            repair=RepairConfig(
-                bandwidth_cap=repair.get("bandwidth_cap", mbps(400.0)),
-                concurrent_repairs=repair.get("concurrent_repairs", 2),
-            ),
-            seed=payload.get("seed", 0),
-        )
 
 
 # -- Phase A: block-granularity availability replay ---------------------------

@@ -9,8 +9,8 @@ fail *during* jobs, recover, and limp.  The pieces here close that gap:
   :class:`CorruptEvent` entries, buildable programmatically or from a JSON
   trace;
 * :mod:`repro.faults.models` -- stochastic generators of such timelines
-  (exponential/Weibull lifetimes, correlated bursts, latent sector errors,
-  trace replay) for long-horizon reliability campaigns;
+  (exponential/Weibull lifetimes, correlated bursts, latent sector errors)
+  for long-horizon reliability campaigns;
 * :mod:`repro.faults.driver` -- the simulator processes that replay a
   schedule against a running cluster and detect dead trackers from
   heartbeat expiry (the master is *not* told about failures omnisciently);
@@ -30,10 +30,8 @@ from repro.faults.models import (
     ExponentialLifetimes,
     FailureModel,
     LatentSectorErrors,
-    TraceReplay,
     WeibullLifetimes,
     check_alternation,
-    model_from_dict,
     slice_window,
 )
 from repro.faults.records import (
@@ -73,9 +71,7 @@ __all__ = [
     "RepairRecord",
     "SlowdownEvent",
     "SlowdownRecord",
-    "TraceReplay",
     "WeibullLifetimes",
     "check_alternation",
-    "model_from_dict",
     "slice_window",
 ]

@@ -26,14 +26,13 @@ The family:
 * :class:`LatentSectorErrors` -- silent per-block corruption surfacing as
   :class:`~repro.faults.schedule.CorruptEvent`; discovered lazily by
   readers or proactively by the scrubber.
-* :class:`TraceReplay` -- replays a recorded :class:`FailureSchedule`
-  (optionally time-scaled), so real-cluster traces can drive the simulator.
 * :class:`CompositeModel` -- overlays models over *disjoint* concerns
   (e.g. lifetimes + sector errors); the merged stream is checked for
   per-node fail/recover alternation so conflicting overlays fail loudly.
 
-All models serialise through ``to_dict()`` / :func:`model_from_dict` with a
-``kind`` tag, mirroring the schedule trace format.
+Every model describes itself through ``to_dict()`` with a ``kind`` tag (the
+reliability report's ``config`` block), and the tag names the model's RNG
+substream (``model:{kind}``).
 """
 
 from __future__ import annotations
@@ -57,14 +56,6 @@ HOUR = 3600.0
 DAY = 24.0 * HOUR
 YEAR = 365.0 * DAY
 
-#: ``kind`` tag -> model class, for dict/JSON round-trips.
-MODEL_KINDS: dict[str, type["FailureModel"]] = {}
-
-
-def _register(cls: type["FailureModel"]) -> type["FailureModel"]:
-    MODEL_KINDS[cls.kind] = cls
-    return cls
-
 
 @dataclass(frozen=True)
 class FailureModel:
@@ -84,28 +75,12 @@ class FailureModel:
         raise NotImplementedError
 
     def to_dict(self) -> dict:
-        """The ``kind``-tagged dict this model round-trips through."""
+        """The model's parameters, tagged with its ``kind``."""
         return {"kind": self.kind, **asdict(self)}
-
-    @classmethod
-    def _from_fields(cls, fields: dict) -> "FailureModel":
-        """Default reconstruction; models with nested payloads override it."""
-        return cls(**fields)
 
     def _streams(self, rng: RngStreams) -> RngStreams:
         """The model's own substream namespace under the trial RNG."""
         return rng.spawn(f"model:{self.kind}")
-
-
-def model_from_dict(payload: dict) -> FailureModel:
-    """Rebuild a model from its ``to_dict()`` form (``kind`` selects the class)."""
-    fields = dict(payload)
-    kind = fields.pop("kind", None)
-    if kind not in MODEL_KINDS:
-        raise ValueError(
-            f"model kind must be one of {sorted(MODEL_KINDS)}, got {kind!r}"
-        )
-    return MODEL_KINDS[kind]._from_fields(fields)
 
 
 def _alternating_lifetimes(
@@ -122,7 +97,6 @@ def _alternating_lifetimes(
     return events
 
 
-@_register
 @dataclass(frozen=True)
 class ExponentialLifetimes(FailureModel):
     """I.i.d. exponential node lifetimes and repair times (the Markov model)."""
@@ -155,7 +129,6 @@ class ExponentialLifetimes(FailureModel):
         return FailureSchedule(tuple(events))
 
 
-@_register
 @dataclass(frozen=True)
 class WeibullLifetimes(FailureModel):
     """Weibull node lifetimes (shape < 1: infant mortality; > 1: wear-out).
@@ -199,7 +172,6 @@ class WeibullLifetimes(FailureModel):
         return FailureSchedule(tuple(events))
 
 
-@_register
 @dataclass(frozen=True)
 class CorrelatedBursts(FailureModel):
     """GFS-style correlated availability episodes.
@@ -271,7 +243,6 @@ class CorrelatedBursts(FailureModel):
         return FailureSchedule(tuple(events))
 
 
-@_register
 @dataclass(frozen=True)
 class LatentSectorErrors(FailureModel):
     """Silent per-block corruption arriving as a Poisson process.
@@ -317,62 +288,6 @@ class LatentSectorErrors(FailureModel):
         return FailureSchedule(tuple(events))
 
 
-@_register
-@dataclass(frozen=True)
-class TraceReplay(FailureModel):
-    """Replay an external failure log as a schedule, optionally time-scaled.
-
-    ``generate`` draws no randomness: the trace *is* the realisation.  Fail
-    (and slowdown/corrupt) events at or beyond the horizon are dropped;
-    recoveries are kept whenever their node failed inside the horizon, so
-    alternation survives truncation.
-    """
-
-    kind: ClassVar[str] = "trace"
-
-    schedule: FailureSchedule = FailureSchedule()
-    time_scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.time_scale <= 0:
-            raise ValueError(f"time_scale must be positive, got {self.time_scale}")
-
-    def generate(
-        self, topology: ClusterTopology, rng: RngStreams, horizon: float
-    ) -> FailureSchedule:
-        del topology, rng
-        failed_in_horizon: set[int] = set()
-        events: list[FaultEvent] = []
-        for event in self.schedule.events:
-            at = event.at * self.time_scale
-            if isinstance(event, RecoverEvent):
-                if event.node in failed_in_horizon or at < horizon:
-                    events.append(RecoverEvent(at=at, node=event.node))
-                continue
-            if at >= horizon:
-                continue
-            scaled = type(event)(**{**asdict(event), "at": at})
-            events.append(scaled)
-            if isinstance(event, FailEvent) and event.node is not None:
-                failed_in_horizon.add(event.node)
-        return FailureSchedule(tuple(events))
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "schedule": self.schedule.to_dict(),
-            "time_scale": self.time_scale,
-        }
-
-    @classmethod
-    def _from_fields(cls, fields: dict) -> "TraceReplay":
-        return cls(
-            schedule=FailureSchedule.from_dict(fields["schedule"]),
-            time_scale=fields.get("time_scale", 1.0),
-        )
-
-
-@_register
 @dataclass(frozen=True)
 class CompositeModel(FailureModel):
     """Overlay of models covering *disjoint* concerns (lifetimes + LSE + ...).
@@ -404,10 +319,6 @@ class CompositeModel(FailureModel):
             "kind": self.kind,
             "models": [model.to_dict() for model in self.models],
         }
-
-    @classmethod
-    def _from_fields(cls, fields: dict) -> "CompositeModel":
-        return cls(models=tuple(model_from_dict(m) for m in fields["models"]))
 
 
 def check_alternation(schedule: FailureSchedule, topology: ClusterTopology) -> None:

@@ -9,20 +9,18 @@ times trend upward) instead of silently stretching the burst's makespan.
 
 An :class:`ArrivalProcess` turns an RNG and a horizon into a tuple of
 :class:`~repro.mapreduce.config.JobConfig` entries with ``submit_time`` set;
-the existing FIFO multi-job plumbing in the master does the rest.  Two
-processes are provided:
+the existing FIFO multi-job plumbing in the master does the rest.  The
+process provided is:
 
 * :class:`PoissonArrivals` -- memoryless arrivals with mean spacing
   ``mean_interarrival``; each arrival draws a job template from the
   (optionally weighted) multi-tenant ``templates`` tuple.  This is the
   M/G/- regime the MDS-queue analysis of degraded reads assumes.
-* :class:`TraceArrivals` -- replays explicit submit times (e.g. from a
-  production trace), cycling through ``templates``.
 
 Draws come from named :class:`~repro.sim.rng.RngStreams` substreams, so a
-``(process, seed)`` pair always yields the same arrival stream, and both
-processes serialise through ``to_dict()`` / :func:`arrivals_from_dict` like
-the failure models they ride alongside.
+``(process, seed)`` pair always yields the same arrival stream, and a
+process describes itself through a ``kind``-tagged ``to_dict()`` like the
+failure models it rides alongside.
 """
 
 from __future__ import annotations
@@ -33,14 +31,6 @@ from typing import ClassVar
 
 from repro.mapreduce.config import JobConfig
 from repro.sim.rng import RngStreams
-
-#: ``kind`` tag -> arrival-process class, for dict/JSON round-trips.
-ARRIVAL_KINDS: dict[str, type["ArrivalProcess"]] = {}
-
-
-def _register(cls: type["ArrivalProcess"]) -> type["ArrivalProcess"]:
-    ARRIVAL_KINDS[cls.kind] = cls
-    return cls
 
 
 @dataclass(frozen=True)
@@ -54,29 +44,10 @@ class ArrivalProcess:
         raise NotImplementedError
 
     def to_dict(self) -> dict:
-        """The ``kind``-tagged dict this process round-trips through."""
+        """The process's parameters, tagged with its ``kind``."""
         raise NotImplementedError
 
 
-def arrivals_from_dict(payload: dict) -> ArrivalProcess:
-    """Rebuild an arrival process from its ``to_dict()`` form."""
-    fields = dict(payload)
-    kind = fields.pop("kind", None)
-    if kind not in ARRIVAL_KINDS:
-        raise ValueError(
-            f"arrival kind must be one of {sorted(ARRIVAL_KINDS)}, got {kind!r}"
-        )
-    return ARRIVAL_KINDS[kind]._from_fields(fields)
-
-
-def _templates_from(fields: dict) -> tuple[JobConfig, ...]:
-    return tuple(
-        job if isinstance(job, JobConfig) else JobConfig(**job)
-        for job in fields.get("templates", ())
-    ) or (JobConfig(),)
-
-
-@_register
 @dataclass(frozen=True)
 class PoissonArrivals(ArrivalProcess):
     """Poisson job arrivals over multi-tenant templates.
@@ -141,53 +112,3 @@ class PoissonArrivals(ArrivalProcess):
         if self.weights is not None:
             payload["weights"] = list(self.weights)
         return payload
-
-    @classmethod
-    def _from_fields(cls, fields: dict) -> "PoissonArrivals":
-        weights = fields.get("weights")
-        return cls(
-            mean_interarrival=fields.get("mean_interarrival", 600.0),
-            templates=_templates_from(fields),
-            weights=None if weights is None else tuple(weights),
-        )
-
-
-@_register
-@dataclass(frozen=True)
-class TraceArrivals(ArrivalProcess):
-    """Replay explicit submit times, cycling through the template mix."""
-
-    kind: ClassVar[str] = "trace"
-
-    submit_times: tuple[float, ...] = ()
-    templates: tuple[JobConfig, ...] = (JobConfig(),)
-
-    def __post_init__(self) -> None:
-        if not self.templates:
-            raise ValueError("need at least one job template")
-        if any(at < 0 for at in self.submit_times):
-            raise ValueError(f"negative submit time in {self.submit_times}")
-
-    def generate(self, rng: RngStreams, horizon: float) -> tuple[JobConfig, ...]:
-        del rng  # the trace is the realisation
-        return tuple(
-            dataclasses.replace(
-                self.templates[index % len(self.templates)], submit_time=at
-            )
-            for index, at in enumerate(sorted(self.submit_times))
-            if at < horizon
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "submit_times": list(self.submit_times),
-            "templates": [dataclasses.asdict(job) for job in self.templates],
-        }
-
-    @classmethod
-    def _from_fields(cls, fields: dict) -> "TraceArrivals":
-        return cls(
-            submit_times=tuple(fields.get("submit_times", ())),
-            templates=_templates_from(fields),
-        )

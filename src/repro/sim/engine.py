@@ -55,18 +55,17 @@ class Interrupt(Exception):
 class Event:
     """A one-shot occurrence processes can wait on.
 
-    An event starts *pending*; calling :meth:`succeed` (or :meth:`fail`)
-    fires it, waking every process that yielded it.  Waiting on an already
-    fired event resumes the waiter immediately with the stored value.
+    An event starts *pending*; calling :meth:`succeed` fires it, waking
+    every process that yielded it.  Waiting on an already fired event
+    resumes the waiter immediately with the stored value.
     """
 
-    __slots__ = ("_sim", "_fired", "_value", "_error", "_waiters", "name")
+    __slots__ = ("_sim", "_fired", "_value", "_waiters", "name")
 
     def __init__(self, sim: "Simulator", name: str = "") -> None:
         self._sim = sim
         self._fired = False
         self._value: Any = None
-        self._error: BaseException | None = None
         # Insertion-ordered waiter set: wake order matches append order (as
         # a list would give) while discarding a waiter stays O(1).
         self._waiters: dict[Process, None] = {}
@@ -94,22 +93,9 @@ class Event:
         for process in waiters:
             self._sim._schedule_resume(process, value)
 
-    def fail(self, error: BaseException) -> None:
-        """Fire the event with an exception; waiters have it raised in them."""
-        if self._fired:
-            raise SimulationError(f"event {self.name!r} fired twice")
-        self._fired = True
-        self._error = error
-        waiters, self._waiters = self._waiters, {}
-        for process in waiters:
-            self._sim._schedule_throw(process, error)
-
     def _add_waiter(self, process: "Process") -> None:
         if self._fired:
-            if self._error is not None:
-                self._sim._schedule_throw(process, self._error)
-            else:
-                self._sim._schedule_resume(process, self._value)
+            self._sim._schedule_resume(process, self._value)
         else:
             self._waiters[process] = None
 
@@ -253,8 +239,7 @@ class _CallbackShim:
         self._fn = fn
 
     def _step(self, kind: str, payload: Any) -> None:
-        if kind == "throw":
-            raise payload
+        # Only events wake a shim, and events only succeed: ``kind`` is "send".
         self._fn(payload)
 
 
@@ -289,10 +274,6 @@ class Simulator:
     def event(self, name: str = "") -> Event:
         """Create a fresh pending event."""
         return Event(self, name=name)
-
-    def timeout(self, delay: float) -> Timeout:
-        """Create a timeout; for symmetry with :meth:`event`."""
-        return Timeout(delay)
 
     def all_of(self, events: list[Event]) -> AllOf:
         """Create a conjunction wait on several events."""
@@ -389,8 +370,6 @@ class Simulator:
     def _add_callback(self, event: Event, fn: Callable[[Any], None]) -> None:
         """Attach a plain callback to an event (fires immediately if fired)."""
         if event.fired:
-            if event._error is not None:
-                raise event._error
             self._push(self._now, lambda: fn(event._value))
             return
         event._waiters[_CallbackShim(fn)] = None  # type: ignore[index]

@@ -8,21 +8,22 @@ else.  The argument for the hoist is that the engine only ever reads a
 waiter's ``_epoch`` and calls its ``_step``, so *nothing observable
 changes*: not one resume value, wake-up order or heap entry.
 
-This file holds the old method, copied verbatim, on
-:class:`ReferenceSimulator`, and drives it and the real engine with the
-same random script: gatherers waiting on ``AllOf`` over 3--6 shared events
-(members repeated inside one gate, shared between gates, already fired when
-the gate is armed), plain waiters on the same events, events that succeed,
-fail or never fire (a cancelled flow's completion), and interrupts thrown
-at gatherers before, while and after they are parked on a gate.  Times sit
-on a coarse grid so arming, firing and interrupting collide in one instant
-all the time.  Required identical: the ``(time, who, what, value)`` log --
-resume values, completion order, errors raised out of ``run`` -- which
-processes finished, the final clock and ``Simulator.dispatched``.
+This file holds the old method on :class:`ReferenceSimulator` (copied
+verbatim, less the failed-event branches that left with ``Event.fail``),
+and drives it and the real engine with the same random script: gatherers
+waiting on ``AllOf`` over 3--6 shared events (members repeated inside one
+gate, shared between gates, already fired when the gate is armed), plain
+waiters on the same events, events that fire or never fire (a cancelled
+flow's completion), and interrupts thrown at gatherers before, while and
+after they are parked on a gate.  Times sit on a coarse grid so arming,
+firing and interrupting collide in one instant all the time.  Required
+identical: the ``(time, who, what, value)`` log -- resume values and
+completion order -- which processes finished, the final clock and
+``Simulator.dispatched``.
 
-The last test is the mutation check of this harness: a shim that ignores
-``throw`` (and so hands a failed member's exception to the callback as if it
-were a value) must be caught.
+The last test is the mutation check of this harness: a callback of an
+already-fired member that runs at once instead of from the heap must be
+caught.
 """
 
 from __future__ import annotations
@@ -46,8 +47,6 @@ class ReferenceSimulator(Simulator):
     def _add_callback(self, event: Event, fn: Callable[[Any], None]) -> None:
         """Attach a plain callback to an event (fires immediately if fired)."""
         if event.fired:
-            if event._error is not None:
-                raise event._error
             self._push(self._now, lambda: fn(event._value))
             return
 
@@ -59,22 +58,15 @@ class ReferenceSimulator(Simulator):
             finished = event  # only `.fired` is consulted, never re-fired
 
             def _step(self, kind: str, payload: Any) -> None:
-                if kind == "throw":
-                    raise payload
                 fn(payload)
 
         event._waiters[_CallbackShim()] = None  # type: ignore[index]
-
-
-class ScriptError(Exception):
-    """What a failing script event fails with."""
 
 
 @dataclass(frozen=True)
 class Fire:
     at: float
     event: int
-    fail: bool
 
 
 @dataclass(frozen=True)
@@ -112,9 +104,8 @@ def gate_script(draw):
             index for index, op in enumerate(ops) if isinstance(op, (Gather, Wait))
         ]
         if kind <= 3:
-            # One fire in eight fails; an event left out never fires.
-            fail = draw(st.integers(min_value=0, max_value=7)) == 0
-            ops.append(Fire(draw(instant), draw(event), fail))
+            # An event left out never fires.
+            ops.append(Fire(draw(instant), draw(event)))
         elif kind <= 6 or not processes:
             members = tuple(draw(st.lists(event, min_size=0, max_size=5)))
             ops.append(
@@ -148,20 +139,12 @@ def run_script(simulator_class, num_events: int, ops) -> dict:
 
     def waiter(index: int, op: Wait):
         yield Timeout(op.at)
-        try:
-            value = yield events[op.event]
-        except ScriptError as error:
-            log.append((sim.now, index, "failed", str(error)))
-        else:
-            log.append((sim.now, index, "woken", value))
+        value = yield events[op.event]
+        log.append((sim.now, index, "woken", value))
 
     def fire(index: int, op: Fire) -> None:
         target = events[op.event]
-        if target.fired:
-            return
-        if op.fail:
-            target.fail(ScriptError(f"fire {index}"))
-        else:
+        if not target.fired:
             target.succeed(("value", index))
 
     def kick(index: int, op: Kick) -> None:
@@ -176,15 +159,7 @@ def run_script(simulator_class, num_events: int, ops) -> dict:
             sim.call_at(op.at, lambda index=index, op=op: fire(index, op))
         else:
             sim.call_at(op.at, lambda index=index, op=op: kick(index, op))
-    while True:
-        # A failed gate member raises out of ``run``; the heap stays
-        # consistent, so carry on and compare what happens afterwards too.
-        try:
-            sim.run()
-        except ScriptError as error:
-            log.append((sim.now, None, "raised", str(error)))
-        else:
-            break
+    sim.run()
     return {
         "log": log,
         "finished": {index: process.finished.fired for index, process in processes.items()},
@@ -210,16 +185,16 @@ def test_same_observable_behaviour_as_per_call_class_reference(script):
 def test_fixed_script_reaches_every_case():
     """One hand-written script, so the cases above are provably exercised."""
     ops = [
-        Fire(0.0, 0, fail=False),  # 0: e0 is fired before any gate is armed
+        Fire(0.0, 0),  # 0: e0 is fired before any gate is armed
         Gather(1.0, (0, 1, 1, 2), linger=1.0),  # 1: fired + repeated + shared members
         Gather(1.0, (2, 3), linger=0.0),  # 2: e3 never fires -> parked for good
         Wait(1.0, 2),  # 3: a plain waiter behind two shims of e2
-        Fire(2.0, 1, fail=False),  # 4
-        Fire(2.0, 2, fail=False),  # 5: same instant as 4; completes gate 1
+        Fire(2.0, 1),  # 4
+        Fire(2.0, 2),  # 5: same instant as 4; completes gate 1
         Gather(2.0, (1, 4), linger=4.0),  # 6: armed in the instant e1 fires
         Kick(3.0, 6),  # 7: interrupted while parked on its gate
-        Fire(4.0, 4, fail=True),  # 8: raises out of run through gate 6's shim
-        Gather(5.0, (4,), linger=0.0),  # 9: arms on an already-failed member
+        Fire(4.0, 4),  # 8: fires into gate 6's shim after its owner left
+        Gather(5.0, (4,), linger=0.0),  # 9: arms on an already-fired member
         Gather(6.0, (), linger=0.0),  # 10: empty gate
         Kick(0.5, 10),  # 11: interrupted before it ever reaches its gate
     ]
@@ -227,29 +202,24 @@ def test_fixed_script_reaches_every_case():
     whats = [(who, what) for _time, who, what, _value in expected["log"]]
     assert (1, "values") in whats and (3, "woken") in whats
     assert (6, "interrupted") in whats and (6, "lingered") in whats
-    assert whats.count((None, "raised")) == 2  # the pending and the fired-failed member
+    assert (6, "values") not in whats  # the late gate never wakes its owner
+    assert (9, "values") in whats
     assert (10, "interrupted") in whats
     assert expected["finished"][2] is False  # parked on the member that never fires
     values = next(value for _t, who, what, value in expected["log"] if (who, what) == (1, "values"))
     assert values == [("value", 0), ("value", 4), ("value", 4), ("value", 5)]
 
 
-class _IgnoresThrowShim(_CallbackShim):
-    __slots__ = ()
-
-    def _step(self, kind: str, payload: Any) -> None:
-        self._fn(payload)
-
-
-class IgnoresThrow(Simulator):
-    """Mutant: the shim hands a failed member's error to the callback as a value."""
+class RunsFiredAtOnce(Simulator):
+    """Mutant: an already-fired member's callback runs at once, off the heap."""
 
     __slots__ = ()
 
     def _add_callback(self, event: Event, fn: Callable[[Any], None]) -> None:
         if event.fired:
-            return super()._add_callback(event, fn)
-        event._waiters[_IgnoresThrowShim(fn)] = None  # type: ignore[index]
+            fn(event.value)
+            return
+        event._waiters[_CallbackShim(fn)] = None  # type: ignore[index]
 
 
 def test_harness_catches_the_mutant():
@@ -263,7 +233,7 @@ def test_harness_catches_the_mutant():
     )
     @given(gate_script())
     def mutant_is_equivalent(script):
-        assert_equivalent(IgnoresThrow, *script)
+        assert_equivalent(RunsFiredAtOnce, *script)
 
     with pytest.raises(AssertionError):
         mutant_is_equivalent()

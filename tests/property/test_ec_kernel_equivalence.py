@@ -49,6 +49,14 @@ def random_blocks(count: int, length: int, seed: int) -> list[np.ndarray]:
     return [rng.integers(0, 256, size=length, dtype=np.uint8) for _ in range(count)]
 
 
+def fitted(blocks: list[np.ndarray], width: int) -> list[np.ndarray]:
+    """Each block explicitly cut, or zero-padded, to ``width`` bytes."""
+    return [
+        np.concatenate([block[:width], np.zeros(width - len(block[:width]), np.uint8)])
+        for block in blocks
+    ]
+
+
 class TestMatvecEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(gf_matrix(), block_lengths, st.integers(min_value=0, max_value=2**31))
@@ -74,6 +82,44 @@ class TestMatvecEquivalence:
             assert np.array_equal(one, truth)
             assert np.array_equal(two, truth)
             assert one is not two  # outputs are safe to mutate
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        gf_matrix(),
+        st.data(),
+        st.one_of(st.none(), block_lengths),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    def test_ragged_blocks_read_as_zero_extended(self, matrix, data, length, seed):
+        """Ragged apply == the oracle on blocks explicitly padded or cut to length."""
+        lengths = data.draw(
+            st.lists(block_lengths, min_size=matrix.shape[1], max_size=matrix.shape[1])
+        )
+        rng = np.random.default_rng(seed)
+        blocks = [rng.integers(0, 256, size=size, dtype=np.uint8) for size in lengths]
+        width = max(lengths) if length is None else length
+        fast = gfm.BatchedMatvec(matrix).apply(blocks, length)
+        slow = gfm.matvec_blocks_reference(matrix, fitted(blocks, width))
+        assert len(fast) == len(slow)
+        for fast_row, slow_row in zip(fast, slow):
+            assert fast_row.dtype == np.uint8
+            assert np.array_equal(fast_row, slow_row)
+
+    def test_ragged_cases_are_reached(self):
+        """Fixed ragged shapes: both kernel paths, odd/even/empty, a cut output."""
+        matrix = np.array([[1, 0, 0], [0, 0, 0], [2, 3, 4], [5, 6, 7]], dtype=np.uint8)
+        for lengths, length in [
+            ((0, 1, 2), None),
+            ((3, 17, 0), 2),
+            ((PACKED_MIN_BLOCK - 1, PACKED_MIN_BLOCK, PACKED_MIN_BLOCK + 1), None),
+            ((PACKED_MIN_BLOCK + 1, 5, 0), PACKED_MIN_BLOCK),
+            ((PACKED_MIN_BLOCK + 3, PACKED_MIN_BLOCK + 1, 64), PACKED_MIN_BLOCK + 2),
+        ]:
+            blocks = [random_blocks(1, size, seed=size)[0] for size in lengths]
+            width = max(lengths) if length is None else length
+            fast = gfm.BatchedMatvec(matrix).apply(blocks, length)
+            slow = gfm.matvec_blocks_reference(matrix, fitted(blocks, width))
+            assert all(np.array_equal(f, s) for f, s in zip(fast, slow)), (lengths, length)
 
     def test_outputs_not_aliased_to_inputs(self):
         """Unit rows return copies, never views of the caller's blocks."""
@@ -232,6 +278,39 @@ class TestRaggedEncode:
     @settings(max_examples=60, deadline=None)
     @given(ragged_stripes())
     def test_codec_matches_padded_per_stripe_encode(self, codec_stripes):
-        """Zero-filling inside the stack == padding each stripe, then encoding it."""
+        """Zero-extension in the kernel == padding each stripe, then encoding it."""
         codec, stripes = codec_stripes
         assert codec.encode_stripes(stripes) == padded_encode_reference(codec, stripes)
+
+
+def padded_degraded_read_reference(
+    codec: ErasureCodec, lost: int, available: dict[int, bytes], lost_length: int
+) -> bytes:
+    """The pre-kernel degraded read: pad every survivor, reconstruct, slice.
+
+    Survivors are ``ljust``-padded to the longest one (the coding length),
+    reconstructed from those equal-length copies, and the result is cut
+    back to the lost block's true length.
+    """
+    length = max(len(block) for block in available.values())
+    padded = {position: block.ljust(length, b"\0") for position, block in available.items()}
+    return codec.coder.reconstruct_block(lost, padded)[:lost_length]
+
+
+class TestRaggedDegradedRead:
+    @settings(max_examples=60, deadline=None)
+    @given(ragged_stripes(), st.data())
+    def test_matches_pad_reconstruct_slice(self, codec_stripes, data):
+        """Ragged survivors decode byte-identically to the padded path."""
+        codec, stripes = codec_stripes
+        n, k = codec.params.n, codec.params.k
+        for stripe in codec.encode_stripes(stripes):
+            lost = data.draw(st.integers(min_value=0, max_value=n - 1))
+            others = [position for position in range(n) if position != lost]
+            chosen = data.draw(st.permutations(others))[:k]
+            available = {position: stripe[position] for position in chosen}
+            rebuilt = codec.degraded_read(lost, available, lost_length=len(stripe[lost]))
+            assert rebuilt == stripe[lost]
+            assert rebuilt == padded_degraded_read_reference(
+                codec, lost, available, len(stripe[lost])
+            )

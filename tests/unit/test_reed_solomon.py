@@ -179,17 +179,6 @@ class TestPlanCache:
         assert info["plans"] == len(patterns) <= PLAN_CACHE_SIZE
         assert info["plan_hits"] > 0
 
-    def test_decode_arrays_matches_decode(self):
-        import numpy as np
-
-        coder = ReedSolomon(5, 3)
-        natives = [bytes([7 * i + j for j in range(16)]) for i in range(3)]
-        stripe = make_stripe(coder, natives)
-        available = {i: stripe[i] for i in (0, 3, 4)}
-        arrays = coder.decode_arrays(available)
-        assert [array.tobytes() for array in arrays] == coder.decode(available)
-        assert all(array.dtype == np.uint8 for array in arrays)
-
     def test_reconstruct_available_block_is_verbatim(self):
         coder = ReedSolomon(4, 2)
         natives = [b"abcd", b"wxyz"]

@@ -189,18 +189,24 @@ class TestBasicDegradedFirst:
 class TestEnhanced:
     def test_rack_guard_blocks_back_to_back(self):
         state, context, _ = build_state()
-        if state.M_d < 2:
-            pytest.skip("need two degraded tasks")
+        assert state.M_d >= 2
         scheduler = EnhancedDegradedFirstScheduler(context)
-        rack0_nodes = [n for n in sorted(context.live_nodes) if context.topology.rack_of(n) == 0]
-        first = scheduler.assign_maps(rack0_nodes[0], 1, [state], now=0.0)
-        if not first or first[0].category is not MapTaskCategory.DEGRADED:
-            pytest.skip("slave guard kept the first degraded task off this node")
+        # The first rack-0 node the slave guard admits: only the rack guard
+        # may then keep a degraded task off it.
+        node = next(
+            n for n in sorted(context.live_nodes)
+            if context.topology.rack_of(n) == 0 and scheduler.assign_to_slave(state, n)
+        )
+        first = scheduler.assign_maps(node, 1, [state], now=0.0)
+        assert [m.category for m in first] == [MapTaskCategory.DEGRADED]
         # Advance pacing so only the rack guard can block the next launch.
         state.launched_map_tasks += state.M
-        second = scheduler.assign_maps(rack0_nodes[1], 1, [state], now=0.1)
+        assert scheduler.assign_to_slave(state, node)
+        assert not scheduler.assign_to_rack(0, now=0.1)
+        second = scheduler.assign_maps(node, 1, [state], now=0.1)
         degraded = [m for m in second if m.category is MapTaskCategory.DEGRADED]
         assert not degraded  # same rack, within the threshold window
+        assert second  # the slot still gets a non-degraded task
 
     def test_rack_guard_releases_after_threshold(self):
         state, context, _ = build_state()

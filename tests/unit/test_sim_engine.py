@@ -109,21 +109,6 @@ class TestProcesses:
         with pytest.raises(SimulationError):
             _ = gate.value
 
-    def test_event_fail_raises_in_waiter(self, sim):
-        gate = sim.event()
-        caught = []
-
-        def waiter():
-            try:
-                yield gate
-            except RuntimeError as error:
-                caught.append(str(error))
-
-        sim.spawn(waiter())
-        sim.call_in(1.0, lambda: gate.fail(RuntimeError("boom")))
-        sim.run()
-        assert caught == ["boom"]
-
     def test_wait_on_process(self, sim):
         log = []
 
@@ -327,28 +312,6 @@ class TestAllOfContract:
         assert log == [(1.0, [0, 1, 2])]
         assert sim.dispatched == 6
 
-    def test_failed_member_raises_out_of_run(self, sim):
-        good, bad = sim.event(), sim.event()
-        log = []
-        process = self._gather(sim, [good, bad], log)
-        sim.call_in(1.0, lambda: good.succeed("ok"))
-        sim.call_in(2.0, lambda: bad.fail(RuntimeError("boom")))
-        with pytest.raises(RuntimeError, match="boom"):
-            sim.run()
-        assert log == []
-        assert not process.finished.fired
-        assert sim.dispatched == 5
-
-    def test_already_failed_member_raises_when_armed(self, sim):
-        bad = sim.event()
-        bad.fail(RuntimeError("boom"))
-        log = []
-        self._gather(sim, [sim.event(), bad], log)
-        with pytest.raises(RuntimeError, match="boom"):
-            sim.run()
-        assert log == []
-        assert sim.dispatched == 1
-
     def test_interrupting_a_process_parked_on_the_gate(self, sim):
         first, second = sim.event(), sim.event()
         log = []
@@ -428,16 +391,3 @@ class TestAllOfContract:
         sim.run()
         assert log == ["v"]
         assert sim.dispatched == 1
-
-    def test_add_callback_on_a_failed_event_raises(self, sim):
-        event = sim.event()
-        event.fail(KeyError("gone"))
-        with pytest.raises(KeyError):
-            sim._add_callback(event, lambda value: None)
-
-    def test_callback_of_an_event_that_fails_later_raises_out_of_run(self, sim):
-        event = sim.event()
-        sim._add_callback(event, lambda value: None)
-        sim.call_in(1.0, lambda: event.fail(KeyError("gone")))
-        with pytest.raises(KeyError):
-            sim.run()

@@ -12,10 +12,18 @@ definition:
 * anywhere in the text of ``benchmarks/``, ``examples/``, README.md or
   ``tests/golden/regenerate.py``.
 
+A ``classmethod`` or ``staticmethod`` is matched by its qualname instead:
+it is reached only through ``Cls.meth`` (in ``src/repro`` or in the external
+text), or through ``cls.meth`` / ``self.meth`` inside its own class ``Cls``;
+a subclass's ``Sub.meth`` or ``self.meth`` reaches the inherited method.  So
+an alternate constructor does not hide behind a live method of the same name
+on another class.
+
 A definition reached only by ``tests/`` fails this test unless
-:data:`ALLOWLIST` names it with a reason.  The scan matches bare names, so
-it is lenient (one ``run`` anywhere keeps every ``run`` method); what it
-catches is a definition nothing outside the tests and itself mentions.
+:data:`ALLOWLIST` names it with a reason.  Apart from those qualified
+methods the scan matches bare names, so it is lenient (one ``run``
+anywhere keeps every ``run`` method); what it catches is a definition
+nothing outside the tests and itself mentions.
 """
 
 from __future__ import annotations
@@ -43,33 +51,47 @@ ALLOWLIST = {
     "ExclusivePathNetwork",
     "scenario_strategy": "test probe: the Hypothesis face of the fuzzer's scenario "
     "space, driven by tests/property/test_sanitizer_properties.py",
-    "TraceReplay": "serialised kind: model_from_dict builds it from a 'trace' "
-    "model dict; no production caller writes one yet",
-    "TraceArrivals": "serialised kind: arrivals_from_dict builds it from a 'trace' "
-    "arrival dict; no production caller writes one yet",
 }
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")
+#: ``Cls.meth`` in free text: the only way that text reaches a qualified method.
+_QUALIFIED = re.compile(r"(?=\b([A-Za-z_][A-Za-z0-9_]*\.[A-Za-z_][A-Za-z0-9_]*))")
+_BINDERS = {"staticmethod", "classmethod"}
 
 
 def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
+def _is_bound_to_class(function: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
+    return any(
+        isinstance(decorator, ast.Name) and decorator.id in _BINDERS
+        for decorator in function.decorator_list
+    )
+
+
 def _definitions(tree: ast.Module):
-    """Yield ``(name, qualname, lineno)`` for every scanned definition."""
+    """Yield ``(name, qualname, lineno, qualified)`` for every scanned definition.
+
+    ``qualified`` marks a classmethod or staticmethod, matched by qualname.
+    """
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             continue
         if not _is_dunder(node.name):
-            yield node.name, node.name, node.lineno
+            yield node.name, node.name, node.lineno, False
         if isinstance(node, ast.ClassDef):
             for member in node.body:
                 if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
                     _is_dunder(member.name)
                 ):
-                    yield member.name, f"{node.name}.{member.name}", member.lineno
+                    yield (
+                        member.name,
+                        f"{node.name}.{member.name}",
+                        member.lineno,
+                        _is_bound_to_class(member),
+                    )
 
 
 def _all_constants(tree: ast.Module) -> set[int]:
@@ -96,24 +118,40 @@ def _docstring_constants(tree: ast.Module) -> set[int]:
     return ids
 
 
-def _references(tree: ast.Module, is_package_init: bool) -> set[str]:
-    """Every name one module mentions, excluding definitions and ``__all__``.
+def _references(tree: ast.Module, is_package_init: bool) -> tuple[set[str], set[str]]:
+    """Names and ``Cls.meth`` pairs one module mentions, less definitions and ``__all__``.
 
     A name used inside a definition of that same name (recursion, a class
     annotating its own methods, ``Foo.from_dict`` building ``Foo``) does not
-    count: a definition must be reached from outside itself.
+    count: a definition must be reached from outside itself.  The second set
+    holds qualified mentions: ``X.meth`` as written, and ``cls.meth`` /
+    ``self.meth`` inside class ``Cls`` as ``Cls.meth``, except inside
+    ``Cls.meth`` itself.
     """
     skipped = _all_constants(tree) | _docstring_constants(tree)
     names: set[str] = set()
+    qualified: set[str] = set()
 
-    def visit(node: ast.AST, enclosing: frozenset[str]) -> None:
+    def visit(
+        node: ast.AST, enclosing: frozenset[str], owner: str | None, inside: frozenset[str]
+    ) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             enclosing = enclosing | {node.name}
+            if isinstance(node, ast.ClassDef):
+                owner = node.name
+            elif owner is not None:
+                inside = inside | {f"{owner}.{node.name}"}
         mentioned: list[str] = []
+        dotted: list[str] = []
         if isinstance(node, ast.Name):
             mentioned = [node.id]
         elif isinstance(node, ast.Attribute):
             mentioned = [node.attr]
+            if isinstance(node.value, ast.Name):
+                holder = node.value.id
+                if holder in ("cls", "self") and owner is not None:
+                    holder = owner
+                dotted = [f"{holder}.{node.attr}"]
         elif isinstance(node, ast.ImportFrom) and not is_package_init:
             mentioned = [alias.name for alias in node.names]
         elif (
@@ -123,27 +161,51 @@ def _references(tree: ast.Module, is_package_init: bool) -> set[str]:
             and _DOTTED.fullmatch(node.value)
         ):
             mentioned = node.value.split(".")
+            dotted = [f"{a}.{b}" for a, b in zip(mentioned, mentioned[1:])]
         names.update(name for name in mentioned if name not in enclosing)
+        qualified.update(name for name in dotted if name not in inside)
         for child in ast.iter_child_nodes(node):
-            visit(child, enclosing)
+            visit(child, enclosing, owner, inside)
 
-    visit(tree, frozenset())
-    return names
+    visit(tree, frozenset(), None, frozenset())
+    return names, qualified
 
 
 def unreferenced(sources: dict[str, str], external_texts: list[str]) -> list[str]:
     """``path:line qualname`` of every definition no production code names."""
     parsed = {path: ast.parse(text, path) for path, text in sources.items()}
     referenced: set[str] = set()
+    mentions: set[str] = set()
     for path, tree in parsed.items():
-        referenced |= _references(tree, is_package_init=path.endswith("__init__.py"))
+        names, dotted = _references(tree, is_package_init=path.endswith("__init__.py"))
+        referenced |= names
+        mentions |= dotted
     for text in external_texts:
         referenced.update(_IDENTIFIER.findall(text))
+        mentions.update(_QUALIFIED.findall(text))
+    # ``Sub.meth`` (or ``self.meth`` inside ``Sub``) reaches an inherited
+    # ``Base.meth``: credit the mention to every ancestor by class name.
+    bases = {
+        node.name: [base.id for base in node.bases if isinstance(base, ast.Name)]
+        for tree in parsed.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+    qualified: set[str] = set()
+    for mention in mentions:
+        holder, meth = mention.split(".")
+        pending, seen = [holder], set()
+        while pending:
+            klass = pending.pop()
+            if klass not in seen:
+                seen.add(klass)
+                qualified.add(f"{klass}.{meth}")
+                pending.extend(bases.get(klass, ()))
     return [
         f"{path}:{lineno} {qualname}"
         for path, tree in parsed.items()
-        for name, qualname, lineno in _definitions(tree)
-        if name not in referenced
+        for name, qualname, lineno, is_qualified in _definitions(tree)
+        if (qualname not in qualified if is_qualified else name not in referenced)
     ]
 
 
@@ -221,3 +283,45 @@ used()
     assert unreferenced(
         {"pkg/__init__.py": "from pkg.mod import orphan\n", "pkg/mod.py": module}, []
     ) == ["pkg/mod.py:11 orphan", "pkg/mod.py:19 Holder.never_called"]
+
+
+def test_a_classmethod_is_matched_by_its_qualname():
+    module = '''
+class Live:
+    @classmethod
+    def from_dict(cls, payload):
+        return cls()
+
+
+class Child(Live):
+    pass
+
+
+class Dead:
+    @classmethod
+    def from_dict(cls, payload):
+        return cls()
+
+    @classmethod
+    def again(cls):
+        return cls.again()  # a self-reference keeps nothing alive
+
+    @staticmethod
+    def helper():
+        return 1
+
+    def build(self):
+        return self.helper()
+
+
+Child.from_dict({})
+Dead().build()
+'''
+    # Live.from_dict is reached through its subclass, Dead.helper through
+    # self inside its class; Dead.from_dict shares a name with a live method
+    # but nothing names it by its qualname.
+    assert unreferenced({"pkg/mod.py": module}, external_texts=[]) == [
+        "pkg/mod.py:14 Dead.from_dict",
+        "pkg/mod.py:18 Dead.again",
+    ]
+    assert unreferenced({"pkg/mod.py": module}, ["Dead.from_dict(x)", "Dead.again"]) == []

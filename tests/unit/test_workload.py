@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.mapreduce.config import JobConfig
-from repro.mapreduce.workload import (
-    PoissonArrivals,
-    TraceArrivals,
-    arrivals_from_dict,
-)
+from repro.mapreduce.workload import PoissonArrivals
 from repro.sim.rng import RngStreams
 
 
@@ -71,40 +69,16 @@ class TestPoissonArrivals:
             PoissonArrivals(weights=(-1.0,))
 
 
-class TestTraceArrivals:
-    def test_replays_sorted_and_truncated(self):
-        process = TraceArrivals(submit_times=(50.0, 10.0, 999.0))
-        jobs = process.generate(RngStreams(0), 100.0)
-        assert [job.submit_time for job in jobs] == [10.0, 50.0]
-
-    def test_templates_cycle(self):
-        process = TraceArrivals(
-            submit_times=(1.0, 2.0, 3.0),
-            templates=(JobConfig(num_blocks=10), JobConfig(num_blocks=20)),
-        )
-        jobs = process.generate(RngStreams(0), 10.0)
-        assert [job.num_blocks for job in jobs] == [10, 20, 10]
-
-    def test_negative_submit_time_rejected(self):
-        with pytest.raises(ValueError):
-            TraceArrivals(submit_times=(-1.0,))
-
-
 class TestRoundTrips:
     def test_poisson_round_trip(self):
+        """``to_dict`` survives JSON unchanged (the report's config block)."""
         process = PoissonArrivals(
             mean_interarrival=120.0,
             templates=(JobConfig(num_blocks=30), JobConfig(num_blocks=90)),
             weights=(2.0, 1.0),
         )
-        assert arrivals_from_dict(process.to_dict()) == process
-
-    def test_trace_round_trip(self):
-        process = TraceArrivals(
-            submit_times=(5.0, 10.0), templates=(JobConfig(num_blocks=12),)
-        )
-        assert arrivals_from_dict(process.to_dict()) == process
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="arrival kind"):
-            arrivals_from_dict({"kind": "martian"})
+        payload = process.to_dict()
+        assert json.loads(json.dumps(payload)) == payload
+        assert payload["kind"] == "poisson"
+        assert payload["weights"] == [2.0, 1.0]
+        assert [job["num_blocks"] for job in payload["templates"]] == [30, 90]
