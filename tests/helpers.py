@@ -9,9 +9,15 @@ def traced_decisions(config) -> list[dict]:
     Module-level so :func:`repro.experiments.common.run_many` can pickle
     it; the golden serial-vs-parallel decision-trace test is built on it.
     """
+    return traced_trial(config)[0]
+
+
+def traced_trial(config):
+    """Run one trial: ``(decision dicts, result, engine events dispatched)``."""
     from repro.mapreduce.simulation import run_simulation
     from repro.obs.collector import ObservabilityCollector
 
     collector = ObservabilityCollector(keep_events=False)
-    run_simulation(config, observer=collector)
-    return [decision.to_dict() for decision in collector.decisions]
+    result = run_simulation(config, observer=collector)
+    decisions = [decision.to_dict() for decision in collector.decisions]
+    return decisions, result, collector.profiler.events_dispatched
