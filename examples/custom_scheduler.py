@@ -2,8 +2,11 @@
 """Plug a custom scheduling policy into the simulator.
 
 The scheduler interface (:class:`repro.core.scheduler.Scheduler`) is the
-extension point of this library: subclass it, implement ``assign_maps``,
-and the simulator runs your policy against the paper's workloads.  Here we
+extension point of this library: subclass it, implement ``pick_map`` --
+which task of one job fills the next free map slot -- and the simulator
+runs your policy against the paper's workloads.  The base class offers each
+job the heartbeat's free slots in turn and traces every decision; a policy
+that needs a different loop overrides ``assign_maps`` instead.  Here we
 implement the naive strawman the paper argues against implicitly --
 *eager-degraded* scheduling, which launches ALL degraded tasks first --
 and show why pacing matters: eager launching recreates the very network
@@ -28,23 +31,15 @@ class EagerDegradedScheduler(Scheduler):
 
     name = "EAGER-DEMO"
 
-    def assign_maps(self, slave_id, free_map_slots, jobs, now):
+    def pick_map(self, job, slave_id, now):
+        """Degraded first, then local, then remote; the trace reason is "eager"."""
         del now
-        assignments = []
-        for job in jobs:
-            while free_map_slots > 0:
-                assignment = (
-                    self._try_degraded(job, slave_id)
-                    or self._try_local(job, slave_id)
-                    or self._try_remote(job, slave_id)
-                )
-                if assignment is None:
-                    break
-                assignments.append(assignment)
-                free_map_slots -= 1
-            if free_map_slots == 0:
-                break
-        return assignments
+        assignment = (
+            self._try_degraded(job, slave_id)
+            or self._try_local(job, slave_id)
+            or self._try_remote(job, slave_id)
+        )
+        return assignment, "eager", None
 
 
 def main() -> None:

@@ -84,24 +84,15 @@ class BasicDegradedFirstScheduler(Scheduler):
                                 block=str(assignment.block),
                                 **pacing, **guards,
                             )
-            while free_map_slots > 0:
-                pacing = self.pacing_fields(job) if tracing else None
-                assignment = self._try_local(job, slave_id) or self._try_remote(job, slave_id)
-                if assignment is None:
-                    break
-                assignments.append(assignment)
-                free_map_slots -= 1
-                if tracing:
-                    self.trace_decision(
-                        now, slave_id, job_id=job.job_id,
-                        action="assign", reason="locality-fallback",
-                        category=assignment.category.value,
-                        block=str(assignment.block),
-                        **pacing,
-                    )
+            free_map_slots = self._fill_from(job, slave_id, free_map_slots, now, assignments)
             if free_map_slots == 0:
                 break
         return assignments
+
+    def pick_map(self, job, slave_id, now):
+        """The locality fallback: Algorithm 1's order without degraded tasks."""
+        assignment = self._try_local(job, slave_id) or self._try_remote(job, slave_id)
+        return assignment, "locality-fallback", None
 
     # -- hooks overridden by the enhanced scheduler ---------------------------
 

@@ -20,7 +20,6 @@ from repro.core.degraded_first import pacing_allows_degraded
 from repro.core.enhanced import EnhancedDegradedFirstScheduler
 from repro.core.scheduler import Scheduler
 from repro.core.tasks import JobTaskState
-from repro.mapreduce.job import MapAssignment
 
 
 class EagerDegradedScheduler(Scheduler):
@@ -33,31 +32,15 @@ class EagerDegradedScheduler(Scheduler):
     """
 
     name = "EAGER"
+    _trace_pacing = False
 
-    def assign_maps(self, slave_id, free_map_slots, jobs, now):
-        tracing = self.bus is not None
-        assignments: list[MapAssignment] = []
-        for job in jobs:
-            while free_map_slots > 0:
-                assignment = (
-                    self._try_degraded(job, slave_id)
-                    or self._try_local(job, slave_id)
-                    or self._try_remote(job, slave_id)
-                )
-                if assignment is None:
-                    break
-                assignments.append(assignment)
-                free_map_slots -= 1
-                if tracing:
-                    self.trace_decision(
-                        now, slave_id, job_id=job.job_id,
-                        action="assign", reason="eager",
-                        category=assignment.category.value,
-                        block=str(assignment.block),
-                    )
-            if free_map_slots == 0:
-                break
-        return assignments
+    def pick_map(self, job, slave_id, now):
+        assignment = (
+            self._try_degraded(job, slave_id)
+            or self._try_local(job, slave_id)
+            or self._try_remote(job, slave_id)
+        )
+        return assignment, "eager", None
 
 
 class UncappedDegradedFirstScheduler(Scheduler):
@@ -71,35 +54,13 @@ class UncappedDegradedFirstScheduler(Scheduler):
 
     name = "BDF-UNCAPPED"
 
-    def assign_maps(self, slave_id, free_map_slots, jobs, now):
-        tracing = self.bus is not None
-        assignments: list[MapAssignment] = []
-        for job in jobs:
-            while free_map_slots > 0:
-                # Pacing state is captured before any pop mutates m/m_d.
-                pacing = self.pacing_fields(job) if tracing else {}
-                assignment = None
-                if job.has_unassigned_degraded() and pacing_allows_degraded(job):
-                    assignment = self._try_degraded(job, slave_id)
-                if assignment is None:
-                    assignment = self._try_local(job, slave_id) or self._try_remote(
-                        job, slave_id
-                    )
-                if assignment is None:
-                    break
-                assignments.append(assignment)
-                free_map_slots -= 1
-                if tracing:
-                    self.trace_decision(
-                        now, slave_id, job_id=job.job_id,
-                        action="assign", reason="uncapped",
-                        category=assignment.category.value,
-                        block=str(assignment.block),
-                        **pacing,
-                    )
-            if free_map_slots == 0:
-                break
-        return assignments
+    def pick_map(self, job, slave_id, now):
+        assignment = None
+        if job.has_unassigned_degraded() and pacing_allows_degraded(job):
+            assignment = self._try_degraded(job, slave_id)
+        if assignment is None:
+            assignment = self._try_local(job, slave_id) or self._try_remote(job, slave_id)
+        return assignment, "uncapped", None
 
 
 class _DisabledGuardTrace:
@@ -160,6 +121,7 @@ class DelayScheduler(Scheduler):
     """
 
     name = "LF-DELAY"
+    _trace_pacing = False
 
     #: Seconds of skipped heartbeats a job tolerates before going remote.
     max_delay = 9.0
@@ -168,34 +130,14 @@ class DelayScheduler(Scheduler):
         super().__init__(context)
         self._first_skip_at: dict[int, float] = {}
 
-    def assign_maps(self, slave_id, free_map_slots, jobs, now):
-        tracing = self.bus is not None
-        assignments: list[MapAssignment] = []
-        for job in jobs:
-            while free_map_slots > 0:
-                assignment = self._try_local(job, slave_id)
-                delayed = assignment is None
-                if delayed and self._delay_expired(job, now):
-                    assignment = self._try_remote(job, slave_id) or self._try_degraded(
-                        job, slave_id
-                    )
-                if assignment is None:
-                    break
-                if assignment.category.is_local:
-                    self._first_skip_at.pop(job.job_id, None)
-                assignments.append(assignment)
-                free_map_slots -= 1
-                if tracing:
-                    self.trace_decision(
-                        now, slave_id, job_id=job.job_id,
-                        action="assign",
-                        reason="delay-expired" if delayed else "local",
-                        category=assignment.category.value,
-                        block=str(assignment.block),
-                    )
-            if free_map_slots == 0:
-                break
-        return assignments
+    def pick_map(self, job, slave_id, now):
+        assignment = self._try_local(job, slave_id)
+        if assignment is not None:
+            self._first_skip_at.pop(job.job_id, None)
+            return assignment, "local", None
+        if self._delay_expired(job, now):
+            assignment = self._try_remote(job, slave_id) or self._try_degraded(job, slave_id)
+        return assignment, "delay-expired", None
 
     def _delay_expired(self, job: JobTaskState, now: float) -> bool:
         if not job.has_unassigned_maps():

@@ -10,8 +10,6 @@ paper shows causes end-of-phase network competition.
 from __future__ import annotations
 
 from repro.core.scheduler import Scheduler
-from repro.core.tasks import JobTaskState
-from repro.mapreduce.job import MapAssignment
 
 
 class LocalityFirstScheduler(Scheduler):
@@ -19,38 +17,12 @@ class LocalityFirstScheduler(Scheduler):
 
     name = "LF"
 
-    def assign_maps(
-        self,
-        slave_id: int,
-        free_map_slots: int,
-        jobs: list[JobTaskState],
-        now: float,
-    ) -> list[MapAssignment]:
-        tracing = self.bus is not None
-        assignments: list[MapAssignment] = []
-        for job in jobs:
-            while free_map_slots > 0:
-                # Pacing state is captured before any pop mutates m/m_d; LF
-                # never *uses* it, but the decision trace records the ratio
-                # the paper's condition would have seen at this instant.
-                pacing = self.pacing_fields(job) if tracing else None
-                assignment = (
-                    self._try_local(job, slave_id)
-                    or self._try_remote(job, slave_id)
-                    or self._try_degraded(job, slave_id)
-                )
-                if assignment is None:
-                    break
-                assignments.append(assignment)
-                free_map_slots -= 1
-                if tracing:
-                    self.trace_decision(
-                        now, slave_id, job_id=job.job_id,
-                        action="assign", reason="lf-order",
-                        category=assignment.category.value,
-                        block=str(assignment.block),
-                        **pacing,
-                    )
-            if free_map_slots == 0:
-                break
-        return assignments
+    def pick_map(self, job, slave_id, now):
+        # LF never *uses* the pacing state, but the decision trace records
+        # the ratio the paper's condition would have seen at this instant.
+        assignment = (
+            self._try_local(job, slave_id)
+            or self._try_remote(job, slave_id)
+            or self._try_degraded(job, slave_id)
+        )
+        return assignment, "lf-order", None

@@ -3,14 +3,14 @@
 Every scheduling decision in the paper happens inside the master's response
 to a slave heartbeat: the slave reports how many map and reduce slots it has
 free, and the scheduler hands back assignments.  The three algorithms differ
-only in how they fill *map* slots; reduce slots are filled identically
-(FIFO over jobs, subject to the slow-start rule), so that logic lives in the
-base class.
+only in which task fills a free *map* slot, so the slot-filling loop lives
+in the base class and a policy supplies just that choice, one job at a time
+(:meth:`Scheduler.pick_map`).  Reduce slots are filled identically (FIFO
+over jobs, subject to the slow-start rule), so that logic lives here too.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 from repro.cluster.topology import ClusterTopology
@@ -81,8 +81,14 @@ class SchedulerContext:
         return sum(self.speed_factor(node_id) for node_id in live) / len(live)
 
 
-class Scheduler(ABC):
-    """Base class: reduce-slot filling plus the map-assignment hook.
+class Scheduler:
+    """Base class: the map-slot fill loop plus reduce-slot filling.
+
+    A policy implements :meth:`pick_map`, the per-job choice of which task
+    fills the next free map slot; :meth:`assign_maps` offers every job in
+    order the free slots until its pick comes back empty.  A policy that
+    needs a different loop -- RANDOM draws a job per slot -- overrides
+    :meth:`assign_maps` instead, and then needs no :meth:`pick_map`.
 
     Decision tracing: when :attr:`bus` is set (an
     :class:`~repro.obs.events.EventBus`, attached by ``run_simulation`` for
@@ -94,6 +100,9 @@ class Scheduler(ABC):
 
     #: Registry name, overridden by subclasses.
     name = "abstract"
+
+    #: Whether an assignment's decision trace records the pacing state.
+    _trace_pacing = True
 
     def __init__(self, context: SchedulerContext) -> None:
         self.context = context
@@ -116,7 +125,6 @@ class Scheduler(ABC):
         reduces = self._assign_reduces(slave_id, free_reduce_slots, jobs)
         return maps, reduces
 
-    @abstractmethod
     def assign_maps(
         self,
         slave_id: int,
@@ -125,6 +133,53 @@ class Scheduler(ABC):
         now: float,
     ) -> list[MapAssignment]:
         """Fill up to ``free_map_slots`` map slots of ``slave_id``."""
+        assignments: list[MapAssignment] = []
+        for job in jobs:
+            free_map_slots = self._fill_from(job, slave_id, free_map_slots, now, assignments)
+            if free_map_slots == 0:
+                break
+        return assignments
+
+    def pick_map(
+        self, job: JobTaskState, slave_id: int, now: float
+    ) -> tuple[MapAssignment | None, str, dict | None]:
+        """Pop at most one map task of ``job`` for a free slot of ``slave_id``.
+
+        Returns the assignment (``None`` when ``job`` has nothing this slave
+        should run now), the ``reason`` its decision trace records, and any
+        extra trace fields (or ``None``).
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} must implement pick_map or override assign_maps"
+        )
+
+    def _fill_from(
+        self,
+        job: JobTaskState,
+        slave_id: int,
+        free_map_slots: int,
+        now: float,
+        assignments: list[MapAssignment],
+    ) -> int:
+        """Fill free slots from ``job`` until its pick is empty; slots left."""
+        tracing = self.bus is not None
+        while free_map_slots > 0:
+            # Pacing state is captured before the pick's pop mutates m/m_d.
+            pacing = self.pacing_fields(job) if tracing and self._trace_pacing else None
+            assignment, reason, extras = self.pick_map(job, slave_id, now)
+            if assignment is None:
+                break
+            assignments.append(assignment)
+            free_map_slots -= 1
+            if tracing:
+                self.trace_decision(
+                    now, slave_id, job_id=job.job_id,
+                    action="assign", reason=reason,
+                    category=assignment.category.value,
+                    block=str(assignment.block),
+                    **(extras or {}), **(pacing or {}),
+                )
+        return free_map_slots
 
     def _assign_reduces(
         self, slave_id: int, free_reduce_slots: int, jobs: list[JobTaskState]

@@ -35,6 +35,7 @@ import math
 import random
 
 from repro.core.degraded_first import BasicDegradedFirstScheduler
+from repro.core.locality_first import LocalityFirstScheduler
 from repro.core.scheduler import Scheduler, SchedulerContext
 from repro.core.tasks import JobTaskState
 from repro.mapreduce.job import MapAssignment, MapTaskCategory
@@ -59,7 +60,8 @@ class RandomScheduler(Scheduler):
     fixed-seed :class:`random.Random`, so a given scenario always replays
     the same decision sequence -- random *placement*, deterministic *run*.
     When only degraded work remains it is necessarily drawn, so nothing
-    starves.
+    starves.  Because the job is drawn per slot rather than taken in order,
+    this policy overrides ``assign_maps`` instead of supplying ``pick_map``.
     """
 
     name = "RANDOM"
@@ -121,42 +123,19 @@ class FifoScheduler(Scheduler):
 
     name = "FIFO"
 
-    def assign_maps(self, slave_id, free_map_slots, jobs, now):
-        tracing = self.bus is not None
-        assignments: list[MapAssignment] = []
-        node_ids = sorted(self.context.topology.node_ids())
-        for job in jobs:
-            while free_map_slots > 0:
-                pacing = self.pacing_fields(job) if tracing else None
-                assignment = self._pop_scan_order(job, slave_id, node_ids)
-                if assignment is None:
-                    break
-                assignments.append(assignment)
-                free_map_slots -= 1
-                if tracing:
-                    self.trace_decision(
-                        now, slave_id, job_id=job.job_id,
-                        action="assign", reason="fifo-scan",
-                        category=assignment.category.value,
-                        block=str(assignment.block),
-                        **pacing,
-                    )
-            if free_map_slots == 0:
-                break
-        return assignments
+    def __init__(self, context: SchedulerContext) -> None:
+        super().__init__(context)
+        self._node_ids = sorted(context.topology.node_ids())
 
-    def _pop_scan_order(
-        self, job: JobTaskState, slave_id: int, node_ids: list[int]
-    ) -> MapAssignment | None:
+    def pick_map(self, job, slave_id, now):
         if job.has_unassigned_normal():
-            for node_id in node_ids:
+            for node_id in self._node_ids:
                 block = job.pop_from_node(node_id)
                 if block is not None:
-                    return self._make_map_assignment(
-                        job, slave_id, block,
-                        _category_for(self.context, slave_id, node_id),
-                    )
-        return self._try_degraded(job, slave_id)
+                    category = _category_for(self.context, slave_id, node_id)
+                    assignment = self._make_map_assignment(job, slave_id, block, category)
+                    return assignment, "fifo-scan", None
+        return self._try_degraded(job, slave_id), "fifo-scan", None
 
 
 class WorkStealingScheduler(Scheduler):
@@ -172,55 +151,21 @@ class WorkStealingScheduler(Scheduler):
 
     name = "STEAL"
 
-    def assign_maps(self, slave_id, free_map_slots, jobs, now):
-        tracing = self.bus is not None
-        assignments: list[MapAssignment] = []
-        for job in jobs:
-            while free_map_slots > 0:
-                pacing = self.pacing_fields(job) if tracing else None
-                assignment, reason, victim = self._pop_next(job, slave_id, jobs)
-                if assignment is None:
-                    break
-                assignments.append(assignment)
-                free_map_slots -= 1
-                if tracing:
-                    fields = dict(
-                        action="assign", reason=reason,
-                        category=assignment.category.value,
-                        block=str(assignment.block),
-                    )
-                    if victim is not None:
-                        fields["victim"] = victim
-                        fields["victim_backlog"] = job.pending_node_local_count(victim)
-                    self.trace_decision(
-                        now, slave_id, job_id=job.job_id, **fields, **pacing
-                    )
-            if free_map_slots == 0:
-                break
-        return assignments
-
-    def _pop_next(
-        self, job: JobTaskState, slave_id: int, jobs: list[JobTaskState]
-    ) -> tuple[MapAssignment | None, str, int | None]:
+    def pick_map(self, job, slave_id, now):
         block = job.pop_from_node(slave_id)
         if block is not None:
-            return (
-                self._make_map_assignment(job, slave_id, block, MapTaskCategory.NODE_LOCAL),
-                "own-queue",
-                None,
-            )
+            category = MapTaskCategory.NODE_LOCAL
+            assignment = self._make_map_assignment(job, slave_id, block, category)
+            return assignment, "own-queue", None
         victim = self._pick_victim(job, slave_id)
-        if victim is not None:
-            block = job.pop_from_node(victim)
-            return (
-                self._make_map_assignment(
-                    job, slave_id, block, _category_for(self.context, slave_id, victim)
-                ),
-                "steal",
-                victim,
-            )
-        assignment = self._try_degraded(job, slave_id)
-        return assignment, "degraded-tail", None
+        if victim is None:
+            return self._try_degraded(job, slave_id), "degraded-tail", None
+        block = job.pop_from_node(victim)
+        category = _category_for(self.context, slave_id, victim)
+        assignment = self._make_map_assignment(job, slave_id, block, category)
+        # The backlog is read after the pop: what the victim has left.
+        extras = {"victim": victim, "victim_backlog": job.pending_node_local_count(victim)}
+        return assignment, "steal", extras
 
     def _pick_victim(self, job: JobTaskState, slave_id: int) -> int | None:
         """The live node with the deepest pending queue (ties: lowest id)."""
@@ -275,7 +220,7 @@ class CriticalPathScheduler(BasicDegradedFirstScheduler):
         )
 
 
-class TaskCloningScheduler(Scheduler):
+class TaskCloningScheduler(LocalityFirstScheduler):
     """Task cloning (Xu & Lau): hold slots back in the tail to feed clones.
 
     Straggler *cloning* beats straggler *detection* when spare slots are
@@ -294,33 +239,13 @@ class TaskCloningScheduler(Scheduler):
     name = "CLONE"
 
     def assign_maps(self, slave_id, free_map_slots, jobs, now):
-        tracing = self.bus is not None
         if free_map_slots > 0 and self._in_tail(jobs):
             free_map_slots = 1
-        assignments: list[MapAssignment] = []
-        for job in jobs:
-            while free_map_slots > 0:
-                pacing = self.pacing_fields(job) if tracing else None
-                assignment = (
-                    self._try_local(job, slave_id)
-                    or self._try_remote(job, slave_id)
-                    or self._try_degraded(job, slave_id)
-                )
-                if assignment is None:
-                    break
-                assignments.append(assignment)
-                free_map_slots -= 1
-                if tracing:
-                    self.trace_decision(
-                        now, slave_id, job_id=job.job_id,
-                        action="assign", reason="clone-tail" if self._tail else "lf-order",
-                        category=assignment.category.value,
-                        block=str(assignment.block),
-                        **pacing,
-                    )
-            if free_map_slots == 0:
-                break
-        return assignments
+        return super().assign_maps(slave_id, free_map_slots, jobs, now)
+
+    def pick_map(self, job, slave_id, now):
+        assignment = super().pick_map(job, slave_id, now)[0]
+        return assignment, "clone-tail" if self._tail else "lf-order", None
 
     def _in_tail(self, jobs: list[JobTaskState]) -> bool:
         pending = sum(

@@ -36,11 +36,6 @@ class MapTaskCategory(enum.Enum):
     REMOTE = "remote"
     DEGRADED = "degraded"
 
-    @property
-    def is_local(self) -> bool:
-        """The paper's 'local' bucket: node-local or rack-local."""
-        return self in (MapTaskCategory.NODE_LOCAL, MapTaskCategory.RACK_LOCAL)
-
 
 @dataclass(frozen=True)
 class MapAssignment:

@@ -4,7 +4,9 @@ The policy framework accepts third-party schedulers via
 :func:`repro.core.scheduler.register_scheduler`; this suite is the
 contract they must meet.  Every test parameterizes over the *live*
 registry (:func:`registered_schedulers`), so a newly registered policy is
-conformance-checked the moment it exists -- nothing here names a policy.
+conformance-checked the moment it exists -- nothing here names a built-in
+policy.  The one policy defined here implements only the per-job pick, and
+is checked against the same contract.
 
 The contract:
 
@@ -27,7 +29,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.topology import ClusterTopology
-from repro.core.scheduler import SchedulerContext, make_scheduler, registered_schedulers
+from repro.core.scheduler import (
+    Scheduler,
+    SchedulerContext,
+    make_scheduler,
+    register_scheduler,
+    registered_schedulers,
+)
 from repro.core.tasks import JobTaskState
 from repro.ec.codec import CodeParams
 from repro.mapreduce.config import JobConfig, SimulationConfig
@@ -165,3 +173,33 @@ def test_decision_trace_is_deterministic(name):
     second = traced_decisions(config)
     assert first, f"{name} emitted no decisions (tracing broken?)"
     assert first == second
+
+
+class RemoteFirstScheduler(Scheduler):
+    """Remote tasks first, degraded last: a policy that is only its pick."""
+
+    name = "REMOTE-FIRST"
+
+    def pick_map(self, job, slave_id, now):
+        assignment = (
+            self._try_remote(job, slave_id)
+            or self._try_local(job, slave_id)
+            or self._try_degraded(job, slave_id)
+        )
+        return assignment, "remote-first", None
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        test_slot_discipline,
+        test_every_task_assigned_exactly_once,
+        test_no_degraded_starvation,
+        test_decision_trace_is_deterministic,
+    ],
+    ids=lambda check: check.__name__,
+)
+def test_policy_defining_only_the_pick_meets_the_contract(check):
+    """The shared fill loop is all a policy needs beyond its per-job pick."""
+    register_scheduler(RemoteFirstScheduler)
+    check(name=RemoteFirstScheduler.name)

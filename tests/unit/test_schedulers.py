@@ -121,7 +121,9 @@ class TestLocalityFirst:
         kinds = [category for _, category in categories]
         first_degraded = kinds.index(MapTaskCategory.DEGRADED) if MapTaskCategory.DEGRADED in kinds else len(kinds)
         assert all(
-            not kind.is_local for kind in kinds[first_degraded:] if kind is not MapTaskCategory.DEGRADED
+            kind is MapTaskCategory.REMOTE
+            for kind in kinds[first_degraded:]
+            if kind is not MapTaskCategory.DEGRADED
         )
         assert len(kinds) == state.M
 
