@@ -9,6 +9,7 @@ blocks, a (20, 15) code, 1440 blocks, map times ~ N(20, 1), reduce times
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.cluster.failures import FailurePattern
@@ -56,6 +57,18 @@ class JobConfig:
     submit_time: float = 0.0
 
     def __post_init__(self) -> None:
+        # A NaN or infinite task time stalls the fluid network or never
+        # finishes, and a negative one is clamped to a 1e-9 s task: reject
+        # them here rather than far into the trial.  Zero stays valid (the
+        # testbed passes measured means and deviations).
+        for name in ("map_time_mean", "map_time_std", "reduce_time_mean", "reduce_time_std"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+        for name in ("shuffle_ratio", "submit_time"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.num_blocks <= 0:
             raise ValueError("job needs at least one block")
         if self.num_reduce_tasks < 0:

@@ -29,6 +29,34 @@ class TestJobConfig:
             JobConfig(submit_time=-1.0)
 
 
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("map_time_mean", float("nan")),
+            ("map_time_mean", -5.0),
+            ("map_time_mean", float("inf")),
+            ("map_time_std", -1.0),
+            ("map_time_std", float("nan")),
+            ("reduce_time_mean", float("inf")),
+            ("reduce_time_mean", -0.5),
+            ("reduce_time_std", float("inf")),
+            ("shuffle_ratio", float("nan")),
+            ("shuffle_ratio", float("inf")),
+            ("submit_time", float("nan")),
+            ("submit_time", float("inf")),
+        ],
+    )
+    def test_rejects_negative_or_non_finite_times(self, field, value):
+        with pytest.raises(ValueError, match=rf"{field} .*{value!r}"):
+            JobConfig(**{field: value})
+
+    def test_zero_task_times_stay_valid(self):
+        job = JobConfig(
+            map_time_mean=0.0, map_time_std=0.0, reduce_time_mean=0.0, reduce_time_std=0.0
+        )
+        assert job.map_time_mean == 0.0
+
+
 class TestSimulationConfig:
     def test_defaults_match_paper(self):
         config = SimulationConfig()
