@@ -16,8 +16,10 @@ Six workloads probe the hot paths the core optimisation targeted:
   every figure's sweep repeats thousands of times).
 * :func:`observe_overhead` -- that trial plain, under an
   ``ObservabilityCollector`` and under ``check=True``, interleaved in one
-  process, measured as the two wall-clock ratios over the plain trial (the
-  cost of the obs bus, the collector and the sanitizer).
+  process, measured as what observing adds per emitted bus event and what
+  checking adds per dispatched heap entry (the cost of the obs bus, the
+  collector and the sanitizer), with the two wall-clock ratios over the
+  plain trial beside them.
 * :func:`footprint` -- what a simulator *process* costs, measured in fresh
   interpreters: wall and resident memory of the import closure
   ``run_simulation`` needs, peak resident memory after six fig7 trials, and
@@ -226,32 +228,50 @@ def observe_overhead(num_blocks: int = 1440, rounds: int = 3) -> dict:
     """The fig7 trial plain, observed and checked, interleaved in one process.
 
     Each round runs LF and EDF on one trial seed three ways back to back, so
-    machine drift lands on all three alike.  The overhead fractions are
-    ``median(mode walls) / median(plain walls) - 1``, the definition
-    ``benchmarks/e2e`` uses for its ``fig7_observed`` workload; observing
-    and checking must also leave the result untouched (``identical``).
+    machine drift lands on all three alike; observing and checking must
+    leave the result untouched (``identical``).  Two per-unit costs are the
+    guarded figures, medians over the trials: what the collector adds per
+    event emitted on its bus (``observe_us_per_event``) and what the
+    sanitizer adds per heap entry the engine dispatched
+    (``check_us_per_dispatch``), each against the plain run of the same
+    trial.  Their denominators are counts of the trial, so a cheaper plain
+    trial does not move them.  The overhead fractions ``median(mode walls)
+    / median(plain walls) - 1``, the definition ``benchmarks/e2e`` uses for
+    its ``fig7_observed`` workload, are reported too.
     """
-    modes = {
-        "plain": lambda config: run_simulation(config),
-        "observed": lambda config: run_simulation(
-            config, observer=ObservabilityCollector()
-        ),
-        "checked": lambda config: run_simulation(config, check=True),
-    }
+    modes = ("plain", "observed", "checked")
     walls: dict[str, list[float]] = {mode: [] for mode in modes}
+    per_event: list[float] = []
+    per_dispatch: list[float] = []
+    emitted: list[int] = []
+    dispatched: list[int] = []
     identical = True
-    for run in modes.values():  # untimed warm-up
-        run(_fig7_config("EDF", 0, num_blocks))
+
+    def run(mode: str, config: SimulationConfig, collector: ObservabilityCollector):
+        if mode == "observed":
+            return run_simulation(config, observer=collector)
+        return run_simulation(config, check=mode == "checked")
+
+    for mode in modes:  # untimed warm-up
+        run(mode, _fig7_config("EDF", 0, num_blocks), ObservabilityCollector())
     for seed in range(rounds):
         for scheduler in ("LF", "EDF"):
             config = _fig7_config(scheduler, seed, num_blocks)
+            collector = ObservabilityCollector()
+            trial: dict[str, float] = {}
             results = set()
-            for mode, run in modes.items():
+            for mode in modes:
                 start = time.perf_counter()
-                result = run(config)
-                walls[mode].append(time.perf_counter() - start)
+                result = run(mode, config, collector)
+                trial[mode] = time.perf_counter() - start
+                walls[mode].append(trial[mode])
                 results.add(result_to_json(result))
             identical = identical and len(results) == 1
+            # One trajectory in all three modes: the observed run's counts.
+            emitted.append(collector.profiler.events_emitted)
+            dispatched.append(collector.profiler.events_dispatched)
+            per_event.append((trial["observed"] - trial["plain"]) / emitted[-1])
+            per_dispatch.append((trial["checked"] - trial["plain"]) / dispatched[-1])
     medians = {mode: statistics.median(values) for mode, values in walls.items()}
     return {
         "num_blocks": num_blocks,
@@ -260,6 +280,10 @@ def observe_overhead(num_blocks: int = 1440, rounds: int = 3) -> dict:
         "plain_seconds": medians["plain"],
         "observed_seconds": medians["observed"],
         "checked_seconds": medians["checked"],
+        "events_emitted": statistics.median(emitted),
+        "events_dispatched": statistics.median(dispatched),
+        "observe_us_per_event": statistics.median(per_event) * 1e6,
+        "check_us_per_dispatch": statistics.median(per_dispatch) * 1e6,
         "observe_overhead_frac": medians["observed"] / medians["plain"] - 1.0,
         "check_overhead_frac": medians["checked"] / medians["plain"] - 1.0,
     }

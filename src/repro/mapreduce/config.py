@@ -25,6 +25,14 @@ from repro.storage.repair_driver import RepairConfig
 SCHEDULERS = ("LF", "BDF", "EDF")
 
 
+def _require(name: str, value: float, lower: float, lower_open: bool = False) -> None:
+    """Raise unless ``lower <= value < inf`` (``lower < value`` if open)."""
+    above = lower < value if lower_open else lower <= value
+    if not (above and value < math.inf):
+        bound = ">" if lower_open else ">="
+        raise ValueError(f"{name} must be finite and {bound} {lower:g}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class JobConfig:
     """One MapReduce job in a simulation.
@@ -61,22 +69,19 @@ class JobConfig:
         # finishes, and a negative one is clamped to a 1e-9 s task: reject
         # them here rather than far into the trial.  Zero stays valid (the
         # testbed passes measured means and deviations).
-        for name in ("map_time_mean", "map_time_std", "reduce_time_mean", "reduce_time_std"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
-        for name in ("shuffle_ratio", "submit_time"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        for name in (
+            "map_time_mean",
+            "map_time_std",
+            "reduce_time_mean",
+            "reduce_time_std",
+            "shuffle_ratio",
+            "submit_time",
+        ):
+            _require(name, getattr(self, name), 0.0)
         if self.num_blocks <= 0:
             raise ValueError("job needs at least one block")
         if self.num_reduce_tasks < 0:
             raise ValueError("negative reduce task count")
-        if not 0 <= self.shuffle_ratio:
-            raise ValueError("shuffle ratio must be non-negative")
-        if self.submit_time < 0:
-            raise ValueError("negative submit time")
 
 
 @dataclass(frozen=True)
@@ -159,28 +164,36 @@ class SimulationConfig:
             )
         if self.num_nodes <= 1:
             raise ValueError("need at least two nodes")
-        if self.heartbeat_interval <= 0:
-            raise ValueError("heartbeat interval must be positive")
+        # A NaN or infinite interval, bandwidth or size stalls or hangs the
+        # trial far from its cause, and a non-positive one runs silently to
+        # a meaningless result: reject them here, naming the field.
+        for name in (
+            "heartbeat_interval",
+            "heartbeat_expiry",
+            "rack_bandwidth",
+            "block_size",
+            "degraded_read_backoff",
+        ):
+            _require(name, getattr(self, name), 0.0, lower_open=True)
+        _require("shuffle_drain_interval", self.shuffle_drain_interval, 0.0)
+        _require("speculative_multiplier", self.speculative_multiplier, 1.0, lower_open=True)
+        if self.failure_time is not None:
+            _require("failure_time", self.failure_time, 0.0)
         if not 0 <= self.reduce_slowstart <= 1:
             raise ValueError("reduce slowstart must be in [0, 1]")
-        if self.speed_factors is not None and len(self.speed_factors) != self.num_nodes:
-            raise ValueError(
-                f"expected {self.num_nodes} speed factors, got {len(self.speed_factors)}"
-            )
-        if self.failure_time is not None and self.failure_time < 0:
-            raise ValueError(f"negative failure time {self.failure_time}")
-        if self.heartbeat_expiry <= 0:
-            raise ValueError("heartbeat expiry must be positive")
+        if self.speed_factors is not None:
+            if len(self.speed_factors) != self.num_nodes:
+                raise ValueError(
+                    f"expected {self.num_nodes} speed factors, got {len(self.speed_factors)}"
+                )
+            for node, factor in enumerate(self.speed_factors):
+                _require(f"speed_factors[{node}]", factor, 0.0, lower_open=True)
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
         if self.blacklist_threshold is not None and self.blacklist_threshold < 1:
             raise ValueError("blacklist threshold must be at least 1 (or None)")
-        if self.speculative_multiplier <= 1.0:
-            raise ValueError("speculative multiplier must exceed 1")
         if self.degraded_read_retries < 0:
             raise ValueError("degraded_read_retries must be non-negative")
-        if self.degraded_read_backoff <= 0:
-            raise ValueError("degraded_read_backoff must be positive")
 
     @property
     def total_blocks(self) -> int:

@@ -9,8 +9,11 @@ Three resource kinds cover everything the MapReduce simulator needs:
   finished or was cancelled.  This captures the
   paper's observation that two degraded reads entering one rack halve each
   other's throughput ("doubles the download time, from 10s to 20s").
-  The progressive-filling recompute runs over a persistent link->flows
-  index (only occupied links are visited) and flows are kept in a
+  Each link is a small object holding its capacity, flow bucket and the
+  scratch state of a solve; the network keeps the occupied ones in
+  registration order, so the progressive-filling recompute visits only
+  occupied links and does no sort, dict build or lookup by name, and it
+  returns the time to the next completion.  Flows are kept in a
   done-event->flow map so ``cancel`` is O(1) -- see DESIGN.md section 10.
   The original all-pairs implementation is retained as
   :meth:`FluidNetwork._recompute_rates_reference`, the oracle for the
@@ -30,9 +33,11 @@ simulation trajectory is identical to an uninstrumented one.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
+from math import inf
 
 from repro.sim.engine import Event, SimulationError, Simulator
 
@@ -105,25 +110,48 @@ class Semaphore:
 class _Flow:
     """One active fluid transfer.
 
-    ``eq=False`` keeps identity hashing so flows can key the link index.
+    ``eq=False`` keeps identity hashing so flows can key the link buckets.
+    ``hops`` are the link objects ``links`` names, resolved once by
+    ``transfer``.  ``slack`` is the residue at or below which the flow
+    counts as finished; it is relative to the size because rate*elapsed
+    debits can leave a few bytes on 10^8-byte flows, and an absolute
+    epsilon would livelock the completion scheduler.  ``solve`` stamps the
+    last solve that froze the flow's rate.
     """
 
     links: tuple[str, ...]
+    hops: tuple[_Link, ...]
     remaining: float
     done: Event
-    size: float = 0.0
+    size: float
+    slack: float
+    started_at: float
     rate: float = 0.0
-    started_at: float = 0.0
+    solve: int = 0
 
-    @property
-    def finished(self) -> bool:
-        """Whether the flow is complete, up to float residue.
 
-        The tolerance is relative to the flow size: rate*elapsed debits can
-        leave residues of a few bytes on 10^8-byte flows, and an absolute
-        epsilon would livelock the completion scheduler.
-        """
-        return self.remaining <= max(1e-6 * self.size, 1e-9)
+class _Link:
+    """A registered fluid link, with the scratch state of a solve.
+
+    ``flows`` is the link's bucket: the insertion-ordered set (dict) of the
+    flows crossing it, which is also the network's ``_link_flows`` entry
+    while it is non-empty.  ``residual`` and ``count`` (flows not yet
+    frozen) are rewritten by every solve.
+    """
+
+    __slots__ = ("name", "capacity", "index", "flows", "residual", "count")
+
+    def __init__(self, name: str, capacity: float, index: int) -> None:
+        self.name = name
+        self.capacity = capacity
+        self.index = index
+        self.flows: dict[_Flow, None] = {}
+        self.residual = capacity
+        self.count = 0
+
+
+def _registration_index(link: _Link) -> int:
+    return link.index
 
 
 def _set_observer(network, observer) -> None:
@@ -138,6 +166,13 @@ def _set_observer(network, observer) -> None:
     network._flow_cancelled = getattr(observer, "flow_cancelled", None)
 
 
+def _check_capacity(name: str, capacity: float) -> None:
+    if not 0 < capacity < inf:
+        raise ValueError(
+            f"link {name!r} capacity must be positive and finite, got {capacity!r}"
+        )
+
+
 class FluidNetwork:
     """Max-min fair fluid bandwidth sharing across named links.
 
@@ -149,30 +184,38 @@ class FluidNetwork:
     only update the flow set and mark the network unsettled; the first
     mutation of an instant puts one :meth:`_settle` on the event heap at
     ``now``, which re-solves the rates and arms the next completion.  Rates
-    are only ever integrated over time by :meth:`_advance`, and the engine
-    drains every entry at ``now`` before any later one, so the network is
-    always settled before virtual time advances (``_advance`` raises
-    otherwise) and the solves skipped inside an instant were never used.
+    are only ever integrated over time (by :meth:`_advance` and
+    :meth:`_complete`), and the engine drains every entry at ``now`` before
+    any later one, so the network is always settled before virtual time
+    advances (a debit raises otherwise) and the solves skipped inside an
+    instant were never used.
 
     Hot-path structure (allocation-identical to the original all-pairs
     implementation, enforced by golden and property tests):
 
+    * every registered link is a :class:`_Link` holding its capacity,
+      registration index, flow bucket and the solve's scratch fields, and
+      every flow carries its links as these objects (``hops``);
+    * ``_occupied`` lists the links that carry flows, kept in registration
+      order as links gain their first flow or lose their last, so a solve
+      visits only occupied links, in the order that breaks bottleneck ties
+      the way the reference's dict scan does, with no sort, no dict build
+      and no lookup by name;
     * ``_flows`` maps each flow's completion event to the flow, so
-      :meth:`cancel` and membership checks are O(1);
-    * ``_link_flows`` is a persistent link -> ordered-flow-set index holding
-      only *occupied* links, so progressive filling visits occupied links
-      with O(1) per-link flow counts instead of rescanning every link
-      against every flow.
+      :meth:`cancel` and membership checks are O(1), and ``_link_flows``
+      maps each occupied link's name to its bucket.
     """
 
     __slots__ = (
         "_sim",
         "_capacities",
-        "_link_order",
+        "_links",
+        "_occupied",
         "_flows",
         "_link_flows",
         "_last_update",
         "_unsettled",
+        "_solve_stamp",
         "_completion_token",
         "observer",
         "_flow_cancelled",
@@ -181,17 +224,19 @@ class FluidNetwork:
     def __init__(self, sim: Simulator) -> None:
         self._sim = sim
         self._capacities: dict[str, float] = {}
-        #: Link -> registration index; progressive filling must consider
-        #: links in registration order so bottleneck ties break exactly as
-        #: the reference implementation's dict scan did.
-        self._link_order: dict[str, int] = {}
+        #: Link name -> link object, in registration order.
+        self._links: dict[str, _Link] = {}
+        #: The links carrying flows, in registration order.
+        self._occupied: list[_Link] = []
         #: Completion event -> flow, in start order.
         self._flows: dict[Event, _Flow] = {}
-        #: Occupied link -> insertion-ordered set (dict) of crossing flows.
+        #: Occupied link name -> its bucket, in order of first occupation.
         self._link_flows: dict[str, dict[_Flow, None]] = {}
         self._last_update = 0.0
         #: True from the first mutation of an instant until its ``_settle``.
         self._unsettled = False
+        #: Counts solves; a flow whose ``solve`` equals it is frozen.
+        self._solve_stamp = 0
         #: Identifies the armed completion; heap entries carrying an older
         #: token are stale.
         self._completion_token = 0
@@ -202,11 +247,10 @@ class FluidNetwork:
 
     def add_link(self, name: str, capacity: float) -> None:
         """Register a link; capacity is in bytes (or bits) per second."""
-        if capacity <= 0:
-            raise ValueError(f"link {name!r} capacity must be positive, got {capacity}")
+        _check_capacity(name, capacity)
         if name in self._capacities:
             raise ValueError(f"duplicate link {name!r}")
-        self._link_order[name] = len(self._capacities)
+        self._links[name] = _Link(name, capacity, len(self._capacities))
         self._capacities[name] = capacity
 
     def has_link(self, name: str) -> bool:
@@ -227,27 +271,37 @@ class FluidNetwork:
         instantly (used for node-local movement).
         """
         done = self._sim.event(name="flow")
+        registered = self._links
         for link in links:
-            if link not in self._capacities:
+            if link not in registered:
                 raise KeyError(f"unknown link {link!r}")
+        if len(set(links)) < len(links):
+            raise ValueError(f"path {links!r} crosses a link twice")
         if size <= 0 or not links:
             done.succeed()
             return done
         self._advance()
-        flow = _Flow(links=tuple(links), remaining=float(size), done=done,
-                     size=float(size), started_at=self._sim.now)
+        size = float(size)
+        flow = _Flow(
+            links=tuple(links),
+            hops=tuple([registered[link] for link in links]),
+            remaining=size,
+            done=done,
+            size=size,
+            slack=max(1e-6 * size, 1e-9),
+            started_at=self._sim.now,
+        )
         self._flows[done] = flow
-        link_flows = self._link_flows
-        for link in flow.links:
-            bucket = link_flows.get(link)
-            if bucket is None:
-                link_flows[link] = {flow: None}
-            else:
-                bucket[flow] = None
+        for link in flow.hops:
+            bucket = link.flows
+            if not bucket:
+                self._link_flows[link.name] = bucket
+                insort(self._occupied, link, key=_registration_index)
+            bucket[flow] = None
         if self.observer is not None:
             self.observer.flow_started(self._sim.now, flow.links, flow.size)
         self._mark_unsettled()
-        return flow.done
+        return done
 
     def active_flow_count(self, link: str | None = None) -> int:
         """Number of active flows, optionally restricted to one link."""
@@ -282,14 +336,14 @@ class FluidNetwork:
     # -- internals ----------------------------------------------------------
 
     def _remove_flow(self, flow: _Flow) -> None:
-        """Drop a flow from the event map and link index."""
+        """Drop a flow from the event map and its links' buckets."""
         del self._flows[flow.done]
-        link_flows = self._link_flows
-        for link in flow.links:
-            bucket = link_flows[link]
+        for link in flow.hops:
+            bucket = link.flows
             del bucket[flow]
             if not bucket:
-                del link_flows[link]
+                del self._link_flows[link.name]
+                self._occupied.remove(link)
 
     def _mark_unsettled(self) -> None:
         """Note a flow-set change; an instant's first one schedules its settle."""
@@ -297,8 +351,8 @@ class FluidNetwork:
             self._unsettled = True
             self._sim.call_at(self._sim.now, self._settle)
 
-    def _advance(self) -> None:
-        """Debit progress accrued since the last settled instant."""
+    def _elapsed(self) -> float:
+        """Time since the last debit; moves the debit mark to ``now``."""
         now = self._sim.now
         elapsed = now - self._last_update
         if elapsed > 0:
@@ -307,60 +361,80 @@ class FluidNetwork:
                     f"fluid network unsettled at t={self._last_update!r} while"
                     f" virtual time advanced to {now!r}"
                 )
+            self._last_update = now
+        return elapsed
+
+    def _advance(self) -> None:
+        """Debit progress accrued since the last settled instant."""
+        elapsed = self._elapsed()
+        if elapsed > 0:
             for flow in self._flows.values():
                 remaining = flow.remaining - flow.rate * elapsed
                 flow.remaining = remaining if remaining > 0.0 else 0.0
-            self._last_update = now
 
-    def _recompute_rates(self) -> None:
-        """Progressive-filling max-min fair allocation over the link index.
+    def _recompute_rates(self) -> float | None:
+        """Progressive-filling max-min fair allocation over occupied links.
 
-        Visits only occupied links, with per-link flow counts maintained
-        incrementally per round.  Sets every active flow's ``rate``.
+        Sets every active flow's ``rate`` and returns the smallest
+        ``remaining / rate`` over the flows given a positive rate (``None``
+        if there is none): the time to the next completion.
         Bit-identical to :meth:`_recompute_rates_reference`: links are
-        considered in registration order so bottleneck ties break the same
-        way, and within a round every frozen flow debits the same share, so
-        the residual arithmetic is order-independent.
+        considered in registration order with the same strict ``<``, so
+        bottleneck ties break the same way, and residuals are debited in
+        the same order (bucket order, then the order of each flow's links).
+        A link whose flows are all frozen, the bottleneck among them, has
+        ``count == 0`` and can never be a bottleneck again (a path crosses
+        a link at most once), so each round scans only the links the round
+        before left with unfrozen flows.
         """
-        link_flows = self._link_flows
-        if not link_flows:
-            return
-        occupied = sorted(link_flows, key=self._link_order.__getitem__)
-        capacities = self._capacities
-        residual = {link: capacities[link] for link in occupied}
-        unfrozen_count = {link: len(link_flows[link]) for link in occupied}
-        frozen: set[_Flow] = set()
-        remaining_flows = len(self._flows)
-        while remaining_flows:
-            best_share = None
+        occupied = self._occupied
+        if not occupied:
+            return None
+        for link in occupied:
+            link.residual = link.capacity
+            link.count = len(link.flows)
+        self._solve_stamp = stamp = self._solve_stamp + 1
+        unfrozen = len(self._flows)
+        soonest = None
+        live = occupied
+        while unfrozen:
+            # Capacities are finite, so every share is: ``inf`` picks the
+            # same first minimum as the reference's ``None`` start.
+            best_share = inf
             bottleneck = None
-            for link in occupied:
-                count = unfrozen_count[link]
-                if count == 0 or link not in residual:
-                    continue
-                share = residual[link] / count
-                if best_share is None or share < best_share:
-                    best_share = share
-                    bottleneck = link
-            if best_share is None:
+            candidates = []
+            for link in live:
+                count = link.count
+                if count:
+                    candidates.append(link)
+                    share = link.residual / count
+                    if share < best_share:
+                        best_share = share
+                        bottleneck = link
+            if bottleneck is None:
                 break
-            for flow in link_flows[bottleneck]:
-                if flow in frozen:
+            live = candidates
+            for flow in bottleneck.flows:
+                if flow.solve == stamp:
                     continue
-                frozen.add(flow)
-                remaining_flows -= 1
+                flow.solve = stamp
+                unfrozen -= 1
                 flow.rate = best_share
-                for link in flow.links:
-                    left = residual[link] - best_share
-                    residual[link] = left if left > 0.0 else 0.0
-                    unfrozen_count[link] -= 1
-            del residual[bottleneck]
-        if remaining_flows:
+                if best_share > 0:
+                    eta = flow.remaining / best_share
+                    if soonest is None or eta < soonest:
+                        soonest = eta
+                for link in flow.hops:
+                    left = link.residual - best_share
+                    link.residual = left if left > 0.0 else 0.0
+                    link.count -= 1
+        if unfrozen:
             # Unreachable with positive capacities (every unfrozen flow
             # keeps a live link); mirrors the reference's rate zeroing.
             for flow in self._flows.values():
-                if flow not in frozen:
+                if flow.solve != stamp:
                     flow.rate = 0.0
+        return soonest
 
     def _recompute_rates_reference(self) -> dict[Event, float]:
         """The original all-pairs progressive-filling implementation.
@@ -399,8 +473,7 @@ class FluidNetwork:
     def _settle(self) -> None:
         """Solve this instant's allocation and arm the next completion."""
         self._unsettled = False
-        self._recompute_rates()
-        flows = self._flows.values()
+        soonest = self._recompute_rates()
         now = self._sim.now
         if self.observer is not None:
             # Buckets keep start order: the same sums as a scan of the flows.
@@ -413,16 +486,15 @@ class FluidNetwork:
             self.observer.rates_updated(now, link_rates)
         # A new token voids whatever completion an earlier settle armed.
         self._completion_token = token = self._completion_token + 1
-        eta = min(
-            (now + flow.remaining / flow.rate for flow in flows if flow.rate > 0),
-            default=None,
-        )
-        if eta is not None:
-            self._sim.call_at(eta, partial(self._complete, token))
+        if soonest is not None:
+            # Rounding is monotone, so now + min(eta) == min(now + eta).
+            self._sim.call_at(now + soonest, partial(self._complete, token))
 
     def _complete(self, token: int) -> None:
-        """The armed completion: retire every finished flow.
+        """The armed completion: debit progress and retire finished flows.
 
+        One pass over the flows, in start order, debits each as
+        :meth:`_advance` would and collects those within their ``slack``.
         May run at an instant a mutation already unsettled; it then debits
         no time and just collects the flows that finished.  Marking
         unsettled *after* firing the ``done`` events lets the flows started
@@ -430,11 +502,23 @@ class FluidNetwork:
         """
         if token != self._completion_token:
             return
-        self._advance()
-        now = self._sim.now
-        finished = [flow for flow in self._flows.values() if flow.finished]
+        elapsed = self._elapsed()
+        finished = []
+        if elapsed > 0:
+            for flow in self._flows.values():
+                remaining = flow.remaining - flow.rate * elapsed
+                if remaining > flow.slack:
+                    flow.remaining = remaining
+                else:
+                    flow.remaining = remaining if remaining > 0.0 else 0.0
+                    finished.append(flow)
+        else:
+            for flow in self._flows.values():
+                if flow.remaining <= flow.slack:
+                    finished.append(flow)
         for flow in finished:
             self._remove_flow(flow)
+        now = self._sim.now
         for flow in finished:
             if self.observer is not None:
                 self.observer.flow_finished(
@@ -472,8 +556,7 @@ class ExclusivePathNetwork:
 
     def add_link(self, name: str, capacity: float) -> None:
         """Register a link with the given capacity."""
-        if capacity <= 0:
-            raise ValueError(f"link {name!r} capacity must be positive, got {capacity}")
+        _check_capacity(name, capacity)
         if name in self._capacities:
             raise ValueError(f"duplicate link {name!r}")
         self._capacities[name] = capacity

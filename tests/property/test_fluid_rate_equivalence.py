@@ -1,19 +1,21 @@
 """Property tests: the fluid network against its reference allocator.
 
-``FluidNetwork._recompute_rates`` iterates a persistent link->flows index
+``FluidNetwork._recompute_rates`` iterates the occupied link objects
 instead of rescanning every link against every flow; the original
 implementation is kept as ``FluidNetwork._recompute_rates_reference``
 (non-mutating, returning rates keyed by completion event).  The network
 solves its allocation once per simulated instant (``_settle``), so the
-first two tests drive random start/finish/cancel sequences from outside
+first three tests drive random start/finish/cancel sequences from outside
 the engine, settle with ``sim.run(until=sim.now)`` after every single
 operation, and assert that the live rates are *bit-identical* (``==``, not
 approx) to what the reference allocator computes for the same flow
 population -- any divergence in bottleneck choice, tie-breaking or
-residual arithmetic fails immediately -- and that the link index mirrors
-the flow population.
+residual arithmetic fails immediately -- that the link index (buckets,
+link objects, the occupied list) mirrors the flow population, and that
+the completion each solve arms is the earliest finish under the reference
+rates.
 
-The third test checks the settle-once scheduling itself: random scripts
+The fourth test checks the settle-once scheduling itself: random scripts
 with same-instant bursts, mid-flight cancels, zero-size and empty-path
 flows must complete at identical times, in identical order, on
 ``FluidNetwork`` and on :class:`EagerStepper`, a heap-free model that
@@ -84,6 +86,46 @@ def assert_index_consistent(network: FluidNetwork) -> None:
     for link in network.capacities:
         assert network.active_flow_count(link) == true_counts.get(link, 0)
     assert network.active_flow_count() == len(network._flows)
+    # The occupied list is exactly the links with flows, in registration
+    # order, and each link object's bucket is that link's index entry.
+    registered = list(network._links.values())
+    assert [link.name for link in registered] == list(network.capacities)
+    assert network._occupied == [link for link in registered if link.name in true_counts]
+    for link in registered:
+        if link.name in true_counts:
+            assert link.flows is network._link_flows[link.name]
+        else:
+            assert not link.flows
+    for flow in network._flows.values():
+        assert tuple(link.name for link in flow.hops) == flow.links
+
+
+def assert_completion_armed(network: FluidNetwork) -> None:
+    """The armed completion is the earliest finish under the reference rates.
+
+    The solve returns its own ETA; it must equal the scan it replaced,
+    ``min(settled_at + remaining / rate)``, with the rates taken from the
+    reference allocator, and it must be the only live completion entry.
+    """
+    rates = network._recompute_rates_reference()
+    settled_at = network._last_update
+    expected = min(
+        (
+            settled_at + flow.remaining / rates[done]
+            for done, flow in network._flows.items()
+            if rates[done] > 0
+        ),
+        default=None,
+    )
+    armed = [
+        entry[0]
+        for entry in network._sim._heap
+        if isinstance(entry[3], partial)
+        and entry[3].func == network._complete
+        and entry[3].args == (network._completion_token,)
+    ]
+    assert not network._unsettled
+    assert armed == ([] if expected is None else [expected])
 
 
 def drive_plan(plan, check) -> int:
@@ -146,6 +188,13 @@ def test_indexed_allocation_matches_reference(plan):
 def test_link_occupancy_index_consistent(plan):
     """The persistent link index always mirrors the true flow population."""
     drive_plan(plan, assert_index_consistent)
+
+
+@settings(max_examples=60, deadline=None)
+@given(churn_plan())
+def test_solve_arms_the_reference_completion(plan):
+    """The ETA the solve returns arms exactly the old scan's completion."""
+    drive_plan(plan, assert_completion_armed)
 
 
 class EagerStepper:

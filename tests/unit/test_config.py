@@ -77,6 +77,46 @@ class TestSimulationConfig:
         with pytest.raises(ValueError):
             SimulationConfig(heartbeat_interval=0)
 
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("heartbeat_interval", float("nan")),
+            ("heartbeat_interval", float("inf")),
+            ("heartbeat_expiry", float("nan")),
+            ("heartbeat_expiry", float("inf")),
+            ("shuffle_drain_interval", float("nan")),
+            ("shuffle_drain_interval", float("inf")),
+            ("shuffle_drain_interval", -1.0),
+            ("rack_bandwidth", float("nan")),
+            ("rack_bandwidth", float("inf")),
+            ("rack_bandwidth", 0.0),
+            ("rack_bandwidth", -1.0),
+            ("block_size", float("nan")),
+            ("block_size", float("inf")),
+            ("block_size", 0.0),
+            ("block_size", -1.0),
+            ("failure_time", float("nan")),
+            ("failure_time", float("inf")),
+            ("degraded_read_backoff", float("nan")),
+            ("degraded_read_backoff", float("inf")),
+            ("speculative_multiplier", float("nan")),
+            ("speculative_multiplier", float("inf")),
+        ],
+    )
+    def test_rejects_non_finite_or_out_of_range_numbers(self, field, value):
+        with pytest.raises(ValueError, match=rf"{field} .*{value!r}"):
+            SimulationConfig(**{field: value})
+
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_bad_speed_factor(self, factor):
+        factors = (1.0, 1.0, factor, 1.0)
+        with pytest.raises(ValueError, match=rf"speed_factors\[2\] .*{factor!r}"):
+            SimulationConfig(num_nodes=4, num_racks=2, speed_factors=factors)
+
+    def test_boundary_values_stay_valid(self):
+        config = SimulationConfig(shuffle_drain_interval=0.0, failure_time=0.0)
+        assert config.shuffle_drain_interval == 0.0
+
     def test_speed_factor_count(self):
         with pytest.raises(ValueError):
             SimulationConfig(num_nodes=4, num_racks=2, speed_factors=(1.0,))

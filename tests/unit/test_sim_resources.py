@@ -147,6 +147,14 @@ class TestFluidNetwork:
         with pytest.raises(KeyError):
             network.transfer(["nope"], 1.0)
 
+    def test_path_crossing_a_link_twice(self, sim):
+        network = FluidNetwork(sim)
+        network.add_link("a", 1.0)
+        network.add_link("b", 1.0)
+        with pytest.raises(ValueError, match="crosses a link twice"):
+            network.transfer(["a", "b", "a"], 5.0)
+        assert network.active_flow_count() == 0
+
     def test_duplicate_link(self, sim):
         network = FluidNetwork(sim)
         network.add_link("l", 1.0)
@@ -468,6 +476,15 @@ class TestExclusivePathNetwork:
         assert woken == [(10.0, 10.0, False, 1)]
         assert second.value == 5.0
         assert sim.dispatched == 4  # spawn step, two releases, one resume
+
+
+@pytest.mark.parametrize("network_class", [FluidNetwork, ExclusivePathNetwork])
+@pytest.mark.parametrize("capacity", [float("nan"), float("inf")])
+def test_add_link_rejects_non_finite_capacity(sim, network_class, capacity):
+    network = network_class(sim)
+    with pytest.raises(ValueError, match=rf"'l' capacity .*{capacity!r}"):
+        network.add_link("l", capacity)
+    assert not network.has_link("l")
 
 
 @pytest.mark.parametrize("network_class", [FluidNetwork, ExclusivePathNetwork])
