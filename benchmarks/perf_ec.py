@@ -17,6 +17,9 @@ Workloads (all at 1 MiB blocks by default, the testbed's block size):
 * :func:`reconstruct_workload` -- repeated same-pattern single-block
   repair of a parity block, the seed's O(k^2 L) worst case (full decode
   plus re-encode) against the cached one-row plan.
+* :func:`shared_gather_workload` -- the same warm encode with the packed
+  gather on one worker (the process pinned to one CPU) and shared across
+  every CPU of the process's affinity, interleaved.
 
 ``benchmarks/test_perf_ec.py`` runs them, writes ``BENCH_ec.json`` and
 enforces the floors; ``python benchmarks/perf_ec.py`` prints one sample
@@ -25,6 +28,7 @@ per workload.
 
 from __future__ import annotations
 
+import os
 import time
 
 import numpy as np
@@ -169,6 +173,48 @@ def reconstruct_workload(n: int, k: int, block_len: int = MIB, repeats: int = 5)
     }
 
 
+def shared_gather_workload(n: int, k: int, block_len: int = MIB, repeats: int = 9) -> dict:
+    """Warm encode with the packed gather on one worker vs on every CPU.
+
+    The kernel takes its worker count from the process's CPU affinity, so
+    the "before" side is the same call with this thread pinned to one CPU
+    (no helper thread is used) and the "after" side the call at the full
+    affinity.  The two alternate, so both see the same machine state.
+    """
+    coder = ReedSolomon(n, k)
+    natives = _blocks(k, block_len, seed=n * 4000 + k)
+    cpus = os.sched_getaffinity(0)
+    coder.encode(natives)  # warm the compiled encoder plan, tables and helpers
+
+    def pinned():
+        os.sched_setaffinity(0, {min(cpus)})
+        try:
+            return coder.encode(natives)
+        finally:
+            os.sched_setaffinity(0, cpus)
+
+    before_seconds = after_seconds = float("inf")
+    for _ in range(repeats):
+        seconds, before_parity = _best_of(pinned, 1)
+        before_seconds = min(before_seconds, seconds)
+        seconds, after_parity = _best_of(lambda: coder.encode(natives), 1)
+        after_seconds = min(after_seconds, seconds)
+
+    assert after_parity == before_parity, "one-worker and shared gathers diverge"
+    processed = k * block_len
+    return {
+        "code": f"RS({n},{k})",
+        "block_len": block_len,
+        "cpus": len(cpus),
+        "repeats": repeats,
+        "before_seconds": before_seconds,
+        "after_seconds": after_seconds,
+        "before_mb_per_s": round(_mb_per_s(processed, before_seconds), 1),
+        "after_mb_per_s": round(_mb_per_s(processed, after_seconds), 1),
+        "speedup": round(before_seconds / after_seconds, 2),
+    }
+
+
 def main() -> None:
     for name, fn in (
         ("encode_rs9_6", lambda: encode_workload(9, 6)),
@@ -177,6 +223,7 @@ def main() -> None:
         ("decode_rs16_12", lambda: decode_workload(16, 12)),
         ("reconstruct_rs9_6", lambda: reconstruct_workload(9, 6)),
         ("reconstruct_rs16_12", lambda: reconstruct_workload(16, 12)),
+        ("shared_gather_rs12_10", lambda: shared_gather_workload(12, 10)),
     ):
         print(name, fn())
 

@@ -3,7 +3,8 @@
 Runs the fixed workloads of :mod:`benchmarks.perf_ec` and writes
 ``BENCH_ec.json`` next to this file: before (reference oracles) and after
 (batched kernels + plan caches) throughput at RS(9,6) and RS(16,12), plus
-the implied speedups.
+the implied speedups, and the packed gather on one worker against the
+same gather shared across the process's CPUs at RS(12,10).
 
 Environment knobs:
 
@@ -11,6 +12,8 @@ Environment knobs:
     Shrink the blocks to 256 KiB so the suite finishes in about a second.
     The speedups are ratios of same-process runs, so they remain
     meaningful at the small size (the packed kernel engages from 4 KiB).
+    The shared-gather workload stays at 1 MiB: a 256 KiB block is one
+    gather chunk, which one thread runs.
 ``REPRO_PERF_ENFORCE``
     Turn the checked-in floors (``perf_floor.json``, the ``ec_*`` keys)
     into hard assertions.  The floors are before/after ratios measured in
@@ -28,7 +31,12 @@ import time
 
 import pytest
 
-from benchmarks.perf_ec import decode_workload, encode_workload, reconstruct_workload
+from benchmarks.perf_ec import (
+    decode_workload,
+    encode_workload,
+    reconstruct_workload,
+    shared_gather_workload,
+)
 
 SMALL = bool(os.environ.get("REPRO_PERF_SMALL"))
 ENFORCE = bool(os.environ.get("REPRO_PERF_ENFORCE"))
@@ -97,3 +105,13 @@ def test_reconstruct_speedup(n, k):
     """Cached single-row repair vs the seed's full decode + re-encode."""
     result = reconstruct_workload(n, k, block_len=BLOCK_LEN, repeats=REPEATS)
     _check_floor(f"reconstruct_rs{n}_{k}", result)
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="the shared gather needs a second CPU",
+)
+def test_shared_gather_speedup():
+    """The packed gather on every CPU vs on one worker, same process."""
+    result = shared_gather_workload(12, 10)
+    _check_floor("shared_gather_rs12_10", result)

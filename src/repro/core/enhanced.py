@@ -53,38 +53,41 @@ class EnhancedDegradedFirstScheduler(BasicDegradedFirstScheduler):
 
     def assign_to_slave(self, job: JobTaskState, slave_id: int) -> bool:
         """``ASSIGNTOSLAVE``: admit only slaves with at-most-average backlog."""
-        t_s = self._local_backlog_time(job, slave_id)
-        expected = self._mean_backlog_time(job)
-        return t_s <= expected + 1e-12
+        return self._slave_guard(job, slave_id)[0]
 
     def assign_to_rack(self, rack_id: int, now: float) -> bool:
         """``ASSIGNTORACK``: skip racks mid-way through a degraded read."""
+        return self._rack_guard(rack_id, now)[0]
+
+    def _slave_guard(self, job: JobTaskState, slave_id: int) -> tuple[bool, dict]:
+        """``ASSIGNTOSLAVE``'s verdict and the quantities behind it."""
+        t_s = self._local_backlog_time(job, slave_id)
+        expected = self._mean_backlog_time(job)
+        return t_s <= expected + 1e-12, {"t_s": t_s, "mean_t_s": expected}
+
+    def _rack_guard(self, rack_id: int, now: float) -> tuple[bool, dict]:
+        """``ASSIGNTORACK``'s verdict and the quantities behind it."""
         t_r = self._time_since_degraded(rack_id, now)
         expected = self._mean_time_since_degraded(now)
         threshold = self.context.expected_degraded_read_time
-        return t_r >= min(expected, threshold)
+        quantities = {"t_r": t_r, "mean_t_r": expected, "rack_threshold": threshold}
+        return t_r >= min(expected, threshold), quantities
 
     # -- hooks into the BDF main loop ------------------------------------------
 
     def _degraded_guards(self, job: JobTaskState, slave_id: int, now: float) -> bool:
+        rack_id = self.context.topology.rack_of(slave_id)
         if self.bus is None:
-            if not self.assign_to_slave(job, slave_id):
-                return False
-            rack_id = self.context.topology.rack_of(slave_id)
-            return self.assign_to_rack(rack_id, now)
+            return self.assign_to_slave(job, slave_id) and self.assign_to_rack(rack_id, now)
         # Tracing path: evaluate both guards (they are pure, so the verdict
         # is unchanged) and record every quantity behind the decision.
-        rack_id = self.context.topology.rack_of(slave_id)
-        slave_ok = self.assign_to_slave(job, slave_id)
-        rack_ok = self.assign_to_rack(rack_id, now)
+        slave_ok, slave_quantities = self._slave_guard(job, slave_id)
+        rack_ok, rack_quantities = self._rack_guard(rack_id, now)
         self.last_guard_trace = {
-            "t_s": self._local_backlog_time(job, slave_id),
-            "mean_t_s": self._mean_backlog_time(job),
+            **slave_quantities,
             "slave_ok": slave_ok,
             "rack": rack_id,
-            "t_r": self._time_since_degraded(rack_id, now),
-            "mean_t_r": self._mean_time_since_degraded(now),
-            "rack_threshold": self.context.expected_degraded_read_time,
+            **rack_quantities,
             "rack_ok": rack_ok,
             "rejected_by": None if slave_ok and rack_ok
             else ("slave" if not slave_ok else "rack"),

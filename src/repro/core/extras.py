@@ -63,48 +63,29 @@ class UncappedDegradedFirstScheduler(Scheduler):
         return assignment, "uncapped", None
 
 
-class _DisabledGuardTrace:
-    """Scrub a disabled guard's quantities from the decision trace.
+class SlaveGuardOnlyScheduler(EnhancedDegradedFirstScheduler):
+    """EDF with locality preservation only (rack awareness disabled).
 
-    The single-guard ablations force one guard verdict to ``True`` without
-    evaluating it, but EDF's tracing path records the raw quantities behind
-    both guards.  The sanitizer cross-checks verdicts against quantities
-    (``edf-guard``), so a forced verdict next to never-consulted numbers
-    would read as a lying trace.  Dropping the disabled guard's quantities
-    keeps the trace honest: verdict present, nothing claiming to justify it.
+    The disabled guard admits every rack and reports no quantities, so the
+    decision trace holds its verdict with nothing claiming to justify it
+    (the sanitizer cross-checks verdicts against quantities).
     """
 
-    #: Trace fields of the guard this ablation disables.
-    _disabled_quantities: tuple[str, ...] = ()
-
-    def _degraded_guards(self, job: JobTaskState, slave_id: int, now: float) -> bool:
-        verdict = super()._degraded_guards(job, slave_id, now)
-        if self.last_guard_trace:
-            for name in self._disabled_quantities:
-                self.last_guard_trace.pop(name, None)
-        return verdict
-
-
-class SlaveGuardOnlyScheduler(_DisabledGuardTrace, EnhancedDegradedFirstScheduler):
-    """EDF with locality preservation only (rack awareness disabled)."""
-
     name = "EDF-SLAVE"
-    _disabled_quantities = ("t_r", "mean_t_r", "rack_threshold")
 
-    def assign_to_rack(self, rack_id: int, now: float) -> bool:
+    def _rack_guard(self, rack_id: int, now: float) -> tuple[bool, dict]:
         del rack_id, now
-        return True
+        return True, {}
 
 
-class RackGuardOnlyScheduler(_DisabledGuardTrace, EnhancedDegradedFirstScheduler):
+class RackGuardOnlyScheduler(EnhancedDegradedFirstScheduler):
     """EDF with rack awareness only (locality preservation disabled)."""
 
     name = "EDF-RACK"
-    _disabled_quantities = ("t_s", "mean_t_s")
 
-    def assign_to_slave(self, job: JobTaskState, slave_id: int) -> bool:
+    def _slave_guard(self, job: JobTaskState, slave_id: int) -> tuple[bool, dict]:
         del job, slave_id
-        return True
+        return True, {}
 
 
 class DelayScheduler(Scheduler):

@@ -8,10 +8,17 @@ generator constructions.
 The block-application primitive (:class:`BatchedMatvec`) is the
 erasure-coding hot path: every encode, decode and degraded-read reduces
 to it.  It is implemented as a packed pair-indexed table kernel (see
-:func:`repro.ec.galois.packed_pair_table`): the block is viewed as ``uint16`` pairs and one 65536-entry gather yields
-the products of both bytes by up to four matrix rows at once, so gather
-work per output row drops by ~8x compared with one 256-entry gather per
-``(row, column)`` coefficient.  The pre-kernel implementations are retained
+:func:`repro.ec.galois.packed_pair_table`): the block is viewed as
+``uint16`` pairs and one 65536-entry gather yields the products of both
+bytes by up to four matrix rows at once, so gather work per output row
+drops by ~8x compared with one 256-entry gather per ``(row, column)``
+coefficient.  The gathers run on every CPU the process may use: each band's
+pair range is cut into :data:`GATHER_CHUNK`-pair chunks that the applying
+thread and helper threads claim from one shared iterator, each chunk
+writing only its own slice of the output (:func:`_gather_bands`).  With one
+usable CPU no thread is started, and no helper is alive across a ``fork``.
+There is no knob: the worker count is the process's CPU affinity and the
+chunk size a measured constant.  The pre-kernel implementations are retained
 verbatim as ``*_reference`` oracles (the PR-4
 ``_recompute_rates_reference`` idiom); the Hypothesis suite
 ``tests/property/test_ec_kernel_equivalence.py`` holds the kernels
@@ -20,6 +27,9 @@ byte-identical to them.
 
 from __future__ import annotations
 
+import os
+import queue
+import threading
 from collections.abc import Sequence
 
 import numpy as np
@@ -35,6 +45,16 @@ class SingularMatrixError(ValueError):
 #: Below this block length the packed kernel's table build is not worth it
 #: and the per-column gather path is used instead.
 PACKED_MIN_BLOCK = 4096
+
+#: Pairs per unit of packed-gather work (256 KiB of each column), shared out
+#: among the CPUs by :func:`_gather_bands`.  Each chunk costs two numpy calls
+#: per column, and each call a GIL hand-off between the threads: on two CPUs
+#: one ``ec_storage`` round (1 MiB blocks) took 44 / 34 / 29 / 27 ms at 32K /
+#: 64K / 128K / 256K-pair chunks, against 42 ms for the one-thread loop this
+#: replaced.  128K is the largest size that still leaves two chunks per
+#: thread at 1 MiB, so a CPU busy elsewhere just claims fewer; an apply
+#: that is one chunk in all runs on one thread.
+GATHER_CHUNK = 1 << 17
 
 
 def identity(size: int) -> np.ndarray:
@@ -165,7 +185,9 @@ class BatchedMatvec:
         own whole pairs, cut to ``length``.  An odd-length block's last byte
         is the pair ``(byte, 0)``, so it costs one table entry; the output
         past a block's end takes nothing from that column, which is what
-        zero-extension contributes (a zero byte's products are zero).
+        zero-extension contributes (a zero byte's products are zero).  The
+        whole-pair gathers run chunk by chunk on every usable CPU
+        (:func:`_gather_bands`); the odd tails and the de-interleave follow.
         """
         tables = self._tables or self._build_tables()
         half, odd = divmod(length, 2)
@@ -176,33 +198,13 @@ class BatchedMatvec:
             whole = len(block) // 2
             pairs.append(block[: 2 * whole].view(np.uint16))
             tails.append((whole, int(block[-1])) if len(block) % 2 else None)
-        take = np.take
+        accumulators = [
+            np.empty(half + odd, dtype=band_tables[0].dtype) for band_tables in tables
+        ]
+        _gather_bands(tables, pairs, accumulators, half)
         dense: list[np.ndarray] = []
-        for band, band_tables in zip(self._bands, tables):
-            dtype = band_tables[0].dtype
-            accumulator = np.empty(half + odd, dtype=dtype)
-            # accumulator[:filled] holds the sum so far; the rest is unset.
-            filled = 0
-            scratch = None
-            # Pair indices never leave the 65536-entry table, so "wrap" is
-            # exact; it spares numpy the buffered bounds check of an ``out``
-            # gather, and one scratch row serves every column.
-            for table, column in zip(band_tables, pairs):
-                span = len(column)
-                if not filled:
-                    take(table, column, out=accumulator[:span], mode="wrap")
-                    filled = span
-                    continue
-                if scratch is None:
-                    scratch = np.empty(half, dtype=dtype)
-                gathered = scratch[:span]
-                take(table, column, out=gathered, mode="wrap")
-                overlap = min(span, filled)
-                accumulator[:overlap] ^= gathered[:overlap]
-                if span > filled:
-                    accumulator[filled:span] = gathered[filled:]
-                    filled = span
-            accumulator[filled:] = 0
+        for band, band_tables, accumulator in zip(self._bands, tables, accumulators):
+            accumulator[half:] = 0
             for table, tail in zip(band_tables, tails):
                 if tail is not None:
                     accumulator[tail[0]] ^= table[tail[1]]
@@ -232,6 +234,159 @@ class BatchedMatvec:
             block = blocks[j][:length]
             out[:, : len(block)] ^= _MUL_TABLE[self._dense_rows[:, j][:, None], block[None, :]]
         return list(out)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity where the OS reports one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _gather_bands(
+    tables: list[list[np.ndarray]],
+    pairs: list[np.ndarray],
+    accumulators: list[np.ndarray],
+    half: int,
+) -> None:
+    """Set each band's ``accumulator[:half]`` to its whole-pair sum, on every CPU.
+
+    Every band's pair range is cut into :data:`GATHER_CHUNK`-pair chunks,
+    which the calling thread and one helper per further usable CPU claim
+    from one shared iterator until none is left (``np.take`` and ``^=``
+    release the GIL).  Each chunk writes only its own slice, so the bytes do
+    not depend on which thread ran it, and a CPU that is busy elsewhere just
+    claims fewer chunks.  With one usable CPU, or fewer than two chunks, the
+    calling thread runs them all and no helper is started.
+    """
+    cpus = _usable_cpus()
+    # Alone, a thread gathers each band in one piece: the fewest numpy calls.
+    size = GATHER_CHUNK if cpus > 1 else half
+    chunks = [
+        (band_tables, accumulator, lo, min(lo + size, half))
+        for band_tables, accumulator in zip(tables, accumulators)
+        for lo in range(0, half, size)
+    ]
+    widest = max(accumulators, key=lambda accumulator: accumulator.itemsize).dtype
+    job = _GatherJob(pairs, chunks, size, widest)
+    helpers = min(len(chunks), cpus) - 1
+    if helpers > 0:
+        _start_helpers(helpers)
+        for _ in range(helpers):
+            _jobs.put(job)
+    job()
+    job.finished.wait()
+    if job.error is not None:
+        raise job.error
+
+
+class _GatherJob:
+    """One apply's chunks, run by every thread that claims from its iterator."""
+
+    def __init__(
+        self, pairs: list[np.ndarray], chunks: list[tuple], size: int, dtype: np.dtype
+    ) -> None:
+        self.pairs = pairs
+        # Each thread's scratch row: one chunk of the widest band's entries.
+        self.scratch_size = size
+        self.scratch_dtype = dtype
+        self.chunks = iter(chunks)
+        self.unfinished = len(chunks)
+        self.lock = threading.Lock()
+        self.finished = threading.Event()
+        self.error: BaseException | None = None
+
+    def __call__(self) -> None:
+        scratch = None
+        for band_tables, accumulator, lo, hi in self.chunks:
+            try:
+                if scratch is None:
+                    scratch = np.empty(self.scratch_size, dtype=self.scratch_dtype)
+                _gather_chunk(band_tables, self.pairs, accumulator, lo, hi, scratch)
+            except BaseException as error:  # re-raised by the applying thread
+                self.error = error
+            with self.lock:
+                self.unfinished -= 1
+                if not self.unfinished:
+                    self.finished.set()
+
+
+#: Gather jobs for the helper threads; ``None`` tells one helper to exit.
+_jobs: queue.SimpleQueue = queue.SimpleQueue()
+_helpers: list[threading.Thread] = []
+
+
+def _helper_loop() -> None:
+    while (job := _jobs.get()) is not None:
+        job()
+
+
+def _start_helpers(count: int) -> None:
+    """Make sure at least ``count`` helper threads are running."""
+    while len(_helpers) < count:
+        thread = threading.Thread(target=_helper_loop, name="gf-gather", daemon=True)
+        thread.start()
+        _helpers.append(thread)
+
+
+def _stop_helpers() -> None:
+    """Stop and join every helper; runs before each ``fork``.
+
+    A forked child holds only the forking thread, and Python 3.12 warns when
+    a process with other threads forks, so no helper may be alive across
+    one.  ``join`` returns once a thread's Python state is gone; the wait on
+    ``/proc`` (Linux) covers the moment before its OS thread exits.  The
+    next apply starts helpers again, in the parent and in the child.
+    """
+    for _ in _helpers:
+        _jobs.put(None)
+    for thread in _helpers:
+        thread.join()
+        while os.path.exists(f"/proc/self/task/{thread.native_id}"):
+            os.sched_yield()
+    _helpers.clear()
+
+
+os.register_at_fork(before=_stop_helpers)
+
+
+def _gather_chunk(
+    band_tables: list[np.ndarray],
+    pairs: list[np.ndarray],
+    accumulator: np.ndarray,
+    lo: int,
+    hi: int,
+    scratch: np.ndarray,
+) -> None:
+    """Set ``accumulator[lo:hi]`` to the XOR of every column's gathered pairs.
+
+    ``accumulator[lo:filled]`` holds the sum so far and the rest of the
+    chunk is unset: a column that ends inside the chunk covers only its own
+    pairs, and the end no column reached is zeroed last, which is what
+    zero-extension contributes.
+    """
+    gather_row = scratch.view(accumulator.dtype)
+    filled = lo
+    # Pair indices never leave the 65536-entry table, so "wrap" is exact; it
+    # spares numpy the buffered bounds check of an ``out`` gather.
+    for table, column in zip(band_tables, pairs):
+        end = min(hi, len(column))
+        if end <= lo:
+            continue
+        if filled == lo:
+            table.take(column[lo:end], out=accumulator[lo:end], mode="wrap")
+            filled = end
+            continue
+        gathered = gather_row[: end - lo]
+        table.take(column[lo:end], out=gathered, mode="wrap")
+        if end <= filled:
+            accumulator[lo:end] ^= gathered
+        else:
+            accumulator[lo:filled] ^= gathered[: filled - lo]
+            accumulator[filled:end] = gathered[filled - lo :]
+            filled = end
+    accumulator[filled:hi] = 0
 
 
 def matvec_blocks_reference(

@@ -80,7 +80,10 @@ def run_many(
     instead of letting one doomed trial abort the whole batch.  Serial and
     parallel execution produce identical result lists.
 
-    Execution goes through the crash-safe
+    Each distinct trial (by :func:`~repro.experiments.campaign.trial_spec_hash`)
+    runs once, and every position that asked for it gets that one result:
+    a figure batch repeats its normal-mode reference under every row that
+    shares it.  Execution goes through the crash-safe
     :class:`~repro.experiments.campaign.CampaignEngine`: a worker killed
     by the OS costs a retry, never the batch, and trial exceptions
     propagate.  Pass ``journal_path`` to make the run resumable and
@@ -88,14 +91,24 @@ def run_many(
     JSON-payload runner such as
     :func:`~repro.experiments.campaign.sweep_trial`).
     """
-    from repro.experiments.campaign import CampaignEngine
+    from repro.experiments.campaign import CampaignEngine, trial_spec_hash
 
+    slot_of: dict[str, int] = {}
+    distinct: list[SimulationConfig] = []
+    slots: list[int] = []
+    for config in configs:
+        spec = trial_spec_hash(config, runner)
+        if spec not in slot_of:
+            slot_of[spec] = len(distinct)
+            distinct.append(config)
+        slots.append(slot_of[spec])
     engine = CampaignEngine(
         runner=runner,
         journal_path=journal_path,
         cache=open_cache(cache_dir),
     )
-    return engine.run(configs).results
+    results = engine.run(distinct).results
+    return [results[slot] for slot in slots]
 
 
 def open_cache(cache_dir: str | None):

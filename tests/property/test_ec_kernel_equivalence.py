@@ -130,6 +130,47 @@ class TestMatvecEquivalence:
         assert not np.array_equal(out[0], blocks[0])
 
 
+#: Block lengths around the packed threshold whose pair counts (2048 and
+#: 2049 whole pairs, plus odd bytes) fall mid-chunk for every chunk size
+#: below, beside short and empty blocks.
+straddling_lengths = st.sampled_from(
+    [0, 1, 5, 64, PACKED_MIN_BLOCK, PACKED_MIN_BLOCK + 1, PACKED_MIN_BLOCK + 3, 5 * 1021]
+)
+
+
+class TestSharedGather:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        gf_matrix(min_rows=1, max_rows=9),
+        st.data(),
+        st.sampled_from([3, 7, 64, 1000]),
+        st.sampled_from([1, 2, 3]),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    def test_small_chunks_match_reference(self, matrix, data, chunk, cpus, seed):
+        """Ragged, odd and empty blocks straddling chunk edges, on 1-3 threads.
+
+        Up to nine rows make up to three bands of different table widths,
+        so the chunks of several bands share one iterator and one scratch
+        row per thread.
+        """
+        lengths = data.draw(
+            st.lists(straddling_lengths, min_size=matrix.shape[1], max_size=matrix.shape[1])
+        )
+        length = data.draw(st.one_of(st.none(), st.sampled_from([PACKED_MIN_BLOCK + 1, 5000])))
+        rng = np.random.default_rng(seed)
+        blocks = [rng.integers(0, 256, size=size, dtype=np.uint8) for size in lengths]
+        width = max(lengths) if length is None else length
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gfm, "GATHER_CHUNK", chunk)
+            patch.setattr(gfm, "_usable_cpus", lambda: cpus)
+            fast = gfm.BatchedMatvec(matrix).apply(blocks, length)
+        slow = gfm.matvec_blocks_reference(matrix, fitted(blocks, width))
+        assert len(fast) == len(slow)
+        for fast_row, slow_row in zip(fast, slow):
+            assert np.array_equal(fast_row, slow_row)
+
+
 class TestMatmulEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(gf_matrix(max_rows=5), st.integers(min_value=1, max_value=5), st.data())

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster.network import MB
@@ -14,6 +16,7 @@ from repro.experiments.common import (
     max_workers,
     normalized_runtimes,
     run_grouped,
+    run_many,
 )
 from repro.mapreduce.config import JobConfig, SimulationConfig
 from repro.mapreduce.metrics import JobMetrics
@@ -70,6 +73,34 @@ class TestEnvKnobs:
         monkeypatch.setenv("REPRO_WORKERS", "2.5")
         with pytest.raises(ValueError, match="REPRO_WORKERS.*'2.5'"):
             max_workers()
+
+
+#: Every config ``counting_runner`` was called with, in call order.
+RUNNER_CALLS: list[SimulationConfig] = []
+
+
+def counting_runner(config: SimulationConfig) -> dict:
+    """Module level, so the batch's trial spec names it like any runner."""
+    RUNNER_CALLS.append(config)
+    return {"scheduler": config.scheduler, "seed": config.seed}
+
+
+class TestRunManyDistinct:
+    def test_repeated_config_runs_once_per_distinct_spec(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "1")  # in-process, so calls are seen
+        RUNNER_CALLS.clear()
+        lf, edf = tiny_config().with_scheduler("LF"), tiny_config().with_scheduler("EDF")
+        lf1, lf2, edf1 = lf.with_seed(1), lf.with_seed(2), edf.with_seed(1)
+        batch = [lf1, lf2, lf1, edf1, replace(lf2), lf1]
+        results = run_many(batch, runner=counting_runner)
+        assert RUNNER_CALLS == [lf1, lf2, edf1]
+        assert results == [{"scheduler": c.scheduler, "seed": c.seed} for c in batch]
+
+    def test_repeats_share_one_result(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        config = tiny_config()
+        first, second = run_many([config, config], runner=counting_runner)
+        assert first is second
 
 
 class TestRunFailureAndNormal:
