@@ -5,12 +5,17 @@ below LF's in every setting; the EDF-over-LF reduction grows with the
 coding parameters; single-node failures benefit more than rack failures.
 
 Sample counts follow ``REPRO_SEEDS`` (abbreviated by default; 30 = paper).
+Figures 7(a)-(e) share one batch of runs (a module-scoped fixture), so the
+default configuration's trials, which four of them contain, run once.
 """
 
 from __future__ import annotations
 
+import pytest
+
 from conftest import check, one_shot
 from repro.experiments.fig7_simulation import (
+    Fig7Data,
     run_fig7a,
     run_fig7b,
     run_fig7c,
@@ -18,6 +23,11 @@ from repro.experiments.fig7_simulation import (
     run_fig7e,
     run_fig7f,
 )
+
+
+@pytest.fixture(scope="module")
+def data():
+    return Fig7Data()
 
 
 def _assert_edf_wins(table, rows=None):
@@ -28,8 +38,8 @@ def _assert_edf_wins(table, rows=None):
         check(f"EDF median vs LF at {label}", columns["EDF"].median, "<=", columns["LF"].median)
 
 
-def test_fig7a(benchmark):
-    table = one_shot(benchmark, run_fig7a)
+def test_fig7a(benchmark, data):
+    table = one_shot(benchmark, run_fig7a, data=data)
     _assert_edf_wins(table)
     # Reduction grows with (n, k): compare the extremes.
     small = table.reduction("(8,6)", "LF", "EDF")
@@ -37,16 +47,16 @@ def test_fig7a(benchmark):
     check("larger codes should benefit more (paper: 17% -> 33%)", large, ">", small)
 
 
-def test_fig7b(benchmark):
-    table = one_shot(benchmark, run_fig7b)
+def test_fig7b(benchmark, data):
+    table = one_shot(benchmark, run_fig7b, data=data)
     _assert_edf_wins(table)
     for label in table.rows:
         reduction = table.reduction(label, "LF", "EDF")
         check(f"EDF reduction at {label} (paper: ~35-40%)", reduction, ">", 0.15)
 
 
-def test_fig7c(benchmark):
-    table = one_shot(benchmark, run_fig7c)
+def test_fig7c(benchmark, data):
+    table = one_shot(benchmark, run_fig7c, data=data)
     _assert_edf_wins(table)
     # Both schedulers slow down as bandwidth shrinks.
     lf_medians = [columns["LF"].median for columns in table.rows.values()]
@@ -54,8 +64,8 @@ def test_fig7c(benchmark):
     assert lf_medians == sorted(lf_medians, reverse=True)
 
 
-def test_fig7d(benchmark):
-    table = one_shot(benchmark, run_fig7d)
+def test_fig7d(benchmark, data):
+    table = one_shot(benchmark, run_fig7d, data=data)
     _assert_edf_wins(table, rows=("single-node", "double-node"))
     single = table.reduction("single-node", "LF", "EDF")
     rack = table.reduction("rack", "LF", "EDF")
@@ -66,8 +76,8 @@ def test_fig7d(benchmark):
     check("LF median double-node < rack", lf["double-node"], "<", lf["rack"])
 
 
-def test_fig7e(benchmark):
-    table = one_shot(benchmark, run_fig7e)
+def test_fig7e(benchmark, data):
+    table = one_shot(benchmark, run_fig7e, data=data)
     _assert_edf_wins(table)
     # EDF's normalized runtime creeps up with shuffle volume (its degraded
     # reads now compete with live shuffle traffic).

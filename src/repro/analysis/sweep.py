@@ -44,31 +44,22 @@ def _evaluate(label: str, params: AnalysisParams) -> SweepPoint:
     )
 
 
-def sweep_code(
-    base: AnalysisParams | None = None,
-    codes: tuple[CodeParams, ...] = FIG5A_CODES,
-) -> list[SweepPoint]:
+def sweep_code(base: AnalysisParams | None = None) -> list[SweepPoint]:
     """Figure 5(a): normalized runtime versus erasure-coding scheme."""
     base = base or AnalysisParams()
-    return [_evaluate(str(code), base.with_code(code)) for code in codes]
+    return [_evaluate(str(code), base.with_code(code)) for code in FIG5A_CODES]
 
 
-def sweep_blocks(
-    base: AnalysisParams | None = None,
-    block_counts: tuple[int, ...] = FIG5B_BLOCKS,
-) -> list[SweepPoint]:
+def sweep_blocks(base: AnalysisParams | None = None) -> list[SweepPoint]:
     """Figure 5(b): normalized runtime versus the number of native blocks."""
     base = base or AnalysisParams()
-    return [_evaluate(str(count), base.with_blocks(count)) for count in block_counts]
+    return [_evaluate(str(count), base.with_blocks(count)) for count in FIG5B_BLOCKS]
 
 
-def sweep_bandwidth(
-    base: AnalysisParams | None = None,
-    bandwidths_mbps: tuple[int, ...] = FIG5C_BANDWIDTHS_MBPS,
-) -> list[SweepPoint]:
+def sweep_bandwidth(base: AnalysisParams | None = None) -> list[SweepPoint]:
     """Figure 5(c): normalized runtime versus rack download bandwidth."""
     base = base or AnalysisParams()
     return [
         _evaluate(f"{bandwidth}Mbps", base.with_bandwidth(mbps(bandwidth)))
-        for bandwidth in bandwidths_mbps
+        for bandwidth in FIG5C_BANDWIDTHS_MBPS
     ]

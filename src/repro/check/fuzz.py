@@ -68,7 +68,7 @@ SCHEDULERS = ("LF", "BDF", "EDF")
 #: forever).  Generous against the scenario sizes generated here -- clean
 #: trials stay well under a hundred thousand dispatches.
 DEFAULT_MAX_DISPATCH = 2_000_000
-DEFAULT_MAX_SIM_TIME = 50_000.0
+MAX_SIM_TIME = 50_000.0
 
 _MB = 1024 * 1024
 
@@ -390,15 +390,10 @@ def scenario_strategy():
 
 
 def run_checked_trial(
-    config: SimulationConfig,
-    scheduler: str | None = None,
-    max_dispatch: int = DEFAULT_MAX_DISPATCH,
-    max_sim_time: float = DEFAULT_MAX_SIM_TIME,
+    config: SimulationConfig, max_dispatch: int = DEFAULT_MAX_DISPATCH
 ) -> TrialReport:
     """Run one scenario under the sanitizer and classify the outcome."""
-    if scheduler is not None:
-        config = config.with_scheduler(scheduler)
-    monitor = InvariantMonitor(max_dispatch=max_dispatch, max_sim_time=max_sim_time)
+    monitor = InvariantMonitor(max_dispatch=max_dispatch, max_sim_time=MAX_SIM_TIME)
     try:
         run_simulation(config, observer=monitor)
     except InvariantViolationError as error:
@@ -452,7 +447,6 @@ def shrink_scenario(
     config: SimulationConfig,
     report: TrialReport,
     max_dispatch: int = DEFAULT_MAX_DISPATCH,
-    max_sim_time: float = DEFAULT_MAX_SIM_TIME,
 ) -> tuple[SimulationConfig, TrialReport]:
     """Greedily simplify a failing scenario while its signature reproduces.
 
@@ -463,9 +457,7 @@ def shrink_scenario(
     config = config.with_scheduler(report.scheduler)
     while True:
         for candidate in _shrink_candidates(config):
-            retry = run_checked_trial(
-                candidate, max_dispatch=max_dispatch, max_sim_time=max_sim_time
-            )
+            retry = run_checked_trial(candidate, max_dispatch=max_dispatch)
             if retry.failed and retry.signature == report.signature:
                 config, report = candidate, retry
                 break
@@ -515,7 +507,6 @@ def run_fuzz(
     corpus_dir: str | None = None,
     schedulers: tuple[str, ...] | None = None,
     max_dispatch: int = DEFAULT_MAX_DISPATCH,
-    max_sim_time: float = DEFAULT_MAX_SIM_TIME,
     progress=None,
 ) -> dict:
     """Fuzz ``trials`` scenarios; shrink and save findings.
@@ -539,9 +530,7 @@ def run_fuzz(
         scenario = build_scenario(rng)
         for scheduler in schedulers if schedulers is not None else (scenario.scheduler,):
             report = run_checked_trial(
-                scenario.with_scheduler(scheduler),
-                max_dispatch=max_dispatch,
-                max_sim_time=max_sim_time,
+                scenario.with_scheduler(scheduler), max_dispatch=max_dispatch
             )
             outcomes[report.status] = outcomes.get(report.status, 0) + 1
             if progress is not None:
@@ -549,10 +538,7 @@ def run_fuzz(
             if not report.failed:
                 continue
             shrunk, shrunk_report = shrink_scenario(
-                scenario.with_scheduler(scheduler),
-                report,
-                max_dispatch=max_dispatch,
-                max_sim_time=max_sim_time,
+                scenario.with_scheduler(scheduler), report, max_dispatch=max_dispatch
             )
             payload = _repro_payload(
                 shrunk, shrunk_report, {"seed": seed, "trial": trial}
@@ -666,7 +652,7 @@ class FaultyRunner:
         }
 
 
-def run_campaign_fuzz(batches: int, seed: int = 0, progress=None) -> dict:
+def run_campaign_fuzz(batches: int, seed: int = 0) -> dict:
     """Fuzz the campaign harness: randomized faults under randomized policies.
 
     Each batch builds a grid of toy trials, draws a fault mix (failures,
@@ -754,8 +740,6 @@ def run_campaign_fuzz(batches: int, seed: int = 0, progress=None) -> dict:
                     f"batch {batch}: engine crashed: {error!r}\n"
                     + traceback.format_exc()
                 )
-            if progress is not None:
-                progress(batch, len(violations))
     return {
         "batches": batches,
         "seed": seed,

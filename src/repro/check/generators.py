@@ -20,65 +20,45 @@ from repro.cluster.topology import ClusterTopology
 from repro.sim.rng import RngStreams
 
 
+def _diverged(message: str, seed: int, horizon: float) -> InvariantViolationError:
+    violation = InvariantViolation(
+        time=0.0,
+        invariant="generator-determinism",
+        message=f"{message} on regeneration 2 from seed {seed}",
+        details={"seed": seed, "horizon": horizon},
+    )
+    return InvariantViolationError([violation])
+
+
 def check_generator_determinism(
     model,
     topology: ClusterTopology,
     seed: int,
     horizon: float,
-    runs: int = 2,
 ) -> dict:
-    """Generate ``runs`` times from ``seed``; raise on any divergence.
+    """Generate twice from ``seed``; raise if the two streams differ.
 
     Returns the canonical schedule dict of the (verified) generation so
     callers can reuse it without generating a third time.
     """
-    baseline = None
-    payload = None
-    for attempt in range(runs):
-        schedule = model.generate(topology, RngStreams(seed), horizon)
-        payload = schedule.to_dict()
-        canonical = json.dumps(payload, sort_keys=True)
-        if baseline is None:
-            baseline = canonical
-        elif canonical != baseline:
-            violation = InvariantViolation(
-                time=0.0,
-                invariant="generator-determinism",
-                message=(
-                    f"{type(model).__name__} produced a different event stream"
-                    f" on regeneration {attempt + 1} from seed {seed}"
-                ),
-                details={"seed": seed, "horizon": horizon},
-            )
-            raise InvariantViolationError([violation])
-    return payload
+    first, second = (
+        model.generate(topology, RngStreams(seed), horizon).to_dict() for _ in range(2)
+    )
+    if json.dumps(first, sort_keys=True) != json.dumps(second, sort_keys=True):
+        raise _diverged(
+            f"{type(model).__name__} produced a different event stream", seed, horizon
+        )
+    return second
 
 
-def check_arrivals_determinism(
-    process,
-    seed: int,
-    horizon: float,
-    runs: int = 2,
-) -> tuple:
+def check_arrivals_determinism(process, seed: int, horizon: float) -> tuple:
     """Same contract as :func:`check_generator_determinism`, for arrivals.
 
     Returns the (verified) job tuple.
     """
-    baseline = None
-    jobs = ()
-    for attempt in range(runs):
-        jobs = process.generate(RngStreams(seed), horizon)
-        if baseline is None:
-            baseline = jobs
-        elif jobs != baseline:
-            violation = InvariantViolation(
-                time=0.0,
-                invariant="generator-determinism",
-                message=(
-                    f"{type(process).__name__} produced a different arrival"
-                    f" stream on regeneration {attempt + 1} from seed {seed}"
-                ),
-                details={"seed": seed, "horizon": horizon},
-            )
-            raise InvariantViolationError([violation])
-    return jobs
+    first, second = (process.generate(RngStreams(seed), horizon) for _ in range(2))
+    if first != second:
+        raise _diverged(
+            f"{type(process).__name__} produced a different arrival stream", seed, horizon
+        )
+    return second

@@ -76,6 +76,14 @@ _GUARD_EPS = 1e-12
 #: ``str(BlockId)`` as printed by the paper's notation, e.g. ``B_{2,0}``.
 _BLOCK_NAME = re.compile(r"^([BP])_\{(\d+),(\d+)\}$")
 
+#: Violations a monitor records per trial; beyond it they are only counted
+#: (:attr:`InvariantMonitor.dropped_violations`), bounding memory on badly
+#: broken runs.
+MAX_VIOLATIONS = 200
+
+#: Instances a report lists under each invariant.
+_REPORT_LIMIT_PER_KIND = 5
+
 
 @dataclass(frozen=True)
 class InvariantViolation:
@@ -98,41 +106,56 @@ class InvariantViolation:
 class InvariantViolationError(RuntimeError):
     """A checked trial broke at least one invariant.
 
-    Carries the full violation list and -- when the trial got far enough to
-    build one -- the :class:`~repro.mapreduce.metrics.SimulationResult`.
+    Carries the recorded violation list, the count of those the monitor's
+    cap dropped unrecorded, and -- when the trial got far enough to build
+    one -- the :class:`~repro.mapreduce.metrics.SimulationResult`.
     """
 
-    def __init__(self, violations: list[InvariantViolation], result: Any = None) -> None:
+    def __init__(
+        self, violations: list[InvariantViolation], result: Any = None, dropped: int = 0
+    ) -> None:
         self.violations = list(violations)
         self.result = result
+        self.dropped = dropped
         head = self.violations[0].format() if self.violations else "invariant violation"
-        super().__init__(f"{len(self.violations)} invariant violation(s); first: {head}")
+        super().__init__(
+            f"{len(self.violations)} invariant violation(s){_unrecorded(dropped)}; first: {head}"
+        )
 
     def __reduce__(self):
         # RuntimeError's default reduce would re-init with the message
-        # string; keep the violation list intact across process pools.
-        return (self.__class__, (self.violations, self.result))
+        # string; keep the violation list and dropped count intact across
+        # process pools.
+        return (self.__class__, (self.violations, self.result, self.dropped))
 
     def report(self) -> str:
         """The multi-line violation report."""
-        return render_report(self.violations)
+        return render_report(self.violations, self.dropped)
 
 
-def render_report(violations: list[InvariantViolation], limit_per_kind: int = 5) -> str:
-    """Render violations grouped by invariant, most instances first."""
+def _unrecorded(dropped: int) -> str:
+    return f", {dropped} more not recorded" if dropped else ""
+
+
+def render_report(violations: list[InvariantViolation], dropped: int) -> str:
+    """Render violations grouped by invariant, most instances first.
+
+    ``dropped`` counts violations past the recording cap; the header says
+    how many more there were, though none of them is listed.
+    """
     if not violations:
         return "== sanitizer report: no violations =="
     by_kind: dict[str, list[InvariantViolation]] = {}
     for violation in violations:
         by_kind.setdefault(violation.invariant, []).append(violation)
-    lines = [f"== sanitizer report: {len(violations)} violation(s) =="]
+    lines = [f"== sanitizer report: {len(violations)} violation(s){_unrecorded(dropped)} =="]
     for kind in sorted(by_kind, key=lambda name: (-len(by_kind[name]), name)):
         instances = by_kind[kind]
         lines.append(f"{kind}: {len(instances)} violation(s)")
-        for violation in instances[:limit_per_kind]:
+        for violation in instances[:_REPORT_LIMIT_PER_KIND]:
             lines.append(f"  {violation.format()}")
-        if len(instances) > limit_per_kind:
-            lines.append(f"  ... and {len(instances) - limit_per_kind} more")
+        if len(instances) > _REPORT_LIMIT_PER_KIND:
+            lines.append(f"  ... and {len(instances) - _REPORT_LIMIT_PER_KIND} more")
     return "\n".join(lines)
 
 
@@ -161,9 +184,6 @@ class InvariantMonitor:
         An existing :class:`ObservabilityCollector` to wrap (so ``--check``
         composes with the export flags); a private, event-discarding one is
         created when omitted.
-    max_violations:
-        Recording cap; beyond it violations are only counted
-        (:attr:`dropped_violations`), bounding memory on badly broken runs.
     max_dispatch, max_sim_time:
         Optional runaway bounds for fuzzing: exceeding either aborts the
         trial by raising from inside the event loop.
@@ -172,7 +192,6 @@ class InvariantMonitor:
     def __init__(
         self,
         collector: ObservabilityCollector | None = None,
-        max_violations: int = 200,
         max_dispatch: int | None = None,
         max_sim_time: float | None = None,
     ) -> None:
@@ -182,8 +201,8 @@ class InvariantMonitor:
         self.bus = self.collector.bus
         self.profiler = self.collector.profiler
         self.violations: list[InvariantViolation] = []
+        #: Violations past :data:`MAX_VIOLATIONS`, counted but not recorded.
         self.dropped_violations = 0
-        self.max_violations = max_violations
         self.max_dispatch = max_dispatch
         self.max_sim_time = max_sim_time
         # Trial wiring, filled in by on_trial_built.
@@ -220,7 +239,7 @@ class InvariantMonitor:
     # -- recording -----------------------------------------------------------
 
     def _record(self, time: float, invariant: str, message: str, **details: Any) -> None:
-        if len(self.violations) >= self.max_violations:
+        if len(self.violations) >= MAX_VIOLATIONS:
             self.dropped_violations += 1
             return
         self.violations.append(InvariantViolation(time, invariant, message, dict(details)))
@@ -228,11 +247,11 @@ class InvariantMonitor:
     def raise_if_violations(self, result: Any = None) -> None:
         """Raise :class:`InvariantViolationError` if anything was recorded."""
         if self.violations:
-            raise InvariantViolationError(self.violations, result)
+            raise InvariantViolationError(self.violations, result, self.dropped_violations)
 
     def report(self) -> str:
         """The multi-line violation report for this trial."""
-        return render_report(self.violations)
+        return render_report(self.violations, self.dropped_violations)
 
     # -- trial wiring (called by run_simulation) -----------------------------
 
@@ -269,14 +288,14 @@ class InvariantMonitor:
                 "runaway",
                 f"trial exceeded {self.max_dispatch} dispatched events",
             )
-            raise InvariantViolationError(self.violations)
+            raise InvariantViolationError(self.violations, dropped=self.dropped_violations)
         if self.max_sim_time is not None and time > self.max_sim_time:
             self._record(
                 time,
                 "runaway",
                 f"trial exceeded simulated time bound {self.max_sim_time}",
             )
-            raise InvariantViolationError(self.violations)
+            raise InvariantViolationError(self.violations, dropped=self.dropped_violations)
 
     # -- slot observer protocol ----------------------------------------------
 

@@ -914,8 +914,24 @@ def _cmd_policies(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled policies command {args.policies_command}")
 
 
-def _cmd_tournament(args: argparse.Namespace) -> int:
+def _parse_code(text: str) -> CodeParams | None:
+    """``--code``'s ``n,k`` as :class:`CodeParams`; prints why and returns None if bad."""
+    try:
+        n_text, k_text = text.split(",")
+        return CodeParams(int(n_text), int(k_text))
+    except ValueError as error:
+        print(f"bad --code value {text!r}: {error}", file=sys.stderr)
+        return None
+
+
+def _resolve_policies(text: str) -> tuple[str, ...]:
+    """A comma-separated policy list, each name resolved; ``ValueError`` names a bad one."""
     from repro.core.scheduler import POLICIES
+
+    return tuple(POLICIES.resolve(name.strip()) for name in text.split(",") if name.strip())
+
+
+def _cmd_tournament(args: argparse.Namespace) -> int:
     from repro.experiments.campaign import Journal
     from repro.experiments.tournament import (
         TournamentSpec,
@@ -928,21 +944,11 @@ def _cmd_tournament(args: argparse.Namespace) -> int:
     from repro.mapreduce.config import JobConfig, SimulationConfig
     from repro.obs import report_html
 
-    try:
-        n_text, k_text = args.code.split(",")
-        code = CodeParams(int(n_text), int(k_text))
-    except ValueError as error:
-        print(f"bad --code value {args.code!r}: {error}", file=sys.stderr)
+    code = _parse_code(args.code)
+    if code is None:
         return 2
     try:
-        if args.policies:
-            names = tuple(
-                POLICIES.resolve(name.strip())
-                for name in args.policies.split(",")
-                if name.strip()
-            )
-        else:
-            names = ()
+        names = _resolve_policies(args.policies) if args.policies else ()
         base = SimulationConfig(
             num_nodes=args.nodes,
             num_racks=args.racks,
@@ -992,11 +998,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(str(error), file=sys.stderr)
         return 2
-    try:
-        n_text, k_text = args.code.split(",")
-        code = CodeParams(int(n_text), int(k_text))
-    except ValueError as error:
-        print(f"bad --code value {args.code!r}: {error}", file=sys.stderr)
+    code = _parse_code(args.code)
+    if code is None:
         return 2
     schedule = None
     if args.failure_trace:
@@ -1143,14 +1146,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         return 2
     schedulers = None
     if args.schedulers:
-        from repro.core.scheduler import POLICIES
-
         try:
-            schedulers = tuple(
-                POLICIES.resolve(name.strip())
-                for name in args.schedulers.split(",")
-                if name.strip()
-            )
+            schedulers = _resolve_policies(args.schedulers)
         except ValueError as error:
             print(str(error), file=sys.stderr)
             return 2
@@ -1334,7 +1331,7 @@ def _write_output(path: str, text: str) -> bool:
     return True
 
 
-def _report_faults(result) -> int:
+def _report_faults(result) -> None:
     """Print the fault-tolerance side of a trial, if anything happened."""
     faults = result.faults
     for record in faults.detections:
@@ -1378,7 +1375,6 @@ def _report_faults(result) -> int:
             f"attempts: killed={killed} max-per-task={max_attempt} "
             f"speculative-launched={spec_launched} speculative-killed={spec_killed}"
         )
-    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

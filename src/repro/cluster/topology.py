@@ -141,14 +141,11 @@ class ClusterTopology:
         return cls.from_nodes(nodes)
 
     @classmethod
-    def homogeneous(
-        cls,
-        num_nodes: int,
-        num_racks: int,
-        map_slots: int = 4,
-        reduce_slots: int = 1,
-    ) -> "ClusterTopology":
-        """Build the paper's default layout: ``num_nodes`` spread evenly."""
+    def homogeneous(cls, num_nodes: int, num_racks: int) -> "ClusterTopology":
+        """Build the paper's default layout: ``num_nodes`` spread evenly.
+
+        Each node has the default four map slots and one reduce slot.
+        """
         if num_racks <= 0:
             raise ValueError(f"need at least one rack, got {num_racks}")
         if num_nodes % num_racks != 0:
@@ -156,9 +153,7 @@ class ClusterTopology:
                 f"{num_nodes} nodes do not divide evenly into {num_racks} racks"
             )
         per_rack = num_nodes // num_racks
-        return cls.from_rack_sizes(
-            [per_rack] * num_racks, map_slots=map_slots, reduce_slots=reduce_slots
-        )
+        return cls.from_rack_sizes([per_rack] * num_racks)
 
     # -- queries ----------------------------------------------------------
 

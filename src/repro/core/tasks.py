@@ -66,15 +66,10 @@ class JobTaskState:
         self._pending_per_rack: dict[int, int] = {}
         self._pending_normal = 0
         for block in view.available_blocks:
-            home = block_map.node_of(block)
-            self._pending_by_node.setdefault(home, deque()).append(block)
-            rack = topology.rack_of(home)
-            self._pending_per_rack[rack] = self._pending_per_rack.get(rack, 0) + 1
-            self._pending_normal += 1
+            self._add_normal(block, block_map.node_of(block))
         self._pending_degraded: deque[BlockId] = deque(view.lost_blocks)
 
         self.pending_reduce_tasks: deque[int] = deque(range(config.num_reduce_tasks))
-        self.launched_reduce_tasks = 0
         self.completed_reduce_tasks = 0
 
     # -- aliases matching the paper's notation -------------------------------
@@ -201,9 +196,7 @@ class JobTaskState:
         """Take an unassigned reduce task index."""
         if not self.pending_reduce_tasks:
             return None
-        index = self.pending_reduce_tasks.popleft()
-        self.launched_reduce_tasks += 1
-        return index
+        return self.pending_reduce_tasks.popleft()
 
     def reduce_ready(self, slowstart: float) -> bool:
         """Whether reduce tasks may launch (the Hadoop slow-start rule).
@@ -272,11 +265,8 @@ class JobTaskState:
         if not reclaimed:
             return 0
         self._pending_degraded = kept
-        rack = self.topology.rack_of(recovered_node)
-        queue = self._pending_by_node.setdefault(recovered_node, deque())
-        queue.extend(reclaimed)
-        self._pending_per_rack[rack] = self._pending_per_rack.get(rack, 0) + len(reclaimed)
-        self._pending_normal += len(reclaimed)
+        for block in reclaimed:
+            self._add_normal(block, recovered_node)
         self.total_degraded_tasks -= len(reclaimed)
         return len(reclaimed)
 
@@ -292,11 +282,7 @@ class JobTaskState:
         if block not in self._pending_degraded:
             return 0
         self._pending_degraded.remove(block)
-        queue = self._pending_by_node.setdefault(new_home, deque())
-        queue.append(block)
-        rack = self.topology.rack_of(new_home)
-        self._pending_per_rack[rack] = self._pending_per_rack.get(rack, 0) + 1
-        self._pending_normal += 1
+        self._add_normal(block, new_home)
         self.total_degraded_tasks -= 1
         return 1
 
@@ -317,18 +303,20 @@ class JobTaskState:
             self.total_degraded_tasks += 1
             self._pending_degraded.append(block)
             return
-        home = self.block_map.node_of(block)
+        self._add_normal(block, self.block_map.node_of(block))
+
+    def requeue_killed_reduce(self, reduce_index: int) -> None:
+        """Put a killed running reduce task back into the pending queue."""
+        self.pending_reduce_tasks.appendleft(reduce_index)
+
+    # -- internals ----------------------------------------------------------------
+
+    def _add_normal(self, block: BlockId, home: int) -> None:
+        """Put ``block`` at the back of the normal pool under its ``home`` node."""
         self._pending_by_node.setdefault(home, deque()).append(block)
         rack = self.topology.rack_of(home)
         self._pending_per_rack[rack] = self._pending_per_rack.get(rack, 0) + 1
         self._pending_normal += 1
-
-    def requeue_killed_reduce(self, reduce_index: int) -> None:
-        """Put a killed running reduce task back into the pending queue."""
-        self.launched_reduce_tasks -= 1
-        self.pending_reduce_tasks.appendleft(reduce_index)
-
-    # -- internals ----------------------------------------------------------------
 
     def _take(self, home_node: int, queue: deque[BlockId]) -> BlockId:
         block = queue.popleft()

@@ -4,10 +4,11 @@ This package implements, from scratch, everything the paper's storage layer
 (HDFS-RAID) needs from an erasure code:
 
 * :mod:`repro.ec.galois` -- arithmetic over GF(2^8) with log/antilog tables.
-* :mod:`repro.ec.matrix` -- dense matrices over GF(2^8), including inversion,
-  Vandermonde, and Cauchy constructions.
-* :mod:`repro.ec.reed_solomon` -- a systematic Reed-Solomon ``(n, k)`` coder
-  able to decode the original data from *any* ``k`` of the ``n`` blocks.
+* :mod:`repro.ec.matrix` -- dense matrices over GF(2^8), including inversion
+  and the Vandermonde-based systematic generator.
+* :mod:`repro.ec.reed_solomon` -- HDFS-RAID's systematic Reed-Solomon
+  ``(n, k)`` coder, able to decode the original data from *any* ``k`` of the
+  ``n`` blocks; the one code construction the storage layer uses.
 * :mod:`repro.ec.codec` -- the :class:`~repro.ec.codec.ErasureCodec` facade
   used by the storage layer, parameterised by
   :class:`~repro.ec.codec.CodeParams`.

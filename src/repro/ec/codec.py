@@ -1,7 +1,7 @@
 """High-level erasure-codec facade used by the storage layer.
 
 :class:`CodeParams` is the ``(n, k)`` pair that appears everywhere in the
-paper; :class:`ErasureCodec` bundles those parameters with a concrete
+paper; :class:`ErasureCodec` bundles those parameters with the systematic
 Reed-Solomon coder, and exposes batched stripe encode / degraded-read
 operations.  Blocks pass through unpadded: the GF kernel zero-extends short
 ones (see :mod:`repro.ec.reed_solomon`).
@@ -46,35 +46,26 @@ class CodeParams:
         return f"({self.n},{self.k})"
 
 
-#: Supported coding constructions.
-ALGORITHMS = ("vandermonde", "cauchy")
-
-
 class ErasureCodec:
     """Encodes files into stripes and serves degraded reads.
+
+    The coder is HDFS-RAID's systematic Reed-Solomon code
+    (:class:`~repro.ec.reed_solomon.ReedSolomon`), the one construction
+    every experiment of the paper stores data with.
 
     Parameters
     ----------
     params:
         The ``(n, k)`` code parameters.
-    algorithm:
-        ``"vandermonde"`` (the default systematic Reed-Solomon) or
-        ``"cauchy"`` (Cauchy Reed-Solomon, the paper's reference [3]).
-        Both are MDS; the choice changes parity bytes, never guarantees.
     """
 
-    def __init__(self, params: CodeParams, algorithm: str = "vandermonde") -> None:
-        if algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+    def __init__(self, params: CodeParams) -> None:
         self.params = params
-        self.algorithm = algorithm
         # Imported here, not at module level: the simulator and the CLI need
-        # only CodeParams; the coders pull in numpy and the GF(2^8) tables.
-        if algorithm == "cauchy":
-            from repro.ec.cauchy import CauchyReedSolomon as coder_class
-        else:
-            from repro.ec.reed_solomon import ReedSolomon as coder_class
-        self._coder: ReedSolomon = coder_class(params.n, params.k)
+        # only CodeParams; the coder pulls in numpy and the GF(2^8) tables.
+        from repro.ec import reed_solomon
+
+        self._coder = reed_solomon.ReedSolomon(params.n, params.k)
 
     @property
     def coder(self) -> ReedSolomon:

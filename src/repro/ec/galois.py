@@ -50,11 +50,6 @@ _EXP, _LOG = _build_tables()
 _MUL_TABLE = np.zeros((FIELD_SIZE, FIELD_SIZE), dtype=np.uint8)
 _MUL_TABLE[1:, 1:] = _EXP[_LOG[1:, None] + _LOG[None, 1:]]
 
-#: Elementwise multiplicative inverses; ``_INV_TABLE[0]`` is 0 and must be
-#: guarded by callers (0 has no inverse).
-_INV_TABLE = np.zeros(FIELD_SIZE, dtype=np.uint8)
-_INV_TABLE[1:] = _EXP[FIELD_ORDER - _LOG[1:]]
-
 
 def gf_mul(a: int, b: int) -> int:
     """Return the product of two field elements."""

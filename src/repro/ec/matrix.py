@@ -2,8 +2,8 @@
 
 Matrices are represented as 2-D numpy ``uint8`` arrays.  Only the operations
 that Reed-Solomon coding needs are provided: multiplication, identity,
-Gauss-Jordan inversion, sub-matrix selection, and the Vandermonde / Cauchy
-generator constructions.
+Gauss-Jordan inversion, sub-matrix selection, and the Vandermonde-based
+systematic generator construction.
 
 The block-application primitive (:class:`BatchedMatvec`) is the
 erasure-coding hot path: every encode, decode and degraded-read reduces
@@ -483,21 +483,6 @@ def vandermonde(rows: int, cols: int) -> np.ndarray:
         for j in range(cols):
             matrix[i, j] = galois.gf_pow(i, j)
     return matrix
-
-
-def cauchy(x_values: list[int], y_values: list[int]) -> np.ndarray:
-    """Return the Cauchy matrix ``C[i, j] = 1 / (x_i + y_j)`` over GF(2^8).
-
-    The element sets must be disjoint so that no denominator is zero.
-    """
-    overlap = set(x_values) & set(y_values)
-    if overlap:
-        raise ValueError(f"x and y values must be disjoint; both contain {overlap}")
-    x = np.asarray(x_values, dtype=np.uint8)
-    y = np.asarray(y_values, dtype=np.uint8)
-    if x.size == 0 or y.size == 0:
-        return np.zeros((x.size, y.size), dtype=np.uint8)
-    return galois._INV_TABLE[x[:, None] ^ y[None, :]]
 
 
 def systematic_encoding_matrix(n: int, k: int) -> np.ndarray:

@@ -79,7 +79,7 @@ class ReedSolomon:
             raise ValueError(f"require 0 < k <= n, got n={n} k={k}")
         self.n = n
         self.k = k
-        self._generator = self._build_generator()
+        self._generator = gfm.systematic_encoding_matrix(n, k)
         self._encoder: gfm.BatchedMatvec | None = None
         self._plans: OrderedDict[tuple[int, ...], _DecodePlan] = OrderedDict()
         self._row_plans: OrderedDict[
@@ -89,10 +89,6 @@ class ReedSolomon:
         self._plan_misses = 0
         self._row_hits = 0
         self._row_misses = 0
-
-    def _build_generator(self) -> np.ndarray:
-        """Construct the generator matrix; subclasses override the construction."""
-        return gfm.systematic_encoding_matrix(self.n, self.k)
 
     @property
     def generator_matrix(self) -> np.ndarray:

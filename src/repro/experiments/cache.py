@@ -33,6 +33,7 @@ built on ``trial_telemetry``) instead.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -103,17 +104,9 @@ def write_atomic(path: str, text: str) -> None:
             os.fsync(handle.fileno())
         os.replace(tmp_path, path)
     except BaseException:
-        with _suppress_oserror():
+        with contextlib.suppress(OSError):
             os.unlink(tmp_path)
         raise
-
-
-class _suppress_oserror:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, kind, value, traceback):
-        return isinstance(value, OSError)
 
 
 @dataclass
@@ -210,7 +203,7 @@ class ResultCache:
     def _quarantine(self, path: str, key: str, reason: str) -> None:
         os.makedirs(self.quarantine_dir, exist_ok=True)
         target = os.path.join(self.quarantine_dir, f"{key}.{reason}.json")
-        with _suppress_oserror():
+        with contextlib.suppress(OSError):
             os.replace(path, target)
 
     def put(self, key: str, payload) -> None:

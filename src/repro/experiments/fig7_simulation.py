@@ -53,68 +53,142 @@ def default_config() -> SimulationConfig:
     return SimulationConfig()
 
 
-def _sweep(
-    title: str, rows: dict[str, SimulationConfig], seeds: list[int] | None
-) -> ExperimentTable:
-    """One batch over every row's failure and normal trials, one table row each."""
-    seeds = default_seeds() if seeds is None else seeds
-    grouped = run_grouped(
-        ((label, name), trial)
-        for label, config in rows.items()
-        for name, trial in failure_and_normal_pairs(config, SCHEDULERS, seeds)
-    )
-    table = ExperimentTable(title)
-    for label in rows:
-        row = {name: grouped[label, name] for name in (*SCHEDULERS, "normal")}
-        table.add_row(label, normalized_runtimes(row, seeds=seeds))
-    return table
-
-
 def _with_jobs(base: SimulationConfig, **changes) -> SimulationConfig:
     """``base`` with ``changes`` applied to every job."""
     return replace(base, jobs=tuple(replace(job, **changes) for job in base.jobs))
+
+
+def _code_rows(base: SimulationConfig, codes: tuple[CodeParams, ...]) -> dict:
+    return {str(code): replace(base, code=code) for code in codes}
+
+
+#: Sub-figures 7(a)-(e): letter -> (title, row label -> config, built from a base).
+_SWEEPS = {
+    "a": (
+        "Figure 7(a): normalized runtime vs (n,k)",
+        lambda base: _code_rows(base, FIG7A_CODES),
+    ),
+    "b": (
+        "Figure 7(b): normalized runtime vs number of blocks",
+        lambda base: {str(blocks): _with_jobs(base, num_blocks=blocks) for blocks in FIG7B_BLOCKS},
+    ),
+    "c": (
+        "Figure 7(c): normalized runtime vs bandwidth",
+        lambda base: {
+            f"{bandwidth}Mbps": replace(base, rack_bandwidth=mbps(bandwidth))
+            for bandwidth in FIG7C_BANDWIDTHS_MBPS
+        },
+    ),
+    "d": (
+        "Figure 7(d): normalized runtime vs failure pattern",
+        lambda base: {pattern.value: base.with_failure(pattern) for pattern in FIG7D_FAILURES},
+    ),
+    "e": (
+        "Figure 7(e): normalized runtime vs shuffle ratio",
+        lambda base: {
+            f"{ratio:.0%}": _with_jobs(base, shuffle_ratio=ratio) for ratio in FIG7E_SHUFFLE_RATIOS
+        },
+    ),
+}
+
+
+class Fig7Data:
+    """Figures 7(a)-(e)'s raw results, computed in one batch.
+
+    Each sub-figure sweeps one parameter away from the default
+    configuration, so the default configuration's LF, EDF and normal-mode
+    trials appear in four of the five.  One :func:`run_grouped` batch over
+    every row lets :func:`~repro.experiments.common.run_many` run each
+    distinct trial once (1 200 trials instead of 1 560 at 30 seeds).
+    ``rows`` maps a sub-figure letter to its row label -> config; omitted,
+    it is every row of 7(a)-(e) around the default configuration.
+    ``results`` maps ``(letter, label, name)`` to the runs in seed order.
+    """
+
+    def __init__(
+        self,
+        rows: dict[str, dict[str, SimulationConfig]] | None = None,
+        seeds: list[int] | None = None,
+    ) -> None:
+        if rows is None:
+            base = default_config()
+            rows = {letter: build(base) for letter, (_title, build) in _SWEEPS.items()}
+        self.rows = rows
+        self.seeds = default_seeds() if seeds is None else seeds
+        self.results = run_grouped(
+            ((letter, label, name), trial)
+            for letter, configs in rows.items()
+            for label, config in configs.items()
+            for name, trial in failure_and_normal_pairs(config, SCHEDULERS, self.seeds)
+        )
+
+    def table(self, letter: str) -> ExperimentTable:
+        """Sub-figure ``letter``'s table: one row per swept value."""
+        table = ExperimentTable(_SWEEPS[letter][0])
+        for label in self.rows[letter]:
+            row = {name: self.results[letter, label, name] for name in (*SCHEDULERS, "normal")}
+            table.add_row(label, normalized_runtimes(row, seeds=self.seeds))
+        return table
+
+
+def _sub_figure(
+    letter: str,
+    base: SimulationConfig | None,
+    seeds: list[int] | None,
+    data: Fig7Data | None,
+) -> ExperimentTable:
+    """``letter``'s table from ``data``, or from a batch of its own rows only."""
+    if data is None:
+        data = Fig7Data({letter: _SWEEPS[letter][1](base or default_config())}, seeds)
+    return data.table(letter)
 
 
 def run_fig7a(
     base: SimulationConfig | None = None,
     seeds: list[int] | None = None,
     codes: tuple[CodeParams, ...] = FIG7A_CODES,
+    data: Fig7Data | None = None,
 ) -> ExperimentTable:
     """Figure 7(a): normalized runtime vs erasure-coding scheme."""
-    base = base or default_config()
-    rows = {str(code): replace(base, code=code) for code in codes}
-    return _sweep("Figure 7(a): normalized runtime vs (n,k)", rows, seeds)
+    if data is None:
+        data = Fig7Data({"a": _code_rows(base or default_config(), codes)}, seeds)
+    return data.table("a")
 
 
-def run_fig7b(base: SimulationConfig | None = None, seeds: list[int] | None = None) -> ExperimentTable:
+def run_fig7b(
+    base: SimulationConfig | None = None,
+    seeds: list[int] | None = None,
+    data: Fig7Data | None = None,
+) -> ExperimentTable:
     """Figure 7(b): normalized runtime vs number of native blocks."""
-    base = base or default_config()
-    rows = {str(blocks): _with_jobs(base, num_blocks=blocks) for blocks in FIG7B_BLOCKS}
-    return _sweep("Figure 7(b): normalized runtime vs number of blocks", rows, seeds)
+    return _sub_figure("b", base, seeds, data)
 
 
-def run_fig7c(base: SimulationConfig | None = None, seeds: list[int] | None = None) -> ExperimentTable:
+def run_fig7c(
+    base: SimulationConfig | None = None,
+    seeds: list[int] | None = None,
+    data: Fig7Data | None = None,
+) -> ExperimentTable:
     """Figure 7(c): normalized runtime vs rack download bandwidth."""
-    base = base or default_config()
-    rows = {
-        f"{bandwidth}Mbps": replace(base, rack_bandwidth=mbps(bandwidth))
-        for bandwidth in FIG7C_BANDWIDTHS_MBPS
-    }
-    return _sweep("Figure 7(c): normalized runtime vs bandwidth", rows, seeds)
+    return _sub_figure("c", base, seeds, data)
 
 
-def run_fig7d(base: SimulationConfig | None = None, seeds: list[int] | None = None) -> ExperimentTable:
+def run_fig7d(
+    base: SimulationConfig | None = None,
+    seeds: list[int] | None = None,
+    data: Fig7Data | None = None,
+) -> ExperimentTable:
     """Figure 7(d): normalized runtime vs failure pattern."""
-    base = base or default_config()
-    rows = {pattern.value: base.with_failure(pattern) for pattern in FIG7D_FAILURES}
-    return _sweep("Figure 7(d): normalized runtime vs failure pattern", rows, seeds)
+    return _sub_figure("d", base, seeds, data)
 
 
-def run_fig7e(base: SimulationConfig | None = None, seeds: list[int] | None = None) -> ExperimentTable:
+def run_fig7e(
+    base: SimulationConfig | None = None,
+    seeds: list[int] | None = None,
+    data: Fig7Data | None = None,
+) -> ExperimentTable:
     """Figure 7(e): normalized runtime vs amount of intermediate (shuffle) data."""
-    base = base or default_config()
-    rows = {f"{ratio:.0%}": _with_jobs(base, shuffle_ratio=ratio) for ratio in FIG7E_SHUFFLE_RATIOS}
-    return _sweep("Figure 7(e): normalized runtime vs shuffle ratio", rows, seeds)
+    return _sub_figure("e", base, seeds, data)
 
 
 def multi_job_config(base: SimulationConfig, seed: int) -> SimulationConfig:
@@ -145,13 +219,14 @@ def run_fig7f(base: SimulationConfig | None = None, seeds: list[int] | None = No
 
 
 def main() -> str:
-    """Run all six sub-experiments and return the printable report."""
+    """Run all six sub-experiments (7(a)-(e) sharing runs) and return the report."""
+    data = Fig7Data()
     sections = [
-        run_fig7a().format(),
-        run_fig7b().format(),
-        run_fig7c().format(),
-        run_fig7d().format(),
-        run_fig7e().format(),
+        run_fig7a(data=data).format(),
+        run_fig7b(data=data).format(),
+        run_fig7c(data=data).format(),
+        run_fig7d(data=data).format(),
+        run_fig7e(data=data).format(),
         run_fig7f().format(),
     ]
     return "\n\n".join(sections)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.experiments.fig9_testbed import build_cluster, collect_task_breakdown
 from repro.mapreduce.job import MapTaskCategory, TaskKind
 from repro.mapreduce.metrics import mean_task_runtime
-from repro.testbed.engine import TestbedCluster, TestbedJobResult
+from repro.testbed.engine import TestbedJobResult
 
 #: The table's row structure: label -> (kind, categories).
 ROWS = (
@@ -27,11 +27,9 @@ ROWS = (
 )
 
 
-def run_table1(
-    cluster: TestbedCluster | None = None, runs: int | None = None
-) -> dict[str, dict[str, TestbedJobResult]]:
+def run_table1(runs: int | None = None) -> dict[str, dict[str, TestbedJobResult]]:
     """Collect the runs; returns ``{job: {scheduler: merged result}}``."""
-    return collect_task_breakdown(cluster or build_cluster(), runs)
+    return collect_task_breakdown(build_cluster(), runs)
 
 
 def format_table(results: dict[str, dict[str, TestbedJobResult]]) -> str:

@@ -122,7 +122,6 @@ class JobTracker:
         #: Optional observability event bus (None = instrumentation off).
         self.bus = bus
         self.failed_nodes = frozenset(failed_nodes)
-        self.killed_tasks = 0
         self.max_attempts = max_attempts
         self.blacklist_threshold = blacklist_threshold
         self.speculative = speculative
@@ -134,7 +133,6 @@ class JobTracker:
         self.shuffles: dict[int, JobShuffle] = {}
         self._expected_jobs = 0
         self._finished_jobs = 0
-        self.all_done: Event = sim.event(name="all-jobs-done")
 
         # -- fault-tolerance state ------------------------------------------
         self.faults = FaultTimeline()
@@ -552,7 +550,6 @@ class JobTracker:
         state = self._jobs_by_id.get(assignment.job_id)
         if state is None:
             return  # the job was already abandoned
-        self.killed_tasks += 1
         self.metrics[assignment.job_id].killed_attempts += 1
         key = _attempt_key(assignment)
         failures = self._failure_counts.get(key, 0) + 1
@@ -689,5 +686,3 @@ class JobTracker:
         self.active_jobs.remove(state)
         del self._jobs_by_id[state.job_id]
         self._finished_jobs += 1
-        if self.finished and not self.all_done.fired:
-            self.all_done.succeed()

@@ -132,8 +132,6 @@ def result_to_dict(result: SimulationResult) -> dict[str, Any]:
     return _jsonify(dataclasses.asdict(result))
 
 
-def result_to_json(result: SimulationResult, indent: int | None = 2) -> str:
-    """Serialise a result to canonical JSON (sorted keys, full precision)."""
-    return json.dumps(
-        result_to_dict(result), indent=indent, sort_keys=True, allow_nan=False
-    )
+def result_to_json(result: SimulationResult) -> str:
+    """Serialise a result to canonical JSON (sorted keys, full precision, indent 2)."""
+    return json.dumps(result_to_dict(result), indent=2, sort_keys=True, allow_nan=False)

@@ -19,8 +19,11 @@ from repro.mapreduce.job import TaskKind
 from repro.mapreduce.metrics import SimulationResult
 
 #: Characters used by the ASCII chart.
-_PROCESS_CHAR = {"map": "#", "reduce": "R"}
+_PROCESS_CHAR = "#"
 _DOWNLOAD_CHAR = "~"
+
+#: Columns of the chart's time axis.
+TIMELINE_WIDTH = 72
 
 
 def _rounded(value: float) -> float | None:
@@ -133,23 +136,20 @@ def to_json(result: SimulationResult, indent: int | None = None) -> str:
     return json.dumps(sanitize(payload), indent=indent, allow_nan=False)
 
 
-def render_timeline(
-    result: SimulationResult,
-    width: int = 72,
-    job_id: int | None = None,
-    kinds: tuple[TaskKind, ...] = (TaskKind.MAP,),
-) -> str:
+def render_timeline(result: SimulationResult) -> str:
     """Render an ASCII map-slot activity chart (the paper's Figure 3 view).
 
-    One row per (node, slot-lane); ``~`` marks download/degraded-read time,
-    ``#`` processing (``R`` for reduce tasks).  Lanes are assigned greedily
-    per node, so the row count equals each node's peak concurrency.
+    One row per (node, slot-lane) over every job's map tasks; ``~`` marks
+    download/degraded-read time, ``#`` processing.  Lanes are assigned
+    greedily per node, so the row count equals each node's peak concurrency.
     """
-    tasks = []
-    for jid, job in sorted(result.jobs.items()):
-        if job_id is not None and jid != job_id:
-            continue
-        tasks.extend(task for task in job.tasks if task.kind in kinds)
+    width = TIMELINE_WIDTH
+    tasks = [
+        task
+        for _, job in sorted(result.jobs.items())
+        for task in job.tasks
+        if task.kind is TaskKind.MAP
+    ]
     if not tasks:
         return "(no tasks)"
     horizon = max(task.finish_time for task in tasks)
@@ -176,14 +176,11 @@ def render_timeline(
         begin = column(task.launch_time)
         split = column(task.launch_time + task.download_time)
         end = column(task.finish_time)
-        glyph = _PROCESS_CHAR["reduce" if task.kind is TaskKind.REDUCE else "map"]
         for position in range(begin, max(begin, split)):
             row[position] = _DOWNLOAD_CHAR
         for position in range(split, end + 1):
-            row[position] = glyph
-    lines = [
-        f"timeline [{start:.1f}s .. {horizon:.1f}s]  (~ download, # map, R reduce)"
-    ]
+            row[position] = _PROCESS_CHAR
+    lines = [f"timeline [{start:.1f}s .. {horizon:.1f}s]  (~ download, # map)"]
     for (node, lane_index) in sorted(lanes):
         label = f"node {node}.{lane_index}"
         lines.append(f"{label:>10} |{''.join(lanes[(node, lane_index)])}|")

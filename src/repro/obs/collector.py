@@ -35,7 +35,6 @@ class ObservabilityCollector:
         self.bus = EventBus()
         self.registry = MetricsRegistry()
         self.profiler = Profiler()
-        self.keep_events = keep_events
         #: Every event emitted, in order (empty when ``keep_events`` is off).
         self.events: list[ObsEvent] = []
         #: Scheduler decision records (the ``sched.decision`` subset).

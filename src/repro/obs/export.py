@@ -284,9 +284,9 @@ def chrome_trace(result: SimulationResult) -> dict:
     }
 
 
-def chrome_trace_json(result: SimulationResult, indent: int | None = None) -> str:
-    """:func:`chrome_trace` serialised as strict JSON text."""
-    return json.dumps(sanitize(chrome_trace(result)), indent=indent, allow_nan=False)
+def chrome_trace_json(result: SimulationResult) -> str:
+    """:func:`chrome_trace` serialised as strict, compact JSON text."""
+    return json.dumps(sanitize(chrome_trace(result)), allow_nan=False)
 
 
 def write_text(path: str, text: str) -> None:

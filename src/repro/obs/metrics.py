@@ -17,7 +17,8 @@ class TimeWeightedSeries:
     """A piecewise-constant signal with exact windowed integrals.
 
     The series holds breakpoints ``(t_i, v_i)``: the signal equals ``v_i``
-    on ``[t_i, t_{i+1})`` and the last value extends to +infinity.
+    on ``[t_i, t_{i+1})`` and the last value extends to +infinity.  The
+    signal starts at 0 at time 0.
     ``record`` with a repeated timestamp overwrites the breakpoint (several
     changes at one simulation instant collapse to the final value);
     ``record`` with an unchanged value is dropped, keeping the breakpoint
@@ -26,10 +27,10 @@ class TimeWeightedSeries:
 
     __slots__ = ("name", "_times", "_values")
 
-    def __init__(self, name: str = "", initial: float = 0.0, start: float = 0.0) -> None:
+    def __init__(self, name: str = "") -> None:
         self.name = name
-        self._times: list[float] = [start]
-        self._values: list[float] = [float(initial)]
+        self._times: list[float] = [0.0]
+        self._values: list[float] = [0.0]
 
     def record(self, time: float, value: float) -> None:
         """Set the signal to ``value`` from ``time`` onwards."""
@@ -97,13 +98,9 @@ class MetricsRegistry:
 
     series: dict[str, TimeWeightedSeries] = field(default_factory=dict)
 
-    def time_series(
-        self, name: str, initial: float = 0.0, start: float = 0.0
-    ) -> TimeWeightedSeries:
+    def time_series(self, name: str) -> TimeWeightedSeries:
         """Get or create the time-weighted series ``name``."""
         instrument = self.series.get(name)
         if instrument is None:
-            instrument = self.series[name] = TimeWeightedSeries(
-                name=name, initial=initial, start=start
-            )
+            instrument = self.series[name] = TimeWeightedSeries(name=name)
         return instrument

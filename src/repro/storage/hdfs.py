@@ -16,7 +16,7 @@ from repro.sim.rng import RngStreams
 from repro.storage.block import BlockId
 from repro.storage.degraded import DegradedReadPlanner, SourceSelection
 from repro.storage.namenode import BlockMap
-from repro.storage.placement import make_placement_policy, rack_rule_feasible
+from repro.storage.placement import make_placement_policy
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,7 @@ class HdfsRaidCluster:
             raise ValueError(f"need a positive native block count, got {num_native_blocks}")
         self.topology = topology
         self.params = params
-        policy = make_placement_policy(
-            placement, topology, params, rack_rule_feasible(topology, params)
-        )
+        policy = make_placement_policy(placement, topology, params)
         num_stripes = -(-num_native_blocks // params.k)
         assignment = policy.place_file(num_stripes, rng)
         self.block_map = BlockMap(params, assignment, num_native_blocks)

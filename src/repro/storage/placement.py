@@ -4,8 +4,8 @@ The paper's placement rule (Section III) adapts the HDFS replica rule to
 HDFS-RAID: the code must have ``n - k >= 2``, and **at most ``n - k`` blocks
 of any stripe may land in the same rack**, so that an arbitrary single-rack
 failure (and any double-node failure) leaves at least ``k`` survivors per
-stripe.  Every policy here enforces that invariant and additionally places
-the blocks of one stripe on distinct nodes.
+stripe.  Every policy here enforces that invariant wherever the layout
+admits it, and always places the blocks of one stripe on distinct nodes.
 
 Three policies are provided:
 
@@ -50,36 +50,22 @@ class PlacementPolicy(ABC):
         The cluster layout.
     params:
         The erasure-code parameters.
-    rack_fault_tolerant:
-        When True (default), enforce the paper's Section III rule: at most
-        ``n - k`` blocks of a stripe per rack, so any single-rack failure is
-        survivable.  Callers that place a whole file pass
-        :func:`rack_rule_feasible`, turning the rule off only on layouts
-        that cannot satisfy it.
+
+    The paper's Section III rule -- at most ``n - k`` blocks of a stripe per
+    rack, so any single-rack failure is survivable -- holds wherever the
+    layout admits it (:func:`rack_rule_feasible`); on a layout that cannot
+    satisfy it, such as the paper's testbed, ``rack_cap`` is 0 and only the
+    distinct-node rule applies.
     """
 
-    def __init__(
-        self,
-        topology: ClusterTopology,
-        params: CodeParams,
-        rack_fault_tolerant: bool = True,
-    ) -> None:
+    def __init__(self, topology: ClusterTopology, params: CodeParams) -> None:
         self.topology = topology
         self.params = params
-        self.rack_cap = params.parity if rack_fault_tolerant else 0
-        self._validate_feasibility()
-
-    def _validate_feasibility(self) -> None:
-        n, cap = self.params.n, self.rack_cap
-        if self.topology.num_nodes < n:
+        if topology.num_nodes < params.n:
             raise PlacementError(
-                f"cannot place stripes of width n={n} on {self.topology.num_nodes} nodes"
+                f"cannot place stripes of width n={params.n} on {topology.num_nodes} nodes"
             )
-        if cap > 0 and not rack_rule_feasible(self.topology, self.params):
-            raise PlacementError(
-                f"rack constraint unsatisfiable: at most {cap} blocks per rack "
-                f"on {len(self.topology.racks)} racks cannot hold n={n} blocks per stripe"
-            )
+        self.rack_cap = params.parity if rack_rule_feasible(topology, params) else 0
 
     @abstractmethod
     def place_stripe(self, stripe_id: int, rng: RngStreams) -> list[int]:
@@ -190,13 +176,8 @@ class ParityDeclusteredPlacement(PlacementPolicy):
     declustering)" assumption used by the analysis.
     """
 
-    def __init__(
-        self,
-        topology: ClusterTopology,
-        params: CodeParams,
-        rack_fault_tolerant: bool = True,
-    ) -> None:
-        super().__init__(topology, params, rack_fault_tolerant)
+    def __init__(self, topology: ClusterTopology, params: CodeParams) -> None:
+        super().__init__(topology, params)
         self._load: dict[int, int] = {node_id: 0 for node_id in topology.node_ids()}
 
     def place_stripe(self, stripe_id: int, rng: RngStreams) -> list[int]:
@@ -230,14 +211,11 @@ POLICIES = {
 
 
 def make_placement_policy(
-    name: str,
-    topology: ClusterTopology,
-    params: CodeParams,
-    rack_fault_tolerant: bool = True,
+    name: str, topology: ClusterTopology, params: CodeParams
 ) -> PlacementPolicy:
     """Instantiate a placement policy by registry name."""
     try:
         policy_cls = POLICIES[name]
     except KeyError:
         raise ValueError(f"unknown placement policy {name!r}; choose from {sorted(POLICIES)}")
-    return policy_cls(topology, params, rack_fault_tolerant)
+    return policy_cls(topology, params)

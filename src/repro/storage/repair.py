@@ -71,21 +71,16 @@ class RepairPlan:
         topology: ClusterTopology,
         network: NetworkSpec,
         block_size: float,
-        parallel_destinations: bool = True,
     ) -> float:
         """A bandwidth-bound repair-time estimate.
 
-        With ``parallel_destinations`` every rebuilding node downloads
-        concurrently; the bottleneck is the busiest of (per-node NIC, rack
-        downlink shared by that rack's rebuilders, core-crossing total).
-        Serial mode sums each destination's download at NIC speed -- the
-        single-repair-process lower bound.
+        Every rebuilding node downloads concurrently; the bottleneck is the
+        busier of the per-node NIC and the rack downlink shared by that
+        rack's rebuilders.
         """
         per_destination = self.bytes_per_destination(block_size)
         if not per_destination:
             return 0.0
-        if not parallel_destinations:
-            return sum(amount / network.node_bandwidth for amount in per_destination.values())
         nic_bound = max(
             amount / network.node_bandwidth for amount in per_destination.values()
         )
@@ -111,20 +106,16 @@ class RepairPlanner:
         Placement metadata of the stored file.
     topology:
         Cluster layout.
-    rack_cap:
-        Preferred cap on blocks of one stripe per rack (defaults to the
-        placement rule's ``n - k``); relaxed when no candidate satisfies it.
+
+    Destinations prefer racks holding fewer than the placement rule's
+    ``n - k`` blocks of the stripe; the cap is relaxed when no candidate
+    satisfies it.
     """
 
-    def __init__(
-        self,
-        block_map: BlockMap,
-        topology: ClusterTopology,
-        rack_cap: int | None = None,
-    ) -> None:
+    def __init__(self, block_map: BlockMap, topology: ClusterTopology) -> None:
         self.block_map = block_map
         self.topology = topology
-        self.rack_cap = block_map.params.parity if rack_cap is None else rack_cap
+        self.rack_cap = block_map.params.parity
 
     def plan(
         self,

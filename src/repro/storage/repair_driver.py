@@ -160,11 +160,6 @@ class RepairDriver:
         self._wakeup = None
         self._worker_procs: list[Process] = []
 
-        # -- cumulative stats (also available per-block in faults.repairs) --
-        self.blocks_repaired = 0
-        self.bytes_moved = 0.0
-        self.tasks_reclaimed = 0
-
     # -- wiring ---------------------------------------------------------------
 
     def start(self) -> None:
@@ -362,18 +357,14 @@ class RepairDriver:
             self.block_map.reassign(block, repair.destination)
             if was_corrupt:
                 self.block_map.clear_corrupt(block)
-            bytes_fetched = len(flows) * self.block_size
             reclaimed = tracker.on_block_repaired(block, repair.destination)
-            self.blocks_repaired += 1
-            self.bytes_moved += bytes_fetched
-            self.tasks_reclaimed += reclaimed
             tracker.faults.repairs.append(
                 RepairRecord(
                     block=str(block),
                     destination=repair.destination,
                     started_at=started,
                     finished_at=sim.now,
-                    bytes_fetched=bytes_fetched,
+                    bytes_fetched=len(flows) * self.block_size,
                     reclaimed_tasks=reclaimed,
                     attempts=attempts,
                 )

@@ -114,12 +114,11 @@ class TestbedCluster:
     Parameters
     ----------
     config:
-        The cluster configuration.
-    corpus:
-        Input bytes; generated from the seed when omitted.
+        The cluster configuration; the input corpus is generated from its
+        seed.
     """
 
-    def __init__(self, config: TestbedConfig, corpus: bytes | None = None) -> None:
+    def __init__(self, config: TestbedConfig) -> None:
         self.config = config
         self.topology = ClusterTopology.from_rack_sizes(
             [config.nodes_per_rack] * config.num_racks,
@@ -136,14 +135,12 @@ class TestbedCluster:
             rng=self.rng,
             source_selection=config.source_selection,
         )
-        if corpus is None:
-            corpus = generate_corpus(
-                config.corpus_bytes,
-                seed=config.seed,
-                vocabulary_size=config.vocabulary_size,
-            )
-        self.corpus = corpus
-        self.fs.write_file(corpus)
+        self.corpus = generate_corpus(
+            config.corpus_bytes,
+            seed=config.seed,
+            vocabulary_size=config.vocabulary_size,
+        )
+        self.fs.write_file(self.corpus)
 
     # -- public API ----------------------------------------------------------
 
@@ -196,9 +193,9 @@ class TestbedCluster:
             for job_id, (job, output) in enumerate(zip(jobs, outputs))
         ]
 
-    def kill_node(self, rng_name: str = "testbed-failure") -> frozenset[int]:
+    def kill_node(self) -> frozenset[int]:
         """Pick one slave at random to fail (the paper kills one datanode)."""
-        victim = self.rng.choice(rng_name, sorted(self.topology.node_ids()))
+        victim = self.rng.choice("testbed-failure", sorted(self.topology.node_ids()))
         return frozenset({victim})
 
     # -- the two steps ---------------------------------------------------------

@@ -60,26 +60,29 @@ def build_vocabulary(size: int, seed: int) -> list[str]:
     return vocabulary
 
 
-def _zipf_weights(size: int, exponent: float = 1.1) -> list[float]:
+#: Exponent of the vocabulary's Zipf law.
+ZIPF_EXPONENT = 1.1
+
+#: Share of lines drawn from the stock pool, and the pool's size.  85%
+#: repetition keeps LineCount's combined map output a few times
+#: WordCount's -- the paper's relative shuffle ordering (Grep < WordCount <
+#: LineCount) -- instead of shuffling nearly the whole input, which fully
+#: unique lines would cause.
+REPEATED_LINE_FRACTION = 0.85
+STOCK_LINE_COUNT = 400
+
+
+def _zipf_weights(size: int) -> list[float]:
     """Zipf-law sampling weights for ranks ``1..size``."""
-    return [1.0 / (rank**exponent) for rank in range(1, size + 1)]
+    return [1.0 / (rank**ZIPF_EXPONENT) for rank in range(1, size + 1)]
 
 
-def generate_corpus(
-    num_bytes: int,
-    seed: int = 0,
-    vocabulary_size: int = 4000,
-    repeated_line_fraction: float = 0.85,
-    stock_line_count: int = 400,
-) -> bytes:
+def generate_corpus(num_bytes: int, seed: int = 0, vocabulary_size: int = 4000) -> bytes:
     """Generate approximately ``num_bytes`` of newline-separated prose.
 
-    ``repeated_line_fraction`` of lines are drawn from a pool of
-    ``stock_line_count`` stock lines, giving LineCount a skewed
-    line-frequency distribution.  The default 85% repetition keeps
-    LineCount's combined map output a few times WordCount's -- the paper's
-    relative shuffle ordering (Grep < WordCount < LineCount) -- instead of
-    shuffling nearly the whole input, which fully unique lines would cause.
+    :data:`REPEATED_LINE_FRACTION` of lines are drawn from a pool of
+    :data:`STOCK_LINE_COUNT` stock lines, giving LineCount a skewed
+    line-frequency distribution.
     """
     if num_bytes <= 0:
         raise ValueError(f"corpus size must be positive, got {num_bytes}")
@@ -104,11 +107,11 @@ def generate_corpus(
     def fresh_line() -> str:
         return " ".join(next_words(rng.randint(4, 12)))
 
-    stock_lines = [fresh_line() for _ in range(stock_line_count)]
+    stock_lines = [fresh_line() for _ in range(STOCK_LINE_COUNT)]
     chunks: list[str] = []
     total = 0
     while total < num_bytes:
-        if rng.random() < repeated_line_fraction:
+        if rng.random() < REPEATED_LINE_FRACTION:
             line = rng.choice(stock_lines)
         else:
             line = fresh_line()

@@ -54,6 +54,17 @@ def test_fig7_table_pinned(sub):
     assert table_digest(table) == TABLE_DIGESTS[f"fig7{sub}"], table.format()
 
 
+def test_fig7_shared_batch_matches_the_pins():
+    """7(a)-(e) read from one shared batch render the same tables as alone."""
+    base = quick_base()
+    rows = {letter: build(base) for letter, (_title, build) in fig7_simulation._SWEEPS.items()}
+    rows["a"] = fig7_simulation._code_rows(base, QUICK_CODES)
+    data = fig7_simulation.Fig7Data(rows, SEEDS_FIG7)
+    for sub in "abcde":
+        table = getattr(fig7_simulation, f"run_fig7{sub}")(data=data)
+        assert table_digest(table) == TABLE_DIGESTS[f"fig7{sub}"], table.format()
+
+
 @pytest.fixture(scope="module")
 def fig8_data():
     return fig8_bdf_edf.Fig8Data(SEEDS_FIG8)

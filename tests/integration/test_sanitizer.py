@@ -113,7 +113,7 @@ def test_corpus_is_seeded() -> None:
 )
 def test_corpus_replays_clean(path: str) -> None:
     config, scheduler = load_repro(path)
-    report = run_checked_trial(config, scheduler)
+    report = run_checked_trial(config.with_scheduler(scheduler))
     assert not report.failed, (
         f"{os.path.basename(path)} regressed ({report.status}):\n{report.message}"
     )

@@ -94,9 +94,7 @@ def test_public_surface_pinned(cluster):
         ("self", empty), ("jobs", empty), ("scheduler", "EDF"),
         ("failed_nodes", frozenset()),
     ]
-    assert _parameters(TestbedCluster.kill_node) == [
-        ("self", empty), ("rng_name", "testbed-failure"),
-    ]
+    assert _parameters(TestbedCluster.kill_node) == [("self", empty)]
     assert [field.name for field in dataclasses.fields(TestbedJobResult)] == [
         "job_name", "scheduler", "runtime", "tasks", "output",
     ]

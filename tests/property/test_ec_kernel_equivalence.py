@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ec import matrix as gfm
-from repro.ec.codec import ALGORITHMS, CodeParams, ErasureCodec
+from repro.ec.codec import CodeParams, ErasureCodec
 from repro.ec.matrix import PACKED_MIN_BLOCK, SingularMatrixError
 from repro.ec.reed_solomon import ReedSolomon
 
@@ -297,10 +297,9 @@ ragged_lengths = st.sampled_from(
 
 @st.composite
 def ragged_stripes(draw):
-    """A code, an algorithm and stripes of unequal natives, the last short."""
+    """A code and stripes of unequal natives, the last short."""
     k = draw(st.integers(min_value=1, max_value=5))
     parity = draw(st.integers(min_value=1, max_value=3))
-    algorithm = draw(st.sampled_from(ALGORITHMS))
     full = draw(st.integers(min_value=0, max_value=3))
     counts = [k] * full + [draw(st.integers(min_value=1, max_value=k))]
     seed = draw(st.integers(min_value=0, max_value=2**31))
@@ -312,7 +311,7 @@ def ragged_stripes(draw):
         ]
         for count in counts
     ]
-    return ErasureCodec(CodeParams(k + parity, k), algorithm), stripes
+    return ErasureCodec(CodeParams(k + parity, k)), stripes
 
 
 class TestRaggedEncode:

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.topology import ClusterTopology
 from repro.ec.codec import CodeParams
 from repro.sim.rng import RngStreams
-from repro.storage.placement import PlacementError, make_placement_policy
+from repro.storage.placement import PlacementError, make_placement_policy, rack_rule_feasible
 
 
 @st.composite
@@ -27,7 +27,10 @@ def feasible_setup(draw):
         k = 1
         n = k + parity
     topology = ClusterTopology.from_rack_sizes([nodes_per_rack] * num_racks)
-    return topology, CodeParams(n, k)
+    params = CodeParams(n, k)
+    # The policies turn the rack rule off where the layout cannot hold it.
+    assume(rack_rule_feasible(topology, params))
+    return topology, params
 
 
 @settings(max_examples=30, deadline=None)

@@ -36,7 +36,7 @@ def test_generated_scenarios_round_trip_serialization(config):
 @_SETTINGS
 def test_generated_scenarios_run_clean_under_monitor(config):
     for scheduler in sorted({*SCHEDULERS, config.scheduler}):
-        report = run_checked_trial(config, scheduler)
+        report = run_checked_trial(config.with_scheduler(scheduler))
         assert not report.failed, (
             f"{scheduler} on generated scenario: {report.status}\n{report.message}"
         )

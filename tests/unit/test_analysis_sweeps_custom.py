@@ -13,18 +13,23 @@ from repro.ec.codec import CodeParams
 class TestCustomBases:
     def test_sweep_code_respects_base(self):
         base = AnalysisParams(num_nodes=20, num_racks=4, num_blocks=400)
-        points = sweep_code(base, codes=(CodeParams(8, 6), CodeParams(12, 9)))
-        assert len(points) == 2
-        assert points[0].label == "(8,6)"
+        points = sweep_code(base)
+        assert [point.label for point in points] == ["(8,6)", "(12,9)", "(16,12)", "(20,15)"]
+        model = AnalyticalModel(base.with_code(CodeParams(8, 6)))
+        assert points[0].normalized_df == model.normalized_degraded_first()
 
     def test_sweep_blocks_respects_base(self):
         base = AnalysisParams(map_time=10.0)
-        points = sweep_blocks(base, block_counts=(100, 200))
-        assert [point.label for point in points] == ["100", "200"]
+        points = sweep_blocks(base)
+        assert [point.label for point in points] == ["720", "1440", "2160", "2880"]
+        model = AnalyticalModel(base.with_blocks(720))
+        assert points[0].normalized_lf == model.normalized_locality_first()
 
     def test_sweep_bandwidth_labels(self):
-        points = sweep_bandwidth(bandwidths_mbps=(100, 200))
-        assert [point.label for point in points] == ["100Mbps", "200Mbps"]
+        points = sweep_bandwidth()
+        assert [point.label for point in points] == [
+            "100Mbps", "250Mbps", "500Mbps", "1000Mbps",
+        ]
 
 
 def compute_bound_runtime(params: AnalysisParams) -> float:

@@ -2,7 +2,8 @@
 
 ``run_many`` is replaced by a stand-in that records every batch it is
 handed and answers each trial with a stub result, so these tests see the
-exact grid each figure submits: one batch per sub-figure, the right
+exact grid each figure submits: one batch per sub-figure (one for all of
+7(a)-(e) when they share it), the right
 number of trials, and no trial a figure does not read.
 """
 
@@ -13,9 +14,9 @@ from types import SimpleNamespace
 import pytest
 
 from repro.cluster.failures import FailurePattern
-from repro.experiments import common, fig7_simulation
+from repro.experiments import campaign, common, fig7_simulation
 from repro.experiments.common import NormalizationError
-from repro.experiments.fig7_simulation import run_fig7f
+from repro.experiments.fig7_simulation import Fig7Data, run_fig7f
 from repro.experiments.fig8_bdf_edf import Fig8Data
 
 SEEDS = [0, 1]
@@ -65,6 +66,36 @@ def test_fig7_sweep_is_one_batch(batches, sub):
     assert len(batches) == 1
     # LF and EDF in failure mode plus one normal reference, per row per seed.
     assert len(batches[0]) == len(table.rows) * 3 * len(SEEDS)
+
+
+def test_fig7_data_is_one_batch_over_every_sub_figure(batches):
+    data = Fig7Data(seeds=SEEDS)
+    rows = sum(len(configs) for configs in data.rows.values())
+    assert rows == 4 + 4 + 3 + 3 + 4
+    assert [len(batch) for batch in batches] == [rows * 3 * len(SEEDS)]
+    for sub in "abcde":
+        table = getattr(fig7_simulation, f"run_fig7{sub}")(data=data)
+        assert list(table.rows) == list(data.rows[sub])
+    assert len(batches) == 1  # the tables read the batch; they run nothing
+
+
+def test_fig7_data_runs_each_distinct_trial_once(monkeypatch):
+    """At the paper's 30 seeds, one batch runs 1 200 trials; five ran 1 560."""
+    submitted: list[int] = []
+
+    def fake_run(self, configs):
+        submitted.append(len(configs))
+        return SimpleNamespace(results=[healthy(config) for config in configs])
+
+    monkeypatch.setattr(campaign.CampaignEngine, "run", fake_run)
+    seeds = list(range(30))
+    Fig7Data(seeds=seeds)
+    assert submitted == [1200]
+    submitted.clear()
+    for sub in "abcde":
+        getattr(fig7_simulation, f"run_fig7{sub}")(seeds=seeds)
+    assert submitted == [360, 360, 270, 270 - 60, 360]
+    assert sum(submitted) == 1560
 
 
 def test_fig7f_is_one_batch_over_all_seeds(batches):

@@ -14,6 +14,7 @@ import pytest
 
 from repro.check.invariants import (
     _HANDLERS,
+    MAX_VIOLATIONS,
     InvariantMonitor,
     InvariantViolation,
     InvariantViolationError,
@@ -290,11 +291,40 @@ class TestRunawayBounds:
 
 class TestReporting:
     def test_violation_cap_counts_overflow(self):
-        monitor = InvariantMonitor(max_violations=2)
-        for step in range(5):
+        monitor = InvariantMonitor()
+        for step in range(MAX_VIOLATIONS + 3):
             monitor.slot_changed(float(step), "map:0", 9, 2, 0)
-        assert len(monitor.violations) == 2
+        assert len(monitor.violations) == MAX_VIOLATIONS
         assert monitor.dropped_violations == 3
+
+    def test_violations_past_the_cap_are_reported(self):
+        monitor = InvariantMonitor()
+        for step in range(MAX_VIOLATIONS + 4800):
+            monitor.slot_changed(float(step), "map:0", 9, 2, 0)
+        header = f"{MAX_VIOLATIONS} violation(s), 4800 more not recorded"
+        assert monitor.report().splitlines()[0] == f"== sanitizer report: {header} =="
+        with pytest.raises(InvariantViolationError) as excinfo:
+            monitor.raise_if_violations()
+        error = excinfo.value
+        assert error.dropped == 4800
+        assert str(error).startswith(
+            f"{MAX_VIOLATIONS} invariant violation(s), 4800 more not recorded; first: "
+        )
+        assert header in error.report()
+        # The count crosses a process pool with the error.
+        clone = pickle.loads(pickle.dumps(error))
+        assert clone.dropped == 4800
+        assert str(clone) == str(error)
+        assert clone.report() == error.report()
+
+    def test_a_runaway_abort_carries_the_dropped_count(self):
+        monitor = InvariantMonitor(max_dispatch=1)
+        for step in range(MAX_VIOLATIONS + 2):
+            monitor.slot_changed(float(step), "map:0", 9, 2, 0)
+        monitor.on_dispatch(1.0)
+        with pytest.raises(InvariantViolationError) as excinfo:
+            monitor.on_dispatch(2.0)
+        assert excinfo.value.dropped == 3
 
     def test_render_report_groups_by_invariant(self):
         violations = [
@@ -302,12 +332,12 @@ class TestReporting:
             InvariantViolation(2.0, "slot-accounting", "b"),
             InvariantViolation(3.0, "bdf-pacing", "c"),
         ]
-        report = render_report(violations)
+        report = render_report(violations, 0)
         assert "3 violation(s)" in report
         assert report.index("slot-accounting: 2") < report.index("bdf-pacing: 1")
 
     def test_render_report_empty(self):
-        assert "no violations" in render_report([])
+        assert "no violations" in render_report([], 0)
 
     def test_raise_if_violations_carries_result(self):
         monitor = InvariantMonitor()

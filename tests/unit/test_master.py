@@ -90,7 +90,6 @@ class TestJobLifecycle:
             reduce_record, ReduceAssignment(job_id=0, reduce_index=0, slave_id=1)
         )
         assert tracker.finished
-        assert tracker.all_done.fired
         assert tracker.metrics[0].finish_time == tracker.sim.now
 
 
@@ -132,7 +131,7 @@ class TestMidRunFailureBookkeeping:
         )
         tracker.on_task_killed(assignment)
         assert state.m == launched - 1
-        assert tracker.killed_tasks == 1
+        assert tracker.metrics[0].killed_attempts == 1
 
     def test_killed_map_on_dead_home_becomes_degraded(self, tracker):
         tracker.expect_jobs(1)

@@ -101,7 +101,7 @@ class TestDeclareDead:
         launched = state.m
         tracker.declare_dead(1)
         assert state.m == launched - 1
-        assert tracker.killed_tasks == 1
+        assert tracker.metrics[0].killed_attempts == 1
 
     def test_idempotent_for_known_dead_node(self, tracker):
         tracker.declare_dead(1)
@@ -148,7 +148,6 @@ class TestRetryBudget:
         else:
             assert assignment.reduce_index == 0
             assert state.pending_reduce_tasks[0] == 0
-            assert state.launched_reduce_tasks == 0
             # The killed reducer's fetched data died with it: the backlog
             # comes back whole (JobShuffle.reset_reducer).
             assert shuffle.take(0) == drained

@@ -84,22 +84,6 @@ class TestConstructions:
         assert v[1].tolist() == [1, 1, 1]
         assert v[2].tolist() == [1, 2, 4]
 
-    def test_cauchy_rejects_overlap(self):
-        with pytest.raises(ValueError):
-            gfm.cauchy([1, 2], [2, 3])
-
-    def test_cauchy_entries(self):
-        from repro.ec.galois import gf_inv
-
-        c = gfm.cauchy([1, 2], [3, 4])
-        assert c[0, 0] == gf_inv(1 ^ 3)
-        assert c[1, 1] == gf_inv(2 ^ 4)
-
-    def test_cauchy_square_invertible(self):
-        c = gfm.cauchy([1, 2, 3], [4, 5, 6])
-        inverse = gfm.invert(c)
-        assert np.array_equal(gfm.matmul(c, inverse), gfm.identity(3))
-
     def test_systematic_top_is_identity(self):
         g = gfm.systematic_encoding_matrix(6, 4)
         assert np.array_equal(g[:4], gfm.identity(4))

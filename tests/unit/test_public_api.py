@@ -96,20 +96,11 @@ class TestEcSurface:
         with pytest.raises(AttributeError):
             _ = repro.ec.does_not_exist
 
-    @pytest.mark.parametrize(
-        "algorithm,module,name",
-        [
-            ("vandermonde", "repro.ec.reed_solomon", "ReedSolomon"),
-            ("cauchy", "repro.ec.cauchy", "CauchyReedSolomon"),
-        ],
-    )
-    def test_codec_builds_the_named_coder(self, algorithm, module, name):
+    def test_codec_builds_the_reed_solomon_coder(self):
         from repro.ec import CodeParams, ErasureCodec, ReedSolomon
 
-        codec = ErasureCodec(CodeParams(6, 4), algorithm=algorithm)
-        expected = getattr(importlib.import_module(module), name)
-        assert type(codec.coder) is expected
-        assert isinstance(codec.coder, ReedSolomon)
+        codec = ErasureCodec(CodeParams(6, 4))
+        assert type(codec.coder) is ReedSolomon
         assert (codec.coder.n, codec.coder.k) == (6, 4)
         natives = [bytes([value]) * 8 for value in range(4)]
         stripe = codec.encode_stripes([natives])[0]
@@ -121,8 +112,3 @@ class TestEcSurface:
 
         assert type(ErasureCodec(CodeParams(4, 3)).coder) is ReedSolomon
 
-    def test_unknown_algorithm_is_refused_before_any_coder_is_built(self):
-        from repro.ec import CodeParams, ErasureCodec
-
-        with pytest.raises(ValueError, match="unknown algorithm"):
-            ErasureCodec(CodeParams(4, 3), algorithm="lrc")

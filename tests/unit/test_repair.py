@@ -134,8 +134,10 @@ class TestTrafficAccounting:
         plan = planner.plan(frozenset({0}), rng)
         network = NetworkSpec(rack_download_bw=1e6)
         parallel = plan.estimated_duration(topology, network, 1000.0)
-        serial = plan.estimated_duration(
-            topology, network, 1000.0, parallel_destinations=False
+        # One repair process downloading each destination's bytes in turn.
+        serial = sum(
+            amount / network.node_bandwidth
+            for amount in plan.bytes_per_destination(1000.0).values()
         )
         assert 0.0 < parallel <= serial
 

@@ -34,14 +34,8 @@ class TestSetup:
         assert block_map is not None
         assert block_map.num_native_blocks >= 12
 
-    def test_custom_corpus_respected(self):
-        corpus = b"alpha beta\n" * 500
-        config = TestbedConfig(num_blocks=4, block_size=1024, seed=5)
-        cluster = TestbedCluster(config, corpus=corpus)
-        assert cluster.corpus == corpus
-
     def test_kill_node_picks_live_slave(self, cluster):
-        failed = cluster.kill_node("some-stream")
+        failed = cluster.kill_node()
         assert len(failed) == 1
         assert failed < set(cluster.topology.node_ids())
 

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from repro.testbed import textgen
 from repro.testbed.textgen import COMMON_WORDS, build_vocabulary, generate_corpus
 
 
@@ -62,8 +63,9 @@ class TestCorpus:
         lines = Counter(corpus.decode().splitlines())
         assert lines.most_common(1)[0][1] > 5
 
-    def test_repetition_fraction_zero(self):
-        corpus = generate_corpus(30_000, seed=7, repeated_line_fraction=0.0)
+    def test_repetition_fraction_zero(self, monkeypatch):
+        monkeypatch.setattr(textgen, "REPEATED_LINE_FRACTION", 0.0)
+        corpus = generate_corpus(30_000, seed=7)
         lines = Counter(corpus.decode().splitlines())
         # Nearly all lines unique.
         assert lines.most_common(1)[0][1] <= 3

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.ec.codec import CodeParams
 from repro.mapreduce.config import JobConfig, SimulationConfig
 from repro.mapreduce.simulation import run_simulation
 from repro.mapreduce.trace import (
+    TIMELINE_WIDTH,
     render_timeline,
     to_json,
     to_records,
@@ -70,15 +72,15 @@ class TestTimeline:
             assert f"node {node}.0" in chart
 
     def test_download_and_process_glyphs(self, result):
-        chart = render_timeline(result, width=100)
+        chart = render_timeline(result)
         assert "#" in chart
         # Degraded or remote fetches draw a download prefix somewhere.
         assert "~" in chart
 
     def test_empty_selection(self, result):
-        assert render_timeline(result, job_id=99) == "(no tasks)"
+        assert render_timeline(replace(result, jobs={})) == "(no tasks)"
 
     def test_width_respected(self, result):
-        chart = render_timeline(result, width=40)
+        chart = render_timeline(result)
         for line in chart.splitlines()[1:]:
-            assert len(line) <= 40 + 14  # label + bars
+            assert len(line) <= TIMELINE_WIDTH + 14  # label + bars
