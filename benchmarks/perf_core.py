@@ -22,9 +22,9 @@ Six workloads probe the hot paths the core optimisation targeted:
   plain trial beside them.
 * :func:`footprint` -- what a simulator *process* costs, measured in fresh
   interpreters: wall and resident memory of the import closure
-  ``run_simulation`` needs, peak resident memory after six fig7 trials, and
-  the objects a final ``gc.collect()`` finds (a finished trial is acyclic,
-  so: none).
+  ``run_simulation`` needs, peak resident memory after six fig7 trials and
+  after one ``scale_200``-shaped trial, and the objects a final
+  ``gc.collect()`` finds (a finished trial is acyclic, so: none).
 
 The workloads are deterministic (fixed LCG streams, no wall-clock
 dependence inside the simulated world) so before/after timings compare the
@@ -331,6 +331,18 @@ print(json.dumps({{
 """
 
 
+#: Runs in a fresh interpreter: one LF trial shaped like the end-to-end
+#: benchmark's ``scale_200`` workload (200 nodes, 10 racks, 7 200 blocks),
+#: the most task streams and task processes any workload's trial holds.
+_SCALE_PROBE = _PROBE_PRELUDE + """
+from repro import JobConfig, SimulationConfig, run_simulation
+run_simulation(SimulationConfig(
+    scheduler="LF", seed=0, num_nodes=200, num_racks=10,
+    jobs=(JobConfig(num_blocks=7200),)))
+print(json.dumps({"peak_rss_mb": peak_rss_mb()}))
+"""
+
+
 def _probe(code: str) -> dict:
     """Run ``code`` in a fresh interpreter; its last stdout line is one JSON object."""
     source_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -349,10 +361,12 @@ def footprint(num_blocks: int = 1440, starts: int = 5) -> dict:
     Everything is read in fresh interpreters, because this process has
     already imported numpy-free and numpy-laden modules alike.  The import
     figures are medians over ``starts`` interpreter starts; the six trials
-    run once (their peak repeats to 0.1-0.3 MiB).
+    run once (their peak repeats to 0.1-0.3 MiB), and so does the
+    ``scale_200``-shaped trial, which ``num_blocks`` does not resize.
     """
     imports = [_probe(_IMPORT_PROBE) for _ in range(starts)]
     trials = _probe(_TRIALS_PROBE.format(num_blocks=num_blocks))
+    scale = _probe(_SCALE_PROBE)
     return {
         "num_blocks": num_blocks,
         "starts": starts,
@@ -363,6 +377,7 @@ def footprint(num_blocks: int = 1440, starts: int = 5) -> dict:
         "trials": trials["trials"],
         "peak_rss_mb": trials["peak_rss_mb"],
         "final_collect_objects": trials["final_collect_objects"],
+        "scale_200_peak_rss_mb": scale["peak_rss_mb"],
     }
 
 

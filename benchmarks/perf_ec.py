@@ -13,7 +13,8 @@ Workloads (all at 1 MiB blocks by default, the testbed's block size):
 
 * :func:`encode_workload` -- parity generation, RS(9,6) and RS(16,12).
 * :func:`decode_workload` -- full decode after the maximum tolerable
-  native loss (the degraded-read storm case).
+  native loss (the degraded-read storm case), also at RS(20,15), whose
+  five rebuilt rows make the one two-band apply here.
 * :func:`reconstruct_workload` -- repeated same-pattern single-block
   repair of a parity block, the seed's O(k^2 L) worst case (full decode
   plus re-encode) against the cached one-row plan.
@@ -221,6 +222,7 @@ def main() -> None:
         ("encode_rs16_12", lambda: encode_workload(16, 12)),
         ("decode_rs9_6", lambda: decode_workload(9, 6)),
         ("decode_rs16_12", lambda: decode_workload(16, 12)),
+        ("decode_rs20_15", lambda: decode_workload(20, 15)),
         ("reconstruct_rs9_6", lambda: reconstruct_workload(9, 6)),
         ("reconstruct_rs16_12", lambda: reconstruct_workload(16, 12)),
         ("shared_gather_rs12_10", lambda: shared_gather_workload(12, 10)),

@@ -19,9 +19,12 @@ Environment knobs:
     minimum (a same-process ratio, machine-independent, asserted at full
     strength), and what observing adds per emitted bus event and checking
     per dispatched heap entry must stay under their per-size ceilings.  So
-    must the two process-footprint ceilings: a count that is exactly zero
-    and a resident size whose ceiling sits well below what the numpy-laden,
-    cycle-pinned process used to read.
+    must the process-footprint ceilings: a count that is exactly zero, a
+    resident size per size whose ceiling sits well below what the
+    numpy-laden, cycle-pinned process used to read, and the resident size
+    of one ``scale_200``-shaped trial, whose ceiling sits below what a trial
+    keeping every one-shot random stream or every finished task process
+    reads.
 ``REPRO_BENCH_SIM_OUT``
     Override the output path (empty string disables the write).
 """
@@ -248,9 +251,12 @@ def test_process_footprint():
 
     Read in fresh interpreters.  The garbage count is exact (a finished
     trial is acyclic) and numpy must stay outside the import closure; the
-    resident ceiling sits under what the process used to peak at even at
-    the small size (derivation in perf_floor.json).
+    six-trial resident ceiling sits under what the process used to peak at
+    even at the small size, and the ``scale_200``-shaped trial's under what
+    it read while it kept one-shot streams and finished task processes
+    (derivations in perf_floor.json).
     """
+    size = "small" if SMALL else "full"
     result = footprint(num_blocks=360 if SMALL else 1440)
     _results["footprint"] = result
     assert not result["numpy_imported"], "numpy is back in the simulator's import closure"
@@ -260,8 +266,13 @@ def test_process_footprint():
             f"gc.collect() found {found} unreachable objects after six trials:"
             " the trial graph has a reference cycle again"
         )
-        ceiling = CEILINGS["sim_process_peak_rss_mb"]
+        ceiling = CEILINGS["sim_process_peak_rss_mb"][size]
         assert result["peak_rss_mb"] <= ceiling, (
             f"six fig7 trials peaked at {result['peak_rss_mb']:.1f} MiB resident,"
-            f" above the enforced ceiling {ceiling:.1f}"
+            f" above the enforced {size}-size ceiling {ceiling:.1f}"
+        )
+        ceiling = CEILINGS["scale_200_peak_rss_mb"]
+        assert result["scale_200_peak_rss_mb"] <= ceiling, (
+            f"one scale_200-shaped trial peaked at {result['scale_200_peak_rss_mb']:.1f}"
+            f" MiB resident, above the enforced ceiling {ceiling:.1f}"
         )

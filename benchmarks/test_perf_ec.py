@@ -2,9 +2,10 @@
 
 Runs the fixed workloads of :mod:`benchmarks.perf_ec` and writes
 ``BENCH_ec.json`` next to this file: before (reference oracles) and after
-(batched kernels + plan caches) throughput at RS(9,6) and RS(16,12), plus
-the implied speedups, and the packed gather on one worker against the
-same gather shared across the process's CPUs at RS(12,10).
+(batched kernels + plan caches) throughput at RS(9,6) and RS(16,12), the
+decode at RS(20,15) too, the implied speedups, and the packed gather on
+one worker against the same gather shared across the process's CPUs at
+RS(12,10).
 
 Environment knobs:
 
@@ -93,9 +94,13 @@ def test_encode_speedup(n, k):
     _check_floor(f"encode_rs{n}_{k}", result)
 
 
-@pytest.mark.parametrize("n,k", [(9, 6), (16, 12)])
+@pytest.mark.parametrize("n,k", [(9, 6), (16, 12), (20, 15)])
 def test_decode_speedup(n, k):
-    """Warm plan-cached decode vs the seed's per-call invert + matvec."""
+    """Warm plan-cached decode vs the seed's per-call invert + matvec.
+
+    RS(20,15), the simulator's code, rebuilds five natives: two bands of
+    packed rows, so its chunks share each column's converted indices.
+    """
     result = decode_workload(n, k, block_len=BLOCK_LEN, repeats=REPEATS)
     _check_floor(f"decode_rs{n}_{k}", result)
 

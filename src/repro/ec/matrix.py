@@ -12,13 +12,13 @@ to it.  It is implemented as a packed pair-indexed table kernel (see
 ``uint16`` pairs and one 65536-entry gather yields the products of both
 bytes by up to four matrix rows at once, so gather work per output row
 drops by ~8x compared with one 256-entry gather per ``(row, column)``
-coefficient.  The gathers run on every CPU the process may use: each band's
-pair range is cut into :data:`GATHER_CHUNK`-pair chunks that the applying
-thread and helper threads claim from one shared iterator, each chunk
-writing only its own slice of the output (:func:`_gather_bands`).  With one
-usable CPU no thread is started, and no helper is alive across a ``fork``.
-There is no knob: the worker count is the process's CPU affinity and the
-chunk size a measured constant.  The pre-kernel implementations are retained
+coefficient.  The gathers run on every CPU the process may use: the pair
+range is cut into :data:`GATHER_CHUNK`-pair chunks, each covering every
+band, that the applying thread and helper threads claim from one shared
+iterator, each chunk writing only its own slices of the output
+(:func:`_gather_bands`).  With one usable CPU no thread is started, and no
+helper is alive across a ``fork``.  There is no knob: the worker count is
+the process's CPU affinity and the chunk size a measured constant.  The pre-kernel implementations are retained
 verbatim as ``*_reference`` oracles (the PR-4
 ``_recompute_rates_reference`` idiom); the Hypothesis suite
 ``tests/property/test_ec_kernel_equivalence.py`` holds the kernels
@@ -48,10 +48,10 @@ PACKED_MIN_BLOCK = 4096
 
 #: Pairs per unit of packed-gather work (256 KiB of each column), shared out
 #: among the CPUs by :func:`_gather_bands`.  Each chunk costs two numpy calls
-#: per column, and each call a GIL hand-off between the threads: on two CPUs
-#: one ``ec_storage`` round (1 MiB blocks) took 44 / 34 / 29 / 27 ms at 32K /
-#: 64K / 128K / 256K-pair chunks, against 42 ms for the one-thread loop this
-#: replaced.  128K is the largest size that still leaves two chunks per
+#: per column and band, and each call a GIL hand-off between the threads: on
+#: two CPUs one ``ec_storage`` round (1 MiB blocks) took 44 / 34 / 29 / 27 ms
+#: at 32K / 64K / 128K / 256K-pair chunks, against 42 ms for the one-thread
+#: loop this replaced.  128K is the largest size that still leaves two chunks per
 #: thread at 1 MiB, so a CPU busy elsewhere just claims fewer; an apply
 #: that is one chunk in all runs on one thread.
 GATHER_CHUNK = 1 << 17
@@ -252,24 +252,24 @@ def _gather_bands(
 ) -> None:
     """Set each band's ``accumulator[:half]`` to its whole-pair sum, on every CPU.
 
-    Every band's pair range is cut into :data:`GATHER_CHUNK`-pair chunks,
-    which the calling thread and one helper per further usable CPU claim
-    from one shared iterator until none is left (``np.take`` and ``^=``
-    release the GIL).  Each chunk writes only its own slice, so the bytes do
-    not depend on which thread ran it, and a CPU that is busy elsewhere just
-    claims fewer chunks.  With one usable CPU, or fewer than two chunks, the
-    calling thread runs them all and no helper is started.
+    The pair range is cut into :data:`GATHER_CHUNK`-pair chunks, each
+    covering every band, which the calling thread and one helper per
+    further usable CPU claim from one shared iterator until none is left
+    (``np.take`` and ``^=`` release the GIL).  Each chunk writes only its
+    own slices, so the bytes do not depend on which thread ran it, and a
+    CPU that is busy elsewhere just claims fewer chunks.  With one usable
+    CPU, or fewer than two chunks, the calling thread runs them all and no
+    helper is started.
     """
     cpus = _usable_cpus()
-    # Alone, a thread gathers each band in one piece: the fewest numpy calls.
+    # Alone, a thread gathers the range in one piece: the fewest numpy calls.
     size = GATHER_CHUNK if cpus > 1 else half
-    chunks = [
-        (band_tables, accumulator, lo, min(lo + size, half))
-        for band_tables, accumulator in zip(tables, accumulators)
-        for lo in range(0, half, size)
-    ]
+    if len(tables) > 1:
+        # A chunk gathers every band: cut at least one chunk per CPU.
+        size = min(size, -(-half // cpus))
+    chunks = [(lo, min(lo + size, half)) for lo in range(0, half, size)]
     widest = max(accumulators, key=lambda accumulator: accumulator.itemsize).dtype
-    job = _GatherJob(pairs, chunks, size, widest)
+    job = _GatherJob(tables, pairs, accumulators, chunks, size, widest)
     helpers = min(len(chunks), cpus) - 1
     if helpers > 0:
         _start_helpers(helpers)
@@ -285,9 +285,17 @@ class _GatherJob:
     """One apply's chunks, run by every thread that claims from its iterator."""
 
     def __init__(
-        self, pairs: list[np.ndarray], chunks: list[tuple], size: int, dtype: np.dtype
+        self,
+        tables: list[list[np.ndarray]],
+        pairs: list[np.ndarray],
+        accumulators: list[np.ndarray],
+        chunks: list[tuple[int, int]],
+        size: int,
+        dtype: np.dtype,
     ) -> None:
+        self.tables = tables
         self.pairs = pairs
+        self.accumulators = accumulators
         # Each thread's scratch row: one chunk of the widest band's entries.
         self.scratch_size = size
         self.scratch_dtype = dtype
@@ -299,11 +307,11 @@ class _GatherJob:
 
     def __call__(self) -> None:
         scratch = None
-        for band_tables, accumulator, lo, hi in self.chunks:
+        for lo, hi in self.chunks:
             try:
                 if scratch is None:
                     scratch = np.empty(self.scratch_size, dtype=self.scratch_dtype)
-                _gather_chunk(band_tables, self.pairs, accumulator, lo, hi, scratch)
+                _gather_chunk(self.tables, self.pairs, self.accumulators, lo, hi, scratch)
             except BaseException as error:  # re-raised by the applying thread
                 self.error = error
             with self.lock:
@@ -352,41 +360,49 @@ os.register_at_fork(before=_stop_helpers)
 
 
 def _gather_chunk(
-    band_tables: list[np.ndarray],
+    tables: list[list[np.ndarray]],
     pairs: list[np.ndarray],
-    accumulator: np.ndarray,
+    accumulators: list[np.ndarray],
     lo: int,
     hi: int,
     scratch: np.ndarray,
 ) -> None:
-    """Set ``accumulator[lo:hi]`` to the XOR of every column's gathered pairs.
+    """Set each band's ``accumulator[lo:hi]`` to the XOR of every column's gathers.
 
     ``accumulator[lo:filled]`` holds the sum so far and the rest of the
     chunk is unset: a column that ends inside the chunk covers only its own
     pairs, and the end no column reached is zeroed last, which is what
-    zero-extension contributes.
+    zero-extension contributes.  ``np.take`` converts ``uint16`` indices to
+    ``intp`` on every call, so with several bands each column slice is
+    converted once and its indices serve every band.
     """
-    gather_row = scratch.view(accumulator.dtype)
+    gather_rows = [scratch.view(accumulator.dtype) for accumulator in accumulators]
+    shared = len(tables) > 1
     filled = lo
     # Pair indices never leave the 65536-entry table, so "wrap" is exact; it
     # spares numpy the buffered bounds check of an ``out`` gather.
-    for table, column in zip(band_tables, pairs):
+    for j, column in enumerate(pairs):
         end = min(hi, len(column))
         if end <= lo:
             continue
-        if filled == lo:
-            table.take(column[lo:end], out=accumulator[lo:end], mode="wrap")
-            filled = end
-            continue
-        gathered = gather_row[: end - lo]
-        table.take(column[lo:end], out=gathered, mode="wrap")
-        if end <= filled:
-            accumulator[lo:end] ^= gathered
-        else:
-            accumulator[lo:filled] ^= gathered[: filled - lo]
-            accumulator[filled:end] = gathered[filled - lo :]
-            filled = end
-    accumulator[filled:hi] = 0
+        index = column[lo:end]
+        if shared:
+            index = index.astype(np.intp)
+        for band_tables, accumulator, gather_row in zip(tables, accumulators, gather_rows):
+            table = band_tables[j]
+            if filled == lo:
+                table.take(index, out=accumulator[lo:end], mode="wrap")
+                continue
+            gathered = gather_row[: end - lo]
+            table.take(index, out=gathered, mode="wrap")
+            if end <= filled:
+                accumulator[lo:end] ^= gathered
+            else:
+                accumulator[lo:filled] ^= gathered[: filled - lo]
+                accumulator[filled:end] = gathered[filled - lo :]
+        filled = max(filled, end)
+    for accumulator in accumulators:
+        accumulator[filled:hi] = 0
 
 
 def matvec_blocks_reference(

@@ -81,11 +81,11 @@ class SlaveRuntime:
         if observer is not None:
             for semaphore in (*self.map_slots.values(), *self.reduce_slots.values()):
                 semaphore.observer = observer
-        #: Task processes spawned per node, in spawn order: a dict, not a set,
-        #: so a crash interrupts them in an order that does not depend on
-        #: ``id()`` (memory layout, hence ``PYTHONHASHSEED``).  Finished ones
-        #: stay until the node dies; ``Process.interrupt`` ignores them.
-        self._running: dict[int, dict[Process, None]] = {
+        #: Live task processes per node by assignment, in spawn order: a
+        #: dict, so a crash interrupts them in an order that does not depend
+        #: on ``id()`` (memory layout, hence ``PYTHONHASHSEED``).  A process
+        #: leaves when it ends (see :func:`task_process`).
+        self._running: dict[int, dict[MapAssignment | ReduceAssignment, Process]] = {
             node.node_id: {} for node in topology.nodes
         }
         #: Ground-truth crash instants (nodes dead but possibly undetected).
@@ -136,7 +136,7 @@ class SlaveRuntime:
         slave = self._slave_procs.pop(node_id, None)
         if slave is not None:
             slave.interrupt("crash")
-        for process in list(self._running[node_id]):
+        for process in list(self._running[node_id].values()):
             process.interrupt(cause)
         self._running[node_id].clear()
         self._note_slots_lost(node_id)
@@ -243,8 +243,8 @@ class SlaveRuntime:
         else:
             self._slowdowns[node_id] = remaining
 
-    def _register(self, node_id: int, process: Process) -> None:
-        self._running[node_id][process] = None
+    def _register(self, assignment: MapAssignment | ReduceAssignment, process: Process) -> None:
+        self._running[assignment.slave_id][assignment] = process
 
     def slots(self, assignment: MapAssignment | ReduceAssignment) -> Semaphore:
         """The slot semaphore an attempt occupies on its node."""
@@ -271,7 +271,7 @@ def slave_process(runtime: SlaveRuntime, node_id: int) -> Generator:
     tracker = runtime.tracker
     interval = runtime.config.heartbeat_interval
     if runtime.config.heartbeat_stagger:
-        offset = runtime.rng.spawn("heartbeat").stream(str(node_id)).uniform(0.0, interval)
+        offset = runtime.rng.spawn("heartbeat").uniform(str(node_id), 0.0, interval)
         yield Timeout(offset)
     while not tracker.finished:
         if node_id in tracker.failed_nodes or node_id in runtime.crash_times:
@@ -289,7 +289,7 @@ def slave_process(runtime: SlaveRuntime, node_id: int) -> Generator:
                 task_process(runtime, assignment),
                 name=f"{assignment.kind}:{assignment.job_id}:{assignment.task}",
             )
-            runtime._register(node_id, process)
+            runtime._register(assignment, process)
             attempt = tracker.note_attempt_started(assignment, process)
             if bus is not None:
                 bus.emit(
@@ -318,9 +318,14 @@ def task_process(
     detects the death); a speculative kill or job abort releases the slot
     (the node is alive) and drops the work.  A reduce handed back starts
     from scratch: its fetched shuffle data died with the node.
+
+    However it ends, the attempt leaves its node's registry of live
+    processes: the registry it joined, which a node's death empties and its
+    recovery replaces, so a late exit never touches a newer attempt's entry.
     """
     sim = runtime.sim
     tracker = runtime.tracker
+    running = runtime._running[assignment.slave_id]
     try:
         job = tracker.active_job(assignment.job_id)
         if job is None:
@@ -383,6 +388,8 @@ def task_process(
             runtime.slots(assignment).release()
         else:
             tracker.on_task_killed(assignment)
+    finally:
+        running.pop(assignment, None)
 
 
 def _processing_time(

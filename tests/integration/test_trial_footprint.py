@@ -1,5 +1,8 @@
 """What one trial leaves behind in its process: nothing, and no numpy.
 
+While it runs, a trial holds only live state: a random generator only for a
+stream that is drawn from again, and a task process only until it ends.
+
 A finished trial is **acyclic**: every object it built is freed by
 reference counting the moment :func:`run_simulation` returns, with no help
 from the cyclic collector.  These tests run with the collector disabled
@@ -21,6 +24,7 @@ import os
 import subprocess
 import sys
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -30,6 +34,8 @@ from repro.faults.schedule import FailEvent, FailureSchedule, RecoverEvent, Slow
 from repro.mapreduce.config import JobConfig, SimulationConfig
 from repro.mapreduce.simulation import run_simulation
 from repro.obs import ObservabilityCollector
+from repro.sim.engine import Process
+from repro.sim.rng import RngStreams
 from repro.storage.repair_driver import RepairConfig
 
 ROOT = os.path.join(os.path.dirname(__file__), "..", "..")
@@ -157,6 +163,92 @@ def test_an_observers_garbage_holds_no_trial_object(shape, mode, no_collector):
         }
     )
     assert leaked == []
+
+
+class _RuntimeKeeper(ObservabilityCollector):
+    """Keeps the slave runtime alive past the end of its trial."""
+
+    def on_trial_built(self, *, sim, tracker, runtime, hdfs, config) -> None:
+        self.runtime = runtime
+
+
+#: The convenience draws; a trial fetches a generator only through ``stream``.
+DRAW_METHODS = ("normal", "exponential", "uniform", "choice", "sample", "shuffle", "randint")
+
+
+def _log_stream_use(monkeypatch) -> tuple[Counter, set]:
+    """Count draws per ``(stream cache, full name)`` and note ``stream`` fetches.
+
+    A ``stream`` call made inside a convenience draw is the draw's own
+    business, not a fetch.
+    """
+    draws: Counter = Counter()
+    fetched: set = set()
+    depth = [0]
+
+    def counting(method):
+        def draw(self, name, *args, **kwargs):
+            draws[id(self._streams), self.prefix + name] += 1
+            depth[0] += 1
+            try:
+                return method(self, name, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        return draw
+
+    stream = RngStreams.stream
+
+    def fetch(self, name):
+        if not depth[0]:
+            fetched.add((id(self._streams), self.prefix + name))
+        return stream(self, name)
+
+    for name in DRAW_METHODS:
+        monkeypatch.setattr(RngStreams, name, counting(getattr(RngStreams, name)))
+    monkeypatch.setattr(RngStreams, "stream", fetch)
+    return draws, fetched
+
+
+def test_a_trial_holds_only_live_state(monkeypatch):
+    """After a crash, a recovery and speculation: no dead process, no spent stream.
+
+    Node 4 crashes mid-run with maps on it and rejoins, so its heartbeat
+    stream is drawn from twice; a third of the nodes are slow, so backups
+    launch and the losers are killed.
+    """
+    draws, fetched = _log_stream_use(monkeypatch)
+    keeper = _RuntimeKeeper()
+    config = SimulationConfig(
+        scheduler="EDF",
+        seed=2,
+        speed_factors=tuple(1.0 if node % 3 else 0.4 for node in range(40)),
+        jobs=(JobConfig(num_blocks=240),),
+        failure_schedule=FailureSchedule(
+            (FailEvent(at=20.0, node=4), RecoverEvent(at=60.0, node=4))
+        ),
+        speculative=True,
+    )
+    metrics = run_simulation(config, observer=keeper).jobs[0]
+    assert metrics.killed_attempts > 0 and metrics.speculative_killed > 0
+
+    runtime = keeper.runtime
+    held = [
+        item
+        for registry in runtime._running.values()
+        for entry in registry.items()
+        for item in entry
+        if isinstance(item, Process)
+    ]
+    assert [process.name for process in held if process.finished.fired] == []
+
+    cache = id(runtime.rng._streams)
+    names = {name for key, name in draws if key == cache}
+    drawn_again = {name for name in names if draws[cache, name] > 1}
+    streamed = {name for key, name in fetched if key == cache}
+    assert "heartbeat:4" in drawn_again
+    assert len(names - drawn_again - streamed) > 240  # one-shot task streams
+    assert set(runtime.rng._streams) == drawn_again | streamed
 
 
 def _run_python(code: str) -> str:

@@ -151,8 +151,8 @@ class TestSharedGather:
         """Ragged, odd and empty blocks straddling chunk edges, on 1-3 threads.
 
         Up to nine rows make up to three bands of different table widths,
-        so the chunks of several bands share one iterator and one scratch
-        row per thread.
+        so one chunk gathers several bands through one converted index
+        slice per column and one scratch row per thread.
         """
         lengths = data.draw(
             st.lists(straddling_lengths, min_size=matrix.shape[1], max_size=matrix.shape[1])
